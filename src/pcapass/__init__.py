@@ -2,7 +2,7 @@
 connections and per-hop PCA, with a from-scratch GBDT classifier and the
 over-smoothing / generalization analyses built on top."""
 
-from .aggregate import Aggregator, aggregate, aggregate_k
+from .aggregate import Aggregator, aggregate
 from .analysis import (
     HpoRecord,
     SearchSpace,
@@ -13,7 +13,7 @@ from .analysis import (
     random_search,
 )
 from .datasets import Dataset, SbmParams, generate_sbm, load_dataset, save_dataset
-from .embed import EmbedConfig, EmbedResult, Method, embed, hop_states, pcapass_embed, skip_embed
+from .embed import EmbedConfig, EmbedResult, Method, embed, hop_states
 from .errors import ConfigError, DataError
 from .gbdt import (
     GbdtModel,
@@ -25,7 +25,7 @@ from .gbdt import (
     gbdt_to_bytes,
     gbdt_train,
 )
-from .graph import CsrGraph, EdgeList, degrees, load_edge_list, prepare
+from .graph import CsrGraph, EdgeList, load_edge_list, prepare
 from .metrics import (
     accuracy,
     cross_entropy,
@@ -58,9 +58,7 @@ __all__ = [
     "Tree",
     "accuracy",
     "aggregate",
-    "aggregate_k",
     "cross_entropy",
-    "degrees",
     "embed",
     "explained_variance_ratio",
     "gbdt_from_bytes",
@@ -78,12 +76,10 @@ __all__ = [
     "oversmoothing_sweep",
     "pca_fit",
     "pca_transform",
-    "pcapass_embed",
     "pearson_correlation",
     "prepare",
     "random_search",
     "save_dataset",
-    "skip_embed",
     "standardize",
     "v_measure",
 ]

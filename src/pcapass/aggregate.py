@@ -48,16 +48,3 @@ def aggregate(g: CsrGraph, H, aggregator: Aggregator) -> np.ndarray:
             f"feature matrix must have {g.n_nodes} rows, got shape {H.shape}"
         )
     return _operator(g, aggregator) @ H
-
-
-def aggregate_k(g: CsrGraph, H, aggregator: Aggregator, k: int) -> np.ndarray:
-    """Apply `aggregate` k times; k=0 returns the input unchanged."""
-    if k < 0:
-        raise ValueError(f"hop count must be >= 0, got {k}")
-    out = np.array(H, dtype=np.float64, copy=True)
-    if k == 0:
-        return out
-    op = _operator(g, aggregator)
-    for _ in range(k):
-        out = op @ out
-    return out

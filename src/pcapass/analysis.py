@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,6 +55,14 @@ class SearchSpace:
     aggregators: tuple[str, ...] = ("mean", "symnorm")
     n_rounds: int = 200
     patience: int = 10
+
+
+def _map(fn, items, threads: int) -> list:
+    """`fn` over `items` in order, on a pool of `threads` threads if > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def normalize_scores(raw) -> np.ndarray:
@@ -105,11 +113,7 @@ def oversmoothing_sweep(
         return v_measure(y, assign)
 
     cells = [(mi, ki) for mi in range(len(methods)) for ki in range(max_hops)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(run_cell, cells))
-    else:
-        scores = [run_cell(c) for c in cells]
+    scores = _map(run_cell, cells, threads)
 
     results = []
     for mi, method in enumerate(methods):
@@ -155,13 +159,7 @@ def _execute_run(dataset: Dataset, method: Method, sampled: dict) -> tuple[float
     va = dataset.indices(VALID)
     te = dataset.indices(TEST)
     params = GbdtParams(
-        learning_rate=sampled["learning_rate"],
-        max_depth=sampled["max_depth"],
-        n_rounds=sampled["n_rounds"],
-        reg_lambda=sampled["reg_lambda"],
-        patience=sampled["patience"],
-        subsample=sampled["subsample"],
-        seed=sampled["seed"],
+        **{f.name: sampled[f.name] for f in fields(GbdtParams) if f.name in sampled}
     )
     model = gbdt_train(emb[tr], dataset.y[tr], emb[va], dataset.y[va], params)
     test_acc = accuracy(gbdt_predict(model, emb[te]), dataset.y[te])
@@ -192,10 +190,7 @@ def random_search(
             return HpoRecord(params=sampled, valid_ce=math.inf, test_accuracy=0.0)
         return HpoRecord(params=sampled, valid_ce=valid_ce, test_accuracy=test_acc)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(n_runs)))
-    return [one(i) for i in range(n_runs)]
+    return _map(one, range(n_runs), threads)
 
 
 def hpo_summary(records: list[HpoRecord]) -> dict:

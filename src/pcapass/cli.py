@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -60,46 +61,29 @@ def _model_path(cfg: RunConfig) -> Path:
     return Path(cfg.model_path) if cfg.model_path else Path(cfg.out) / "model.bin"
 
 
-def _method(cfg: RunConfig) -> Method:
+def _choice(enum, value: str):
+    """The member of `enum` named by a config value."""
     try:
-        return Method(cfg.method)
+        return enum(value)
     except ValueError:
-        raise ConfigError(f"unknown method {cfg.method!r}") from None
+        raise ConfigError(f"unknown {enum.__name__.lower()} {value!r}") from None
 
 
-def _aggregator(name: str) -> Aggregator:
+def _params(cls, cfg: RunConfig, **converted):
+    """Build dataclass `cls` from the config keys of the same names, with
+    `converted` replacing the raw values of keys that need it."""
+    values = {f.name: getattr(cfg, f.name) for f in fields(cls)}
+    values.update(converted)
     try:
-        return Aggregator(name)
-    except ValueError:
-        raise ConfigError(f"unknown aggregator {name!r}") from None
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _embed_config(cfg: RunConfig) -> EmbedConfig:
-    try:
-        return EmbedConfig(
-            k=cfg.k, d=cfg.d, aggregator=_aggregator(cfg.aggregator), method=_method(cfg)
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _gbdt_params(cfg: RunConfig) -> GbdtParams:
-    try:
-        return GbdtParams(
-            learning_rate=cfg.learning_rate,
-            max_depth=cfg.max_depth,
-            n_rounds=cfg.n_rounds,
-            reg_lambda=cfg.reg_lambda,
-            min_child_hessian=cfg.min_child_hessian,
-            patience=cfg.patience,
-            n_bins=cfg.n_bins,
-            subsample=cfg.subsample,
-            seed=cfg.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    aggregator = _choice(Aggregator, cfg.aggregator)
+    method = _choice(Method, cfg.method)
+    return _params(EmbedConfig, cfg, aggregator=aggregator, method=method)
 
 
 def _load_embeddings(cfg: RunConfig) -> np.ndarray:
@@ -127,22 +111,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_gen(cfg: RunConfig) -> None:
-    try:
-        params = SbmParams(
-            n_nodes=cfg.n_nodes,
-            n_classes=cfg.n_classes,
-            p_in=cfg.p_in,
-            p_out=cfg.p_out,
-            n_features=cfg.n_features,
-            feature_signal=cfg.feature_signal,
-            train_frac=cfg.train_frac,
-            valid_frac=cfg.valid_frac,
-            test_frac=cfg.test_frac,
-            seed=cfg.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    ds = generate_sbm(params)
+    ds = generate_sbm(_params(SbmParams, cfg))
     target = _dataset_dir(cfg)
     save_dataset(ds, target)
     print(f"wrote {target}")
@@ -171,11 +140,10 @@ def cmd_train(cfg: RunConfig) -> None:
         raise DataError(
             f"embeddings have {H.shape[0]} rows but dataset has {ds.n_nodes} nodes"
         )
+    params = _params(GbdtParams, cfg)
     tr, va = ds.indices(TRAIN), ds.indices(VALID)
     try:
-        model = gbdt_train(H[tr], ds.y[tr], H[va], ds.y[va], _gbdt_params(cfg))
-    except ConfigError:
-        raise
+        model = gbdt_train(H[tr], ds.y[tr], H[va], ds.y[va], params)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     model_file = _model_path(cfg)
@@ -208,7 +176,7 @@ def cmd_eval(cfg: RunConfig) -> None:
 
 def cmd_sweep(cfg: RunConfig) -> None:
     ds = load_dataset(_dataset_dir(cfg))
-    methods = [_method_token(tok) for tok in _split_tokens(cfg.sweep_methods)]
+    methods = [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
     results = oversmoothing_sweep(
         ds.graph,
         ds.X,
@@ -232,13 +200,13 @@ def cmd_sweep(cfg: RunConfig) -> None:
     print(f"wrote {path}")
 
 
-def cmd_hpo(cfg: RunConfig) -> None:
-    ds = load_dataset(_dataset_dir(cfg))
+def _search_space(cfg: RunConfig) -> SearchSpace:
+    """The hpo_* keys, mapped by hand: their names differ from SearchSpace's."""
     aggregators = tuple(_split_tokens(cfg.hpo_aggregators))
     for name in aggregators:
-        _aggregator(name)
+        _choice(Aggregator, name)
     try:
-        space = SearchSpace(
+        return SearchSpace(
             k=(cfg.hpo_k_min, cfg.hpo_k_max),
             d=(cfg.hpo_d_min, cfg.hpo_d_max),
             learning_rate=(cfg.hpo_lr_min, cfg.hpo_lr_max),
@@ -251,8 +219,14 @@ def cmd_hpo(cfg: RunConfig) -> None:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def cmd_hpo(cfg: RunConfig) -> None:
+    ds = load_dataset(_dataset_dir(cfg))
+    space = _search_space(cfg)
+    method = _choice(Method, cfg.method)
     records = random_search(
-        space, cfg.hpo_runs, cfg.seed, ds, method=_method(cfg), threads=cfg.threads
+        space, cfg.hpo_runs, cfg.seed, ds, method=method, threads=cfg.threads
     )
     header = (
         "run,k,d,aggregator,learning_rate,max_depth,reg_lambda,subsample,"
@@ -278,13 +252,6 @@ def _split_tokens(raw: str) -> list[str]:
     if not tokens:
         raise ConfigError(f"empty list value {raw!r}")
     return tokens
-
-
-def _method_token(tok: str) -> Method:
-    try:
-        return Method(tok)
-    except ValueError:
-        raise ConfigError(f"unknown method {tok!r}") from None
 
 
 _COMMANDS = {

@@ -6,124 +6,91 @@ flags. Unknown keys are errors so typos never pass silently.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
+from .datasets import SbmParams
 from .errors import ConfigError
+from .gbdt import GbdtParams
 
 _TRUE = {"true", "yes", "1", "on"}
 _FALSE = {"false", "no", "0", "off"}
 
 
+def _key(default, text: str):
+    """A config key's default and its `--help` text."""
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass
-class RunConfig:
-    # global
-    seed: int = 0
-    threads: int = 1
-    out: str = "run_out"
-    dataset_dir: str = ""  # empty: <out>/dataset
-    embeddings_path: str = ""  # empty: <out>/embeddings.csv
-    model_path: str = ""  # empty: <out>/model.bin
-    # synthetic dataset
-    n_nodes: int = 2000
-    n_classes: int = 4
-    p_in: float = 0.05
-    p_out: float = 0.005
-    n_features: int = 16
-    feature_signal: float = 1.0
-    train_frac: float = 0.6
-    valid_frac: float = 0.2
-    test_frac: float = 0.2
-    # embedding
-    method: str = "pcapass"
-    aggregator: str = "mean"
-    k: int = 8
-    d: int = 16
-    embed_binary: bool = False
-    # classifier
-    learning_rate: float = 0.1
-    max_depth: int = 6
-    n_rounds: int = 500
-    reg_lambda: float = 1.0
-    min_child_hessian: float = 1.0
-    patience: int = 10
-    n_bins: int = 256
-    subsample: float = 1.0
-    # over-smoothing sweep
-    sweep_hops: int = 30
-    sweep_methods: str = "pcapass,message_passing,skip_connections"
-    k_clusters: int = 0  # 0: number of distinct labels
-    kmeans_restarts: int = 1
-    # hyperparameter search
-    hpo_runs: int = 50
-    hpo_k_min: int = 1
-    hpo_k_max: int = 10
-    hpo_d_min: int = 4
-    hpo_d_max: int = 32
-    hpo_lr_min: float = 0.03
-    hpo_lr_max: float = 0.3
-    hpo_depth_min: int = 3
-    hpo_depth_max: int = 8
-    hpo_lambda_min: float = 0.1
-    hpo_lambda_max: float = 10.0
-    hpo_subsample_min: float = 0.6
-    hpo_subsample_max: float = 1.0
-    hpo_rounds: int = 200
-    hpo_aggregators: str = "mean,symnorm"
+class _Global:
+    seed: int = _key(0, "global RNG seed; feeds data generation, training and analyses")
+    threads: int = _key(1, "worker count for parallel sweep cells and search runs")
+    out: str = _key("run_out", "output directory for the command's files")
+    dataset_dir: str = _key("", "dataset directory (default: <out>/dataset)")
+    embeddings_path: str = _key("", "embeddings CSV path (default: <out>/embeddings.csv)")
+    model_path: str = _key("", "classifier model path (default: <out>/model.bin)")
 
 
-_HELP = {
-    "seed": "global RNG seed; feeds data generation, training and analyses",
-    "threads": "worker count for parallel sweep cells and search runs",
-    "out": "output directory for the command's files",
-    "dataset_dir": "dataset directory (default: <out>/dataset)",
-    "embeddings_path": "embeddings CSV path (default: <out>/embeddings.csv)",
-    "model_path": "classifier model path (default: <out>/model.bin)",
-    "n_nodes": "synthetic graph size",
-    "n_classes": "number of block classes",
-    "p_in": "within-block edge probability",
-    "p_out": "cross-block edge probability",
-    "n_features": "node feature dimension",
-    "feature_signal": "distance between class feature centroids (unit noise)",
-    "train_frac": "train split fraction (stratified by class)",
-    "valid_frac": "validation split fraction",
-    "test_frac": "test split fraction",
-    "method": "embedder: pcapass | message_passing | skip_connections",
-    "aggregator": "neighborhood aggregation: mean | symnorm",
-    "k": "number of aggregation hops",
-    "d": "embedding dimension (pcapass only)",
-    "embed_binary": "also write a binary embeddings file",
-    "learning_rate": "boosting shrinkage per round",
-    "max_depth": "maximum tree depth",
-    "n_rounds": "maximum boosting rounds",
-    "reg_lambda": "L2 leaf weight regularizer",
-    "min_child_hessian": "minimum hessian sum per child to allow a split",
-    "patience": "rounds without validation improvement before stopping",
-    "n_bins": "histogram bins per feature",
-    "subsample": "row fraction sampled per boosting round",
-    "sweep_hops": "maximum hop count scanned by the over-smoothing sweep",
-    "sweep_methods": "comma-separated methods to sweep",
-    "k_clusters": "clusters for the sweep's k-means (0: distinct label count)",
-    "kmeans_restarts": "k-means seeding restarts per sweep cell",
-    "hpo_runs": "number of random-search runs",
-    "hpo_k_min": "search range for hops, lower bound",
-    "hpo_k_max": "search range for hops, upper bound",
-    "hpo_d_min": "search range for embedding dimension, lower bound",
-    "hpo_d_max": "search range for embedding dimension, upper bound",
-    "hpo_lr_min": "learning-rate range (log-uniform), lower bound",
-    "hpo_lr_max": "learning-rate range (log-uniform), upper bound",
-    "hpo_depth_min": "tree-depth range, lower bound",
-    "hpo_depth_max": "tree-depth range, upper bound",
-    "hpo_lambda_min": "reg_lambda range (log-uniform), lower bound",
-    "hpo_lambda_max": "reg_lambda range (log-uniform), upper bound",
-    "hpo_subsample_min": "subsample range, lower bound",
-    "hpo_subsample_max": "subsample range, upper bound",
-    "hpo_rounds": "boosting round cap during search runs",
-    "hpo_aggregators": "comma-separated aggregators sampled during search",
-}
+@dataclass
+class _Embedding:
+    method: str = _key(
+        "pcapass", "embedder: pcapass | message_passing | skip_connections"
+    )
+    aggregator: str = _key("mean", "neighborhood aggregation: mean | symnorm")
+    k: int = _key(8, "number of aggregation hops")
+    d: int = _key(16, "embedding dimension (pcapass only)")
+    embed_binary: bool = _key(False, "also write a binary embeddings file")
 
-_FIELDS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+@dataclass
+class _Sweep:
+    sweep_hops: int = _key(30, "maximum hop count scanned by the over-smoothing sweep")
+    sweep_methods: str = _key(
+        "pcapass,message_passing,skip_connections", "comma-separated methods to sweep"
+    )
+    k_clusters: int = _key(
+        0, "clusters for the sweep's k-means (0: distinct label count)"
+    )
+    kmeans_restarts: int = _key(1, "k-means seeding restarts per sweep cell")
+
+
+@dataclass
+class _Search:
+    # named for the CLI, not after SearchSpace's fields; the CLI maps them
+    hpo_runs: int = _key(50, "number of random-search runs")
+    hpo_k_min: int = _key(1, "search range for hops, lower bound")
+    hpo_k_max: int = _key(10, "search range for hops, upper bound")
+    hpo_d_min: int = _key(4, "search range for embedding dimension, lower bound")
+    hpo_d_max: int = _key(32, "search range for embedding dimension, upper bound")
+    hpo_lr_min: float = _key(0.03, "learning-rate range (log-uniform), lower bound")
+    hpo_lr_max: float = _key(0.3, "learning-rate range (log-uniform), upper bound")
+    hpo_depth_min: int = _key(3, "tree-depth range, lower bound")
+    hpo_depth_max: int = _key(8, "tree-depth range, upper bound")
+    hpo_lambda_min: float = _key(0.1, "reg_lambda range (log-uniform), lower bound")
+    hpo_lambda_max: float = _key(10.0, "reg_lambda range (log-uniform), upper bound")
+    hpo_subsample_min: float = _key(0.6, "subsample range, lower bound")
+    hpo_subsample_max: float = _key(1.0, "subsample range, upper bound")
+    hpo_rounds: int = _key(200, "boosting round cap during search runs")
+    hpo_aggregators: str = _key(
+        "mean,symnorm", "comma-separated aggregators sampled during search"
+    )
+
+
+# The dataset and classifier keys are the fields of SbmParams and GbdtParams;
+# their own `seed` fields are served by the global seed key.
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        (f.name, f.type, field(default=f.default, metadata=f.metadata))
+        for section in (_Global, SbmParams, _Embedding, GbdtParams, _Sweep, _Search)
+        for f in fields(section)
+        if section is _Global or f.name != "seed"
+    ],
+    namespace={"__module__": __name__},
+)
+
+_FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(key: str, raw: str):
@@ -179,6 +146,6 @@ def build_config(config_path=None, overrides: dict | None = None) -> RunConfig:
 
 def config_help_text() -> str:
     lines = ["configuration keys (key = default):"]
-    for f in dataclasses.fields(RunConfig):
-        lines.append(f"  {f.name} = {f.default!r:<40} {_HELP[f.name]}")
+    for f in fields(RunConfig):
+        lines.append(f"  {f.name} = {f.default!r:<40} {f.metadata['help']}")
     return "\n".join(lines)

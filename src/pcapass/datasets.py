@@ -10,7 +10,7 @@ graphs.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,15 +26,23 @@ _SPLIT_NAMES = {v: k for k, v in _SPLIT_TOKENS.items()}
 
 @dataclass(frozen=True)
 class SbmParams:
-    n_nodes: int = 2000
-    n_classes: int = 4
-    p_in: float = 0.05
-    p_out: float = 0.005
-    n_features: int = 16
-    feature_signal: float = 1.0  # pairwise distance between class centroids
-    train_frac: float = 0.6
-    valid_frac: float = 0.2
-    test_frac: float = 0.2
+    """Generator settings. Each field's help text is its `help` metadata; the
+    CLI's config keys of the same names are derived from these fields."""
+
+    n_nodes: int = field(default=2000, metadata={"help": "synthetic graph size"})
+    n_classes: int = field(default=4, metadata={"help": "number of block classes"})
+    p_in: float = field(default=0.05, metadata={"help": "within-block edge probability"})
+    p_out: float = field(default=0.005, metadata={"help": "cross-block edge probability"})
+    n_features: int = field(default=16, metadata={"help": "node feature dimension"})
+    feature_signal: float = field(
+        default=1.0,
+        metadata={"help": "distance between class feature centroids (unit noise)"},
+    )
+    train_frac: float = field(
+        default=0.6, metadata={"help": "train split fraction (stratified by class)"}
+    )
+    valid_frac: float = field(default=0.2, metadata={"help": "validation split fraction"})
+    test_frac: float = field(default=0.2, metadata={"help": "test split fraction"})
     seed: int = 0
 
     def __post_init__(self):
@@ -70,9 +78,6 @@ class Dataset:
     @property
     def n_classes(self) -> int:
         return int(self.y.max()) + 1
-
-    def mask(self, which: int) -> np.ndarray:
-        return self.split == which
 
     def indices(self, which: int) -> np.ndarray:
         return np.flatnonzero(self.split == which)
@@ -198,6 +203,12 @@ def load_dataset(directory) -> Dataset:
         raise DataError(f"{feats_path}: {exc}") from None
     if X.size == 0:
         raise DataError(f"{feats_path}: no feature rows")
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise DataError(
+            f"{feats_path}: non-finite value at row {row + 1}, column {col + 1} "
+            "(nan, inf or beyond float32 range)"
+        )
     n = X.shape[0]
 
     label_tokens = _read_id_column(directory / "labels.csv", "node_id,label", n)

@@ -102,18 +102,6 @@ def embed(g: CsrGraph, X, cfg: EmbedConfig) -> EmbedResult:
     return EmbedResult(embeddings=h, per_hop_models=models, hops_run=hops)
 
 
-def pcapass_embed(g: CsrGraph, X, cfg: EmbedConfig) -> EmbedResult:
-    if cfg.method is not Method.PCAPASS:
-        raise ValueError(f"pcapass_embed got method {cfg.method.value!r}")
-    return embed(g, X, cfg)
-
-
-def skip_embed(g: CsrGraph, X, cfg: EmbedConfig) -> EmbedResult:
-    if cfg.method is not Method.SKIP_CONNECTIONS:
-        raise ValueError(f"skip_embed got method {cfg.method.value!r}")
-    return embed(g, X, cfg)
-
-
 def embeddings_to_csv(H: np.ndarray) -> str:
     lines = [",".join(f"{x:.9g}" for x in row) for row in np.asarray(H)]
     return "\n".join(lines) + "\n"

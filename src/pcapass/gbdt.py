@@ -10,7 +10,7 @@ bin table.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -22,14 +22,28 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class GbdtParams:
-    learning_rate: float = 0.1
-    max_depth: int = 6
-    n_rounds: int = 500
-    reg_lambda: float = 1.0  # L2 leaf regularizer
-    min_child_hessian: float = 1.0
-    patience: int = 10
-    n_bins: int = 256
-    subsample: float = 1.0
+    """Boosting settings. Each field's help text is its `help` metadata; the
+    CLI's config keys of the same names are derived from these fields."""
+
+    learning_rate: float = field(
+        default=0.1, metadata={"help": "boosting shrinkage per round"}
+    )
+    max_depth: int = field(default=6, metadata={"help": "maximum tree depth"})
+    n_rounds: int = field(default=500, metadata={"help": "maximum boosting rounds"})
+    reg_lambda: float = field(
+        default=1.0, metadata={"help": "L2 leaf weight regularizer"}
+    )
+    min_child_hessian: float = field(
+        default=1.0, metadata={"help": "minimum hessian sum per child to allow a split"}
+    )
+    patience: int = field(
+        default=10,
+        metadata={"help": "rounds without validation improvement before stopping"},
+    )
+    n_bins: int = field(default=256, metadata={"help": "histogram bins per feature"})
+    subsample: float = field(
+        default=1.0, metadata={"help": "row fraction sampled per boosting round"}
+    )
     seed: int = 0
 
     def __post_init__(self):
@@ -348,9 +362,19 @@ def _pack_tree(tree: Tree) -> bytes:
     )
 
 
+def _check_size(buf: bytes, pos: int, size: int, what: str) -> None:
+    if len(buf) - pos < size:
+        raise ValueError(
+            f"truncated GBDT model: {what} needs {size} bytes at offset {pos}, "
+            f"{len(buf) - pos} left"
+        )
+
+
 def _unpack_tree(buf: bytes, pos: int) -> tuple[Tree, int]:
+    _check_size(buf, pos, 4, "tree node count")
     (n,) = struct.unpack_from("<I", buf, pos)
     pos += 4
+    _check_size(buf, pos, 28 * n, f"tree of {n} nodes")
     feature = np.frombuffer(buf, "<i4", n, pos).copy()
     pos += 4 * n
     threshold = np.frombuffer(buf, "<f8", n, pos).copy()
@@ -364,20 +388,16 @@ def _unpack_tree(buf: bytes, pos: int) -> tuple[Tree, int]:
     return Tree(feature, threshold, left, right, value), pos
 
 
+# The header after the magic: version, the GbdtParams fields in field order,
+# then class/feature counts, best round, stored rounds and the two losses.
+PARAMS_FORMAT = "dIIddIIdq"
+_HEADER = struct.Struct("<I" + PARAMS_FORMAT + "IIiidd")
+
+
 def gbdt_to_bytes(model: GbdtModel) -> bytes:
-    p = model.params
-    head = MODEL_MAGIC + struct.pack(
-        "<IdIIddIIdqIIiidd",
+    head = MODEL_MAGIC + _HEADER.pack(
         FORMAT_VERSION,
-        p.learning_rate,
-        p.max_depth,
-        p.n_rounds,
-        p.reg_lambda,
-        p.min_child_hessian,
-        p.patience,
-        p.n_bins,
-        p.subsample,
-        p.seed,
+        *astuple(model.params),
         model.n_classes,
         model.n_features,
         model.best_round,
@@ -392,41 +412,20 @@ def gbdt_to_bytes(model: GbdtModel) -> bytes:
 
 
 def gbdt_from_bytes(buf: bytes) -> GbdtModel:
+    """Decode `gbdt_to_bytes` output; malformed input raises ValueError."""
     if buf[:4] != MODEL_MAGIC:
         raise ValueError("bad magic: not a serialized GBDT model")
-    fields = struct.unpack_from("<IdIIddIIdqIIiidd", buf, 4)
-    (
-        version,
-        learning_rate,
-        max_depth,
-        n_rounds,
-        reg_lambda,
-        min_child_hessian,
-        patience,
-        n_bins,
-        subsample,
-        seed,
-        n_classes,
-        n_features,
-        best_round,
-        n_stored,
-        best_valid_ce,
-        prior_valid_ce,
-    ) = fields
+    _check_size(buf, 4, _HEADER.size, "header")
+    version, *vals = _HEADER.unpack_from(buf, 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported GBDT model format version {version}")
-    params = GbdtParams(
-        learning_rate=learning_rate,
-        max_depth=max_depth,
-        n_rounds=n_rounds,
-        reg_lambda=reg_lambda,
-        min_child_hessian=min_child_hessian,
-        patience=patience,
-        n_bins=n_bins,
-        subsample=subsample,
-        seed=seed,
-    )
-    pos = 4 + struct.calcsize("<IdIIddIIdqIIiidd")
+    n_params = len(PARAMS_FORMAT)
+    params = GbdtParams(*vals[:n_params])
+    n_classes, n_features, best_round, n_stored, best_ce, prior_ce = vals[n_params:]
+    if n_classes < 2:
+        raise ValueError(f"GBDT model has {n_classes} classes, need at least 2")
+    pos = 4 + _HEADER.size
+    _check_size(buf, pos, 8 * n_classes, "base scores")
     base = np.frombuffer(buf, "<f8", n_classes, pos).copy()
     pos += 8 * n_classes
     rounds = []
@@ -436,6 +435,8 @@ def gbdt_from_bytes(buf: bytes) -> GbdtModel:
             tree, pos = _unpack_tree(buf, pos)
             trees.append(tree)
         rounds.append(trees)
+    if pos != len(buf):
+        raise ValueError(f"{len(buf) - pos} trailing bytes after the GBDT model")
     return GbdtModel(
         n_classes=n_classes,
         n_features=n_features,
@@ -443,8 +444,8 @@ def gbdt_from_bytes(buf: bytes) -> GbdtModel:
         base_score=base,
         rounds=rounds,
         best_round=best_round,
-        best_valid_ce=best_valid_ce,
-        prior_valid_ce=prior_valid_ce,
+        best_valid_ce=best_ce,
+        prior_valid_ce=prior_ce,
         valid_ce_history=[],
     )
 

@@ -117,11 +117,6 @@ def prepare(edges: EdgeList) -> CsrGraph:
     return CsrGraph(n_nodes=n, row_ptr=row_ptr, col_idx=v, degree=counts)
 
 
-def degrees(g: CsrGraph) -> np.ndarray:
-    """Per-node neighbor counts (self-loop included on prepared graphs)."""
-    return np.diff(g.row_ptr)
-
-
 def graphs_equal(a: CsrGraph, b: CsrGraph) -> bool:
     return (
         a.n_nodes == b.n_nodes

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import prepared_path, random_edge_pairs
 from oracles import dense_operator, dense_prepared_adjacency
-from pcapass import Aggregator, EdgeList, aggregate, aggregate_k, prepare
+from pcapass import Aggregator, EdgeList, EmbedConfig, Method, aggregate, embed, prepare
+
+
+def message_passing(g, H, k):
+    """k hops of mean aggregation, as `embed` runs them."""
+    cfg = EmbedConfig(k=k, d=H.shape[1], method=Method.MESSAGE_PASSING)
+    return embed(g, H, cfg).embeddings
 
 
 class TestAggregate:
@@ -45,25 +51,25 @@ class TestAggregate:
 
 
 class TestAggregateK:
+    """k hops of aggregation: `embed` with the message_passing method."""
+
     def test_zero_hops_is_identity(self, rng):
         g = prepared_path(4)
         H = rng.standard_normal((4, 3))
-        np.testing.assert_array_equal(aggregate_k(g, H, Aggregator.MEAN, 0), H)
+        np.testing.assert_array_equal(message_passing(g, H, 0), H)
 
     def test_two_hops_is_composition(self, rng):
         g = prepared_path(3)
         H = rng.standard_normal((3, 2))
         twice = aggregate(g, aggregate(g, H, Aggregator.MEAN), Aggregator.MEAN)
-        np.testing.assert_allclose(
-            aggregate_k(g, H, Aggregator.MEAN, 2), twice, atol=1e-12
-        )
+        np.testing.assert_allclose(message_passing(g, H, 2), twice, atol=1e-12)
 
     def test_fifty_hops_reaches_degree_weighted_limit(self, rng):
         # well-connected 5-node graph: cycle plus chords mixes fast
         pairs = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [0, 2], [1, 3]])
         g = prepare(EdgeList(5, pairs))
         H = rng.standard_normal((5, 2))
-        out = aggregate_k(g, H, Aggregator.MEAN, 50)
+        out = message_passing(g, H, 50)
 
         # oracle: power iteration of the dense operator
         P = dense_operator(dense_prepared_adjacency(5, pairs), "mean")
@@ -79,7 +85,7 @@ class TestAggregateK:
 
     def test_negative_hops_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            aggregate_k(prepared_path(3), np.ones((3, 1)), Aggregator.MEAN, -1)
+            message_passing(prepared_path(3), np.ones((3, 1)), -1)
 
 
 @given(st.randoms(use_true_random=False), st.sampled_from(["mean", "symnorm"]))

@@ -143,6 +143,32 @@ class TestErrors:
         assert run_cmd("embed", narrow, out) == 0
         assert run_cmd("eval", tiny_config, out) == 3
 
+    def test_truncated_model_exits_3_naming_the_file(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cmd("gen", tiny_config, out)
+        run_cmd("embed", tiny_config, out)
+        run_cmd("train", tiny_config, out)
+        model = out / "model.bin"
+        model.write_bytes(model.read_bytes()[:60])
+        capsys.readouterr()
+        assert run_cmd("eval", tiny_config, out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "model.bin" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_feature_exits_3_naming_the_file(self, cell, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["gen", "--out", str(out)]) == 0
+        features = out / "dataset" / "features.csv"
+        rows = features.read_text().splitlines()
+        rows[5] = ",".join([cell] + rows[5].split(",")[1:])
+        features.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert main(["embed", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "features.csv" in err
+        assert "row 6, column 1" in err
+
 
 class TestConfigPrecedence:
     def test_flag_overrides_file(self, tmp_path):

@@ -8,12 +8,10 @@ from pcapass import (
     EdgeList,
     EmbedConfig,
     Method,
-    aggregate_k,
+    aggregate,
     embed,
     hop_states,
-    pcapass_embed,
     prepare,
-    skip_embed,
 )
 from pcapass.embed import (
     embeddings_from_binary,
@@ -31,21 +29,21 @@ class TestPcaPass:
     def test_zero_hops_returns_input(self, rng):
         g = prepare(EdgeList(4, path_edges(4)))
         X = rng.standard_normal((4, 3))
-        result = pcapass_embed(g, X, cfg_for(Method.PCAPASS, k=0, d=3))
+        result = embed(g, X, cfg_for(Method.PCAPASS, k=0, d=3))
         np.testing.assert_array_equal(result.embeddings, X)
         assert result.per_hop_models == [] and result.hops_run == 0
 
     def test_constant_features_embed_to_zero(self):
         g = prepare(EdgeList(5, path_edges(5)))
         X = np.tile([2.0, -3.0], (5, 1))
-        result = pcapass_embed(g, X, cfg_for(Method.PCAPASS, k=3, d=2))
+        result = embed(g, X, cfg_for(Method.PCAPASS, k=3, d=2))
         np.testing.assert_allclose(result.embeddings, 0.0, atol=1e-12)
 
     def test_path_graph_matches_dense_recurrence(self, rng):
         pairs = path_edges(4)
         g = prepare(EdgeList(4, pairs))
         X = rng.standard_normal((4, 2))
-        result = pcapass_embed(g, X, cfg_for(Method.PCAPASS, k=2, d=2))
+        result = embed(g, X, cfg_for(Method.PCAPASS, k=2, d=2))
         ref = embed_reference(4, pairs, X, "pcapass", "mean", k=2, d=2)
         np.testing.assert_allclose(result.embeddings, ref[-1], atol=1e-8)
 
@@ -78,33 +76,28 @@ class TestPcaPass:
         g = prepare(EdgeList(10, random_edge_pairs(rng, 10, 15)))
         X = rng.standard_normal((10, 2))
         with pytest.warns(RuntimeWarning, match="capped"):
-            result = pcapass_embed(g, X, cfg_for(Method.PCAPASS, k=1, d=8))
+            result = embed(g, X, cfg_for(Method.PCAPASS, k=1, d=8))
         assert result.embeddings.shape == (10, 4)
 
     def test_models_are_retained_per_hop(self, rng):
         g = prepare(EdgeList(8, random_edge_pairs(rng, 8, 12)))
         X = rng.standard_normal((8, 3))
-        result = pcapass_embed(g, X, cfg_for(Method.PCAPASS, k=3, d=3))
+        result = embed(g, X, cfg_for(Method.PCAPASS, k=3, d=3))
         assert len(result.per_hop_models) == 3
         assert result.hops_run == 3
-
-    def test_method_mismatch_rejected(self):
-        g = prepare(EdgeList(3, path_edges(3)))
-        with pytest.raises(ValueError, match="method"):
-            pcapass_embed(g, np.ones((3, 2)), cfg_for(Method.MESSAGE_PASSING, 1, 2))
 
 
 class TestSkipConnections:
     def test_zero_hops(self, rng):
         g = prepare(EdgeList(4, path_edges(4)))
         X = rng.standard_normal((4, 2))
-        result = skip_embed(g, X, cfg_for(Method.SKIP_CONNECTIONS, k=0, d=2))
+        result = embed(g, X, cfg_for(Method.SKIP_CONNECTIONS, k=0, d=2))
         np.testing.assert_array_equal(result.embeddings, X)
 
     def test_constant_input_is_fixed_point(self):
         g = prepare(EdgeList(5, path_edges(5)))
         X = np.tile([1.5, -0.5], (5, 1))
-        result = skip_embed(g, X, cfg_for(Method.SKIP_CONNECTIONS, k=4, d=2))
+        result = embed(g, X, cfg_for(Method.SKIP_CONNECTIONS, k=4, d=2))
         np.testing.assert_allclose(result.embeddings, X, atol=1e-12)
 
     def test_three_hops_equal_dense_matrix_power(self, rng):
@@ -112,7 +105,7 @@ class TestSkipConnections:
         pairs = random_edge_pairs(rng, n, 12)
         g = prepare(EdgeList(n, pairs))
         X = rng.standard_normal((n, 3))
-        result = skip_embed(g, X, cfg_for(Method.SKIP_CONNECTIONS, k=3, d=3))
+        result = embed(g, X, cfg_for(Method.SKIP_CONNECTIONS, k=3, d=3))
         P = dense_operator(dense_prepared_adjacency(n, pairs), "mean")
         lazy = (P + np.eye(n)) / 2.0
         np.testing.assert_allclose(
@@ -122,21 +115,12 @@ class TestSkipConnections:
 
 
 class TestDispatch:
-    def test_message_passing_delegates_to_aggregate_k(self, rng):
+    def test_message_passing_is_repeated_aggregate(self, rng):
         g = prepare(EdgeList(6, random_edge_pairs(rng, 6, 10)))
         X = rng.standard_normal((6, 2))
         result = embed(g, X, cfg_for(Method.MESSAGE_PASSING, k=2, d=2))
-        np.testing.assert_allclose(
-            result.embeddings, aggregate_k(g, X, Aggregator.MEAN, 2), atol=1e-12
-        )
-
-    def test_pcapass_dispatch(self, rng):
-        g = prepare(EdgeList(6, random_edge_pairs(rng, 6, 10)))
-        X = rng.standard_normal((6, 2))
-        cfg = cfg_for(Method.PCAPASS, k=2, d=2)
-        a = embed(g, X, cfg)
-        b = pcapass_embed(g, X, cfg)
-        np.testing.assert_array_equal(a.embeddings, b.embeddings)
+        twice = aggregate(g, aggregate(g, X, Aggregator.MEAN), Aggregator.MEAN)
+        np.testing.assert_allclose(result.embeddings, twice, atol=1e-12)
 
 
 def test_end_to_end_permutation_equivariance(rng):
@@ -146,10 +130,10 @@ def test_end_to_end_permutation_equivariance(rng):
     perm = rng.permutation(n)
     cfg = cfg_for(Method.PCAPASS, k=3, d=3)
 
-    plain = pcapass_embed(prepare(EdgeList(n, pairs)), X, cfg)
+    plain = embed(prepare(EdgeList(n, pairs)), X, cfg)
     X_perm = np.empty_like(X)
     X_perm[perm] = X
-    relabeled = pcapass_embed(prepare(EdgeList(n, perm[pairs])), X_perm, cfg)
+    relabeled = embed(prepare(EdgeList(n, perm[pairs])), X_perm, cfg)
 
     expected = np.empty_like(plain.embeddings)
     expected[perm] = plain.embeddings

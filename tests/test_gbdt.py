@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,47 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             gbdt_from_bytes(b"ZZZZ" + b"\0" * 100)
+
+    @staticmethod
+    def small_blob():
+        (X_tr, y_tr), (X_val, y_val), _ = blob_data(seed=13)
+        params = quick_params(n_rounds=2, patience=50, subsample=0.9)
+        return gbdt_to_bytes(gbdt_train(X_tr, y_tr, X_val, y_val, params))
+
+    def test_every_truncation_rejected(self):
+        blob = self.small_blob()
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                gbdt_from_bytes(blob[:cut])
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(ValueError, match="trailing"):
+            gbdt_from_bytes(self.small_blob() + b"\0")
+
+    def test_header_layout_is_format_version_1(self):
+        (X_tr, y_tr), (X_val, y_val), _ = blob_data(seed=13)
+        model = gbdt_train(X_tr, y_tr, X_val, y_val, quick_params(subsample=0.9))
+        p = model.params
+        head = b"PGBM" + struct.pack(
+            "<IdIIddIIdqIIiidd",
+            1,
+            p.learning_rate,
+            p.max_depth,
+            p.n_rounds,
+            p.reg_lambda,
+            p.min_child_hessian,
+            p.patience,
+            p.n_bins,
+            p.subsample,
+            p.seed,
+            model.n_classes,
+            model.n_features,
+            model.best_round,
+            len(model.rounds),
+            model.best_valid_ce,
+            model.prior_valid_ce,
+        )
+        assert gbdt_to_bytes(model).startswith(head)
 
     def test_text_dump_lists_every_node(self):
         (X_tr, y_tr), (X_val, y_val), _ = blob_data(seed=13)

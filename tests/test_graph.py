@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcapass import DataError, EdgeList, degrees, load_edge_list, prepare
+from pcapass import DataError, EdgeList, load_edge_list, prepare
 from pcapass.graph import edge_list_of, graphs_equal
 
 
@@ -69,7 +69,7 @@ class TestPrepare:
     def test_isolated_nodes_keep_self_loop(self):
         g = prepare(EdgeList(3, np.empty((0, 2), np.int64)))
         assert rows_of(g) == [{0}, {1}, {2}]
-        assert degrees(g).tolist() == [1, 1, 1]
+        assert g.degree.tolist() == [1, 1, 1]
 
     def test_duplicates_collapse(self):
         g = prepare(EdgeList(2, np.array([[0, 1], [1, 0], [0, 0]])))
@@ -89,16 +89,16 @@ class TestPrepare:
 class TestDegrees:
     def test_path(self):
         g = prepare(EdgeList(3, np.array([[0, 1], [1, 2]])))
-        assert degrees(g).tolist() == [2, 3, 2]
+        assert g.degree.tolist() == [2, 3, 2]
 
     def test_edgeless(self):
         g = prepare(EdgeList(4, np.empty((0, 2), np.int64)))
-        assert degrees(g).tolist() == [1, 1, 1, 1]
+        assert g.degree.tolist() == [1, 1, 1, 1]
 
     def test_complete_triangle(self):
         g = prepare(EdgeList(3, np.array([[0, 1], [0, 2], [1, 2]])))
-        assert degrees(g).tolist() == [3, 3, 3]
-        assert degrees(g).tolist() == np.diff(g.row_ptr).tolist()
+        assert g.degree.tolist() == [3, 3, 3]
+        assert g.degree.tolist() == np.diff(g.row_ptr).tolist()
 
 
 @given(edge_lists())
