@@ -35,10 +35,16 @@ def run(args):
             f"test accuracy {rec.test_accuracy:.4f}"
         )
     summary = hpo_summary(records)
-    print(f"\nbest run by validation loss: {summary['best_run']} "
-          f"(test accuracy {summary['best_run_test_accuracy']:.4f})")
+    print(f"\nbest run by validation loss: {_fmt(summary['best_run'], 'd')} "
+          f"(test accuracy {_fmt(summary['best_run_test_accuracy'])})")
     print("pearson(valid CE, test accuracy) = "
-          f"{summary['pearson_valid_ce_vs_test_accuracy']:.4f}")
+          f"{_fmt(summary['pearson_valid_ce_vs_test_accuracy'])}")
+
+
+def _fmt(value, spec=".4f"):
+    """`hpo_summary` gives None when every run failed or the correlation is
+    undefined (constant test accuracy)."""
+    return "n/a" if value is None else format(value, spec)
 
 
 def main():

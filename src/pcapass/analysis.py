@@ -56,6 +56,24 @@ class SearchSpace:
     n_rounds: int = 200
     patience: int = 10
 
+    def __post_init__(self):
+        for name in ("k", "d", "learning_rate", "max_depth", "reg_lambda", "subsample"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name} range is inverted: {lo} > {hi}")
+        for name, floor in (("k", 0), ("d", 1), ("max_depth", 1)):
+            lo = getattr(self, name)[0]
+            if lo < floor:
+                raise ValueError(f"{name} lower bound must be >= {floor}, got {lo}")
+        for name in ("learning_rate", "reg_lambda"):  # sampled log-uniformly
+            lo = getattr(self, name)[0]
+            if lo <= 0:
+                raise ValueError(f"{name} lower bound must be > 0, got {lo}")
+        if not (0.0 < self.subsample[0] and self.subsample[1] <= 1.0):
+            raise ValueError(f"subsample range must lie in (0, 1], got {self.subsample}")
+        if not self.aggregators:
+            raise ValueError("at least one aggregator is needed")
+
 
 def _map(fn, items, threads: int) -> list:
     """`fn` over `items` in order, on a pool of `threads` threads if > 1."""

@@ -370,7 +370,7 @@ def _check_size(buf: bytes, pos: int, size: int, what: str) -> None:
         )
 
 
-def _unpack_tree(buf: bytes, pos: int) -> tuple[Tree, int]:
+def _unpack_tree(buf: bytes, pos: int, n_features: int) -> tuple[Tree, int]:
     _check_size(buf, pos, 4, "tree node count")
     (n,) = struct.unpack_from("<I", buf, pos)
     pos += 4
@@ -385,7 +385,37 @@ def _unpack_tree(buf: bytes, pos: int) -> tuple[Tree, int]:
     pos += 4 * n
     value = np.frombuffer(buf, "<f8", n, pos).copy()
     pos += 8 * n
+    _check_tree(feature, threshold, left, right, value, n_features)
     return Tree(feature, threshold, left, right, value), pos
+
+
+def _check_tree(feature, threshold, left, right, value, n_features: int) -> None:
+    """Reject a decoded tree that `Tree.predict` could not walk, or that
+    holds a non-finite number. A split must name a present feature, and a
+    child must come after its parent: preorder emission guarantees it, and
+    it keeps every walk finite."""
+    n = feature.shape[0]
+    if n == 0:
+        raise ValueError("GBDT tree has no nodes")
+    bad = np.flatnonzero((feature < -1) | (feature >= n_features))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"GBDT tree node {i} splits on feature {feature[i]}, "
+            f"outside [0, {n_features})"
+        )
+    internal = np.flatnonzero(feature >= 0)
+    for side, child in (("left", left), ("right", right)):
+        kids = child[internal]
+        bad = internal[(kids <= internal) | (kids >= n)]
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"GBDT tree node {i} has {side} child {child[i]}, "
+                f"outside ({i}, {n})"
+            )
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        raise ValueError("GBDT tree has a non-finite threshold or leaf value")
 
 
 # The header after the magic: version, the GbdtParams fields in field order,
@@ -432,7 +462,7 @@ def gbdt_from_bytes(buf: bytes) -> GbdtModel:
     for _ in range(n_stored):
         trees = []
         for _ in range(n_classes):
-            tree, pos = _unpack_tree(buf, pos)
+            tree, pos = _unpack_tree(buf, pos, n_features)
             trees.append(tree)
         rounds.append(trees)
     if pos != len(buf):

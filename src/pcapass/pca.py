@@ -4,8 +4,12 @@ Hop states have few columns while the node count may be large, so the
 f x f covariance route is much cheaper than an SVD of the full matrix.
 Rows are brought into a canonical order before accumulation, which makes
 the fitted model independent of how the input rows were ordered, bit for
-bit. Components carry a fixed sign convention so repeated fits are
-reproducible.
+bit. The canonical order is lexicographic over the columns, first column
+first, with fully equal rows left in input order; it is the permutation
+`np.lexsort(X.T[::-1])` gives. It is computed as one stable argsort of the
+first column plus one lexsort over only the rows whose first value is
+tied, so continuous hop states cost a single-key sort. Components carry a
+fixed sign convention so repeated fits are reproducible.
 """
 
 from __future__ import annotations
@@ -60,6 +64,25 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return components
 
 
+def _canonical_order(X: np.ndarray) -> np.ndarray:
+    """The permutation `np.lexsort(X.T[::-1])` returns, for an n x f matrix."""
+    order = np.argsort(X[:, 0], kind="stable")
+    first = X[order, 0]
+    # Sorting treats all NaNs as equal (and places them last), so they tie.
+    same = (first[1:] == first[:-1]) | (np.isnan(first[1:]) & np.isnan(first[:-1]))
+    tied = np.zeros(first.shape[0], dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    pos = np.flatnonzero(tied)
+    # Each run of equal first values is one group: the group id is the
+    # primary key and columns 1 .. f-1 order the rows inside it. The sort is
+    # stable and the rows enter in input order, as in the full lexsort.
+    group = np.concatenate(([0], np.cumsum(~same)))[pos]
+    rows = order[pos]
+    order[pos] = rows[np.lexsort((*X[rows, :0:-1].T, group))]
+    return order
+
+
 def pca_fit(X, d: int) -> PcaModel:
     """Fit the top min(d, f, n) principal components of X (n x f).
 
@@ -77,8 +100,7 @@ def pca_fit(X, d: int) -> PcaModel:
         raise ValueError(f"target dimension must be >= 1, got {d}")
 
     # Canonical row order: permuting input rows cannot change the model.
-    order = np.lexsort(X.T[::-1])
-    Xs = X[order]
+    Xs = X[_canonical_order(X)]
     mean = Xs.sum(axis=0) / n
     Xc = Xs - mean
     cov = (Xc.T @ Xc) / (n - 1.0)
@@ -130,14 +152,25 @@ def pca_to_bytes(model: PcaModel) -> bytes:
     return header + body
 
 
+def _check_size(buf: bytes, pos: int, size: int, what: str) -> None:
+    if len(buf) - pos < size:
+        raise ValueError(
+            f"truncated PCA model: {what} needs {size} bytes at offset {pos}, "
+            f"{len(buf) - pos} left"
+        )
+
+
 def pca_from_bytes(buf: bytes, offset: int = 0) -> tuple[PcaModel, int]:
-    """Decode one model starting at `offset`; returns (model, next offset)."""
+    """Decode one model starting at `offset`; returns (model, next offset).
+    Malformed input raises ValueError."""
     if buf[offset : offset + 4] != MODEL_MAGIC:
         raise ValueError("bad magic: not a serialized PCA model")
+    _check_size(buf, offset + 4, 12, "header")
     version, f, d = struct.unpack_from("<III", buf, offset + 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported PCA model format version {version}")
     pos = offset + 16
+    _check_size(buf, pos, 8 * (f + d * f + d + 1), f"body of {d} x {f} model")
     mean = np.frombuffer(buf, dtype="<f8", count=f, offset=pos).copy()
     pos += 8 * f
     components = (
@@ -159,8 +192,10 @@ def models_to_bytes(models: list[PcaModel]) -> bytes:
 
 
 def models_from_bytes(buf: bytes) -> list[PcaModel]:
+    """Decode `models_to_bytes` output; malformed input raises ValueError."""
     if buf[:4] != MODELS_MAGIC:
         raise ValueError("bad magic: not a serialized PCA model container")
+    _check_size(buf, 4, 8, "container header")
     version, count = struct.unpack_from("<II", buf, 4)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported container format version {version}")
@@ -169,4 +204,6 @@ def models_from_bytes(buf: bytes) -> list[PcaModel]:
     for _ in range(count):
         model, pos = pca_from_bytes(buf, pos)
         models.append(model)
+    if pos != len(buf):
+        raise ValueError(f"{len(buf) - pos} trailing bytes after the PCA models")
     return models

@@ -1,13 +1,16 @@
 import dataclasses
 import json
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from pcapass import gbdt_from_bytes
 from pcapass.cli import main
 from pcapass.config import RunConfig
+from pcapass.gbdt import _HEADER
 
 SIX_METRIC_KEYS = {
     "train_accuracy",
@@ -154,6 +157,41 @@ class TestErrors:
         assert run_cmd("eval", tiny_config, out) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and "model.bin" in err
+
+    def test_model_split_on_missing_feature_exits_3(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        run_cmd("gen", tiny_config, out)
+        run_cmd("embed", tiny_config, out)
+        run_cmd("train", tiny_config, out)
+        model = out / "model.bin"
+        blob = bytearray(model.read_bytes())
+        n_classes = gbdt_from_bytes(bytes(blob)).n_classes
+        # the first tree's node count, then its root's split feature
+        root_feature = 4 + _HEADER.size + 8 * n_classes + 4
+        assert struct.unpack_from("<i", blob, root_feature)[0] >= 0
+        struct.pack_into("<i", blob, root_feature, 999)
+        model.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run_cmd("eval", tiny_config, out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "model.bin" in err
+        assert "feature 999" in err
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ({"hpo_k_min": 5, "hpo_k_max": 3}, "k range is inverted"),
+            ({"hpo_lr_min": 0}, "learning_rate lower bound must be > 0"),
+        ],
+    )
+    def test_bad_hpo_range_exits_2(self, keys, message, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["gen", "--out", str(out)]) == 0
+        config = write_config(tmp_path / "hpo.cfg", hpo_runs=1, **keys)
+        capsys.readouterr()
+        assert main(["hpo", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and message in err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e39"])
     def test_non_finite_feature_exits_3_naming_the_file(self, cell, tmp_path, capsys):

@@ -219,6 +219,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="trailing"):
             gbdt_from_bytes(self.small_blob() + b"\0")
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("feature", 999, "feature 999"),
+            ("feature", -2, "feature -2"),
+            ("left", 0, "left child 0"),
+            ("right", 10**6, "right child 1000000"),
+            ("threshold", np.nan, "non-finite"),
+            ("value", np.inf, "non-finite"),
+        ],
+    )
+    def test_malformed_tree_rejected(self, field, value, message):
+        # Before the decoder checked tree structure, a bad feature index
+        # reached an IndexError in predict and a backward child looped forever.
+        model = gbdt_from_bytes(self.small_blob())
+        tree = model.rounds[0][0]
+        assert tree.feature[0] >= 0, "the fixture's first tree must split at the root"
+        getattr(tree, field)[0] = value
+        with pytest.raises(ValueError, match=message):
+            gbdt_from_bytes(gbdt_to_bytes(model))
+
     def test_header_layout_is_format_version_1(self):
         (X_tr, y_tr), (X_val, y_val), _ = blob_data(seed=13)
         model = gbdt_train(X_tr, y_tr, X_val, y_val, quick_params(subsample=0.9))

@@ -6,7 +6,13 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import jacobi_eigendecomposition
 from pcapass import explained_variance_ratio, pca_fit, pca_transform
-from pcapass.pca import models_from_bytes, models_to_bytes, pca_from_bytes, pca_to_bytes
+from pcapass.pca import (
+    _canonical_order,
+    models_from_bytes,
+    models_to_bytes,
+    pca_from_bytes,
+    pca_to_bytes,
+)
 
 DIAGONAL_LINE = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]])
 
@@ -152,6 +158,35 @@ def test_row_permutation_leaves_model_bitwise_identical(X, rnd):
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
 
 
+@st.composite
+def tie_heavy_matrices(draw):
+    """Small-integer floats, so first-column ties are the rule, with the
+    first column optionally constant, a mix of 0.0 and -0.0 or partly NaN
+    (sorting places NaNs together, so they tie too), or with whole rows
+    repeated."""
+    n = draw(st.integers(1, 30))
+    f = draw(st.integers(1, 6))
+    cells = st.integers(-2, 2).map(float)
+    X = draw(hnp.arrays(np.float64, (n, f), elements=cells))
+    variants = ["as drawn", "constant", "signed zeros", "nans", "duplicates"]
+    variant = draw(st.sampled_from(variants))
+    if variant == "constant":
+        X[:, 0] = 3.0
+    elif variant == "signed zeros":
+        X[:, 0] = np.where(draw(hnp.arrays(np.bool_, n)), -0.0, 0.0)
+    elif variant == "nans":
+        X[draw(hnp.arrays(np.bool_, n)), 0] = np.nan
+    elif variant == "duplicates":
+        X = X[draw(hnp.arrays(np.int64, n, elements=st.integers(0, min(n, 3) - 1)))]
+    return X
+
+
+@given(tie_heavy_matrices())
+@settings(max_examples=300)
+def test_canonical_order_is_the_full_lexsort(X):
+    np.testing.assert_array_equal(_canonical_order(X), np.lexsort(X.T[::-1]))
+
+
 def test_repeated_fit_bitwise_identical(rng):
     X = rng.standard_normal((25, 6))
     a, b = pca_fit(X, d=4), pca_fit(X, d=4)
@@ -183,3 +218,21 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="magic"):
             pca_from_bytes(b"XXXX" + b"\0" * 32)
+
+    def test_every_model_truncation_rejected(self, rng):
+        blob = pca_to_bytes(pca_fit(rng.standard_normal((10, 3)), d=2))
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                pca_from_bytes(blob[:cut])
+
+    def test_every_container_truncation_rejected(self, rng):
+        models = [pca_fit(rng.standard_normal((10, 3)), d=2) for _ in range(2)]
+        blob = models_to_bytes(models)
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                models_from_bytes(blob[:cut])
+
+    def test_container_trailing_bytes_rejected(self, rng):
+        blob = models_to_bytes([pca_fit(rng.standard_normal((10, 3)), d=2)])
+        with pytest.raises(ValueError, match="trailing"):
+            models_from_bytes(blob + b"\0")
