@@ -25,7 +25,6 @@ def run(args):
         seed=args.seed,
         dataset=ds,
         method=Method(args.method),
-        threads=args.threads,
     )
     for i, rec in enumerate(records):
         p = rec.params
@@ -61,7 +60,6 @@ def main():
         default="pcapass",
     )
     parser.add_argument("--runs", type=int, default=50)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=7)
     run(parser.parse_args())
 

@@ -22,7 +22,7 @@ def run(args):
     methods = [Method.PCAPASS, Method.MESSAGE_PASSING, Method.SKIP_CONNECTIONS]
     results = oversmoothing_sweep(
         ds.graph, ds.X, ds.y, methods, max_hops=args.max_hops,
-        seed=args.seed, threads=args.threads,
+        seed=args.seed,
     )
     print(f"{'k':>3} " + " ".join(f"{r.method.value:>18}" for r in results))
     for i in range(args.max_hops):
@@ -41,7 +41,6 @@ def main():
     parser.add_argument("--n-features", type=int, default=16)
     parser.add_argument("--feature-signal", type=float, default=1.0)
     parser.add_argument("--max-hops", type=int, default=30)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--seed", type=int, default=7)
     run(parser.parse_args())
 

@@ -1,9 +1,10 @@
 """Over-smoothing sweep and random-search generalization study.
 
-The sweep embeds each method once for the full hop budget, snapshots the
-state at every hop, and scores each snapshot by clustering it and comparing
-against the true labels with v-measure. Scores are normalized per method by
-that method's own maximum so the hop trends are comparable across methods.
+The sweep embeds each method once for the full hop budget and scores each
+hop's state as soon as it is produced, by clustering it and comparing
+against the true labels with v-measure, so it holds one hop state at a
+time. Scores are normalized per method by that method's own maximum so the
+hop trends are comparable across methods.
 
 The generalization study samples embedding and classifier hyperparameters
 jointly, trains once per sample, and records (validation loss, test
@@ -14,7 +15,6 @@ validation loss transfers to unseen data.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -75,14 +75,6 @@ class SearchSpace:
             raise ValueError("at least one aggregator is needed")
 
 
-def _map(fn, items, threads: int) -> list:
-    """`fn` over `items` in order, on a pool of `threads` threads if > 1."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def normalize_scores(raw) -> np.ndarray:
     """Divide by the maximum; the best hop scores exactly 1.0. Constant
     (including all-zero) inputs normalize to all ones."""
@@ -102,14 +94,14 @@ def oversmoothing_sweep(
     k_clusters: int | None = None,
     seed: int = 0,
     kmeans_restarts: int = 1,
-    threads: int = 1,
 ) -> list[SweepResult]:
     """Score every (method, hop) cell by standardize -> kmeans -> v-measure.
 
     Embedding dimension is pinned to the input feature width so no method
-    gets to resize; mean aggregation is used throughout. Each cell owns an
-    RNG seeded by `seed ^ cell_index`, so results do not depend on the
-    execution schedule.
+    gets to resize; mean aggregation is used throughout. Each hop is scored
+    as soon as `hop_states` yields it, so memory holds one hop state, not
+    `len(methods) * max_hops` of them. Cell (mi, ki) seeds its k-means with
+    `seed ^ (mi * max_hops + ki)`.
     """
     y = np.asarray(y)
     if max_hops < 1:
@@ -118,24 +110,14 @@ def oversmoothing_sweep(
         k_clusters = int(np.unique(y).size)
     width = np.asarray(X).shape[1]
 
-    states: list[list[np.ndarray]] = []
-    for method in methods:
-        cfg = EmbedConfig(k=max_hops, d=width, aggregator=Aggregator.MEAN, method=method)
-        states.append([h for h, _ in hop_states(g, X, cfg)])
-
-    def run_cell(cell) -> float:
-        mi, ki = cell
-        cell_seed = seed ^ (mi * max_hops + ki)
-        z = standardize(states[mi][ki])
-        assign = kmeans(z, k_clusters, seed=cell_seed, n_restarts=kmeans_restarts)
-        return v_measure(y, assign)
-
-    cells = [(mi, ki) for mi in range(len(methods)) for ki in range(max_hops)]
-    scores = _map(run_cell, cells, threads)
-
     results = []
     for mi, method in enumerate(methods):
-        raw = np.array(scores[mi * max_hops : (mi + 1) * max_hops])
+        cfg = EmbedConfig(k=max_hops, d=width, aggregator=Aggregator.MEAN, method=method)
+        raw = np.empty(max_hops)
+        for ki, (h, _) in enumerate(hop_states(g, X, cfg)):
+            cell_seed = seed ^ (mi * max_hops + ki)
+            assign = kmeans(standardize(h), k_clusters, cell_seed, kmeans_restarts)
+            raw[ki] = v_measure(y, assign)
         results.append(
             SweepResult(
                 method=method,
@@ -190,12 +172,11 @@ def random_search(
     seed: int,
     dataset: Dataset,
     method: Method = Method.PCAPASS,
-    threads: int = 1,
 ) -> list[HpoRecord]:
-    """Independent uniform samples over `space`; each run embeds, trains and
-    records (validation loss, test accuracy). A failed run is recorded with
-    infinite loss instead of aborting the search. Run i draws from an RNG
-    seeded with `seed ^ i`, so the record list is schedule-independent."""
+    """Independent uniform samples over `space`, run one after another; each
+    run embeds, trains and records (validation loss, test accuracy). A
+    failed run is recorded with infinite loss instead of aborting the
+    search. Run i draws from an RNG seeded with `seed ^ i`."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
 
@@ -208,7 +189,7 @@ def random_search(
             return HpoRecord(params=sampled, valid_ce=math.inf, test_accuracy=0.0)
         return HpoRecord(params=sampled, valid_ce=valid_ce, test_accuracy=test_acc)
 
-    return _map(one, range(n_runs), threads)
+    return [one(i) for i in range(n_runs)]
 
 
 def hpo_summary(records: list[HpoRecord]) -> dict:

@@ -86,11 +86,17 @@ def _embed_config(cfg: RunConfig) -> EmbedConfig:
     return _params(EmbedConfig, cfg, aggregator=aggregator, method=method)
 
 
-def _load_embeddings(cfg: RunConfig) -> np.ndarray:
+def _load_embeddings(cfg: RunConfig, n_nodes: int) -> np.ndarray:
     path = _embeddings_path(cfg)
     if not path.is_file():
         raise DataError(f"missing embeddings file: {path}")
-    return embeddings_from_csv(path.read_text(encoding="utf-8"))
+    try:
+        H = embeddings_from_csv(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if H.shape[0] != n_nodes:
+        raise DataError(f"{path}: {H.shape[0]} rows but the dataset has {n_nodes} nodes")
+    return H
 
 
 def _metrics(model: GbdtModel, H: np.ndarray, ds: Dataset) -> dict:
@@ -135,11 +141,7 @@ def cmd_embed(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     ds = load_dataset(_dataset_dir(cfg))
-    H = _load_embeddings(cfg)
-    if H.shape[0] != ds.n_nodes:
-        raise DataError(
-            f"embeddings have {H.shape[0]} rows but dataset has {ds.n_nodes} nodes"
-        )
+    H = _load_embeddings(cfg, ds.n_nodes)
     params = _params(GbdtParams, cfg)
     tr, va = ds.indices(TRAIN), ds.indices(VALID)
     try:
@@ -155,7 +157,7 @@ def cmd_train(cfg: RunConfig) -> None:
 
 def cmd_eval(cfg: RunConfig) -> None:
     ds = load_dataset(_dataset_dir(cfg))
-    H = _load_embeddings(cfg)
+    H = _load_embeddings(cfg, ds.n_nodes)
     model_file = _model_path(cfg)
     if not model_file.is_file():
         raise DataError(f"missing model file: {model_file}")
@@ -163,10 +165,6 @@ def cmd_eval(cfg: RunConfig) -> None:
         model = gbdt_from_bytes(model_file.read_bytes())
     except ValueError as exc:
         raise DataError(f"{model_file}: {exc}") from None
-    if H.shape[0] != ds.n_nodes:
-        raise DataError(
-            f"embeddings have {H.shape[0]} rows but dataset has {ds.n_nodes} nodes"
-        )
     if H.shape[1] != model.n_features:
         raise DataError(
             f"model expects {model.n_features} features, embeddings have {H.shape[1]}"
@@ -186,7 +184,6 @@ def cmd_sweep(cfg: RunConfig) -> None:
         k_clusters=cfg.k_clusters if cfg.k_clusters > 0 else None,
         seed=cfg.seed,
         kmeans_restarts=cfg.kmeans_restarts,
-        threads=cfg.threads,
     )
     lines = ["method,k,v_measure,normalized_v_measure"]
     for res in results:
@@ -225,9 +222,7 @@ def cmd_hpo(cfg: RunConfig) -> None:
     ds = load_dataset(_dataset_dir(cfg))
     space = _search_space(cfg)
     method = _choice(Method, cfg.method)
-    records = random_search(
-        space, cfg.hpo_runs, cfg.seed, ds, method=method, threads=cfg.threads
-    )
+    records = random_search(space, cfg.hpo_runs, cfg.seed, ds, method=method)
     header = (
         "run,k,d,aggregator,learning_rate,max_depth,reg_lambda,subsample,"
         "n_rounds,patience,gbdt_seed,valid_ce,test_accuracy"

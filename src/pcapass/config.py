@@ -25,7 +25,7 @@ def _key(default, text: str):
 @dataclass
 class _Global:
     seed: int = _key(0, "global RNG seed; feeds data generation, training and analyses")
-    threads: int = _key(1, "worker count for parallel sweep cells and search runs")
+    threads: int = _key(1, "accepted and has no effect; analyses run in order")
     out: str = _key("run_out", "output directory for the command's files")
     dataset_dir: str = _key("", "dataset directory (default: <out>/dataset)")
     embeddings_path: str = _key("", "embeddings CSV path (default: <out>/embeddings.csv)")

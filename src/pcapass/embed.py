@@ -14,6 +14,7 @@ Three embedders share one hop loop:
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -108,11 +109,21 @@ def embeddings_to_csv(H: np.ndarray) -> str:
 
 
 def embeddings_from_csv(text: str) -> np.ndarray:
-    rows = [
-        [float(tok) for tok in line.split(",")]
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    """Parse `embeddings_to_csv` output. A bad token, a non-finite value or a
+    row whose width differs from the first raises ValueError naming the line."""
+    rows = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"line {number}: non-finite value")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {number}: {len(row)} values, expected {len(rows[0])}")
+        rows.append(row)
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -123,8 +134,13 @@ def embeddings_to_binary(H: np.ndarray) -> bytes:
 
 
 def embeddings_from_binary(buf: bytes) -> np.ndarray:
+    """Decode `embeddings_to_binary` output; malformed input raises ValueError."""
     if buf[:4] != EMBED_MAGIC:
         raise ValueError("bad magic: not a serialized embedding matrix")
+    if len(buf) < 20:
+        raise ValueError(f"truncated embedding header: {len(buf)} of 20 bytes")
     n, d = struct.unpack_from("<QQ", buf, 4)
+    if len(buf) != 20 + 4 * n * d:  # Python integers, so a huge header cannot overflow
+        raise ValueError(f"{n} x {d} embedding needs {20 + 4 * n * d} bytes, got {len(buf)}")
     data = np.frombuffer(buf, dtype="<f4", count=n * d, offset=20)
     return data.reshape(n, d).astype(np.float64)

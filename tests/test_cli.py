@@ -207,6 +207,32 @@ class TestErrors:
         assert err.startswith("error: data:") and "features.csv" in err
         assert "row 6, column 1" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cells: cells[:-1], "line 6: 5 values, expected 6"),
+            (lambda cells: ["0x1"] + cells[1:], "line 6: could not convert string to float"),
+            (lambda cells: cells[:2] + ["nan"] + cells[3:], "line 6: non-finite value"),
+        ],
+        ids=["ragged", "token", "nan"],
+    )
+    def test_malformed_embeddings_exit_3_naming_the_file(
+        self, edit, message, tiny_config, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        for command in ("gen", "embed", "train"):
+            assert run_cmd(command, tiny_config, out) == 0
+        embeddings = out / "embeddings.csv"
+        rows = embeddings.read_text().splitlines()
+        rows[5] = ",".join(edit(rows[5].split(",")))
+        embeddings.write_text("\n".join(rows) + "\n")
+        for command in ("train", "eval"):
+            capsys.readouterr()
+            assert run_cmd(command, tiny_config, out) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: data:") and "embeddings.csv" in err
+            assert message in err
+
 
 class TestConfigPrecedence:
     def test_flag_overrides_file(self, tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,11 @@ class TestEmbeddingFiles:
     def test_binary_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             embeddings_from_binary(b"NOPE" + b"\0" * 16)
+
+    def test_binary_wrong_length_rejected(self, rng):
+        blob = embeddings_to_binary(rng.standard_normal((5, 3)))
+        prefixes = [blob[:cut] for cut in range(len(blob))]
+        oversized = b"PCAE" + struct.pack("<QQ", 2**62, 3) + b"\0" * 12
+        for bad in prefixes + [blob + b"\0", oversized]:
+            with pytest.raises(ValueError):
+                embeddings_from_binary(bad)
