@@ -145,7 +145,8 @@ def build_config(config_path=None, overrides: dict | None = None) -> RunConfig:
 
 
 def config_help_text() -> str:
+    entries = [(f"{f.name} = {f.default!r}", f.metadata["help"]) for f in fields(RunConfig)]
+    width = max(len(entry) for entry, _ in entries)
     lines = ["configuration keys (key = default):"]
-    for f in fields(RunConfig):
-        lines.append(f"  {f.name} = {f.default!r:<40} {f.metadata['help']}")
+    lines += [f"  {entry:<{width}} {text}" for entry, text in entries]
     return "\n".join(lines)

@@ -21,7 +21,7 @@ from .graph import CsrGraph, EdgeList, edge_list_of, graphs_equal, load_edge_lis
 
 TRAIN, VALID, TEST = 0, 1, 2
 _SPLIT_TOKENS = {"train": TRAIN, "valid": VALID, "test": TEST}
-_SPLIT_NAMES = {v: k for k, v in _SPLIT_TOKENS.items()}
+_SPLIT_NAMES = np.array(["train", "valid", "test"])  # indexed by TRAIN, VALID, TEST
 
 
 @dataclass(frozen=True)
@@ -149,17 +149,33 @@ def generate_sbm(p: SbmParams) -> Dataset:
 def save_dataset(ds: Dataset, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    edges = edge_list_of(ds.graph)
-    edge_lines = [f"{u}\t{v}" for u, v in edges.pairs]
-    write_text_atomic(directory / "edges.tsv", "\n".join(edge_lines) + "\n")
-    feat_lines = [",".join(f"{x:.9g}" for x in row) for row in ds.X]
-    write_text_atomic(directory / "features.csv", "\n".join(feat_lines) + "\n")
-    label_lines = ["node_id,label"] + [f"{i},{c}" for i, c in enumerate(ds.y)]
-    write_text_atomic(directory / "labels.csv", "\n".join(label_lines) + "\n")
-    split_lines = ["node_id,split"] + [
-        f"{i},{_SPLIT_NAMES[s]}" for i, s in enumerate(ds.split)
-    ]
-    write_text_atomic(directory / "splits.csv", "\n".join(split_lines) + "\n")
+    pairs = edge_list_of(ds.graph).pairs
+    edges = _format_rows("{}\t{}\n", pairs[:, 0], pairs[:, 1])
+    write_text_atomic(directory / "edges.tsv", edges or "\n")
+    row = ",".join(["{:.9g}"] * ds.X.shape[1]) + "\n"
+    write_text_atomic(directory / "features.csv", _format_rows(row, *ds.X.T) or "\n")
+    ids = np.arange(ds.n_nodes)
+    labels = _format_rows("{},{}\n", ids, ds.y)
+    write_text_atomic(directory / "labels.csv", "node_id,label\n" + labels)
+    splits = _format_rows("{},{}\n", ids, _SPLIT_NAMES[ds.split])
+    write_text_atomic(directory / "splits.csv", "node_id,split\n" + splits)
+
+
+_CHUNK = 1 << 14
+
+
+def _format_rows(template: str, *columns: np.ndarray) -> str:
+    """`template` formatted with each row of the equal-length `columns`.
+
+    _CHUNK rows at a time are turned into Python scalars and formatted by one
+    call on the template repeated once per row, so the temporary objects do
+    not grow with the number of rows.
+    """
+    chunks = []
+    for lo in range(0, len(columns[0]), _CHUNK):
+        block = np.stack([col[lo : lo + _CHUNK].astype(object) for col in columns], axis=1)
+        chunks.append((template * len(block)).format(*block.ravel().tolist()))
+    return "".join(chunks)
 
 
 def _read_id_column(path: Path, header: str, n: int) -> list[str]:
@@ -211,17 +227,27 @@ def load_dataset(directory) -> Dataset:
         )
     n = X.shape[0]
 
-    label_tokens = _read_id_column(directory / "labels.csv", "node_id,label", n)
+    labels_path = directory / "labels.csv"
+    label_tokens = _read_id_column(labels_path, "node_id,label", n)
     try:
-        y = np.array([int(tok) for tok in label_tokens], dtype=np.int64)
+        labels = [int(tok) for tok in label_tokens]
     except ValueError:
-        raise DataError(f"{directory / 'labels.csv'}: non-integer label") from None
-    if y.min() < 0:
-        raise DataError(f"{directory / 'labels.csv'}: negative label")
+        raise DataError(f"{labels_path}: non-integer label") from None
+    if min(labels) < 0:
+        raise DataError(f"{labels_path}: negative label")
+    # checked on Python ints: an int64 array could overflow, and bincount
+    # would allocate one count per class up to the largest label
+    top = max(labels)
+    if top >= n:
+        raise DataError(
+            f"{labels_path}: label {top} is not below the node count {n}, "
+            "so some class below it is unused"
+        )
+    y = np.array(labels, dtype=np.int64)
     present = np.bincount(y)
     if (present == 0).any():
         gap = int(np.flatnonzero(present == 0)[0])
-        raise DataError(f"{directory / 'labels.csv'}: label gap, class {gap} unused")
+        raise DataError(f"{labels_path}: label gap, class {gap} unused")
 
     split_tokens = _read_id_column(directory / "splits.csv", "node_id,split", n)
     split = np.empty(n, dtype=np.int8)

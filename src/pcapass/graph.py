@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import io
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +72,35 @@ def load_edge_list(path, n_nodes: int) -> EdgeList:
 
     Lines starting with '#' are comments; blank lines are ignored. Node ids
     are 0-based decimal integers and must be < n_nodes.
+
+    numpy parses the file in C. A file it refuses, or whose shape or ids are
+    wrong, is parsed again line by line, which decides whether to accept it
+    and names the offending line; loadtxt accepts only tokens `int()` also
+    accepts, so both parses agree on every file the C parse takes.
     """
+    try:
+        # universal newlines, as in the line-by-line parse: "\r\n" and "\r"
+        # end lines, so loadtxt sees the same lines; a decode error also goes
+        # to the line-by-line parse, which raises it
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if "#" in text:
+            text = re.sub(r"(?m)^#.*\n?", "", text)
+        with warnings.catch_warnings():
+            # an empty input, and an integer read via float on older numpy, only warn
+            warnings.simplefilter("error")
+            pairs = np.loadtxt(
+                io.StringIO(text), dtype=np.int64, delimiter="\t", comments=None, ndmin=2
+            )
+    except (ValueError, Warning):
+        return _load_edge_list_lines(path, n_nodes)
+    if pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n_nodes:
+        return _load_edge_list_lines(path, n_nodes)
+    return EdgeList(n_nodes=n_nodes, pairs=pairs)
+
+
+def _load_edge_list_lines(path, n_nodes: int) -> EdgeList:
+    """`load_edge_list` one line at a time, with an error naming the line."""
     src, dst = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -103,14 +134,18 @@ def prepare(edges: EdgeList) -> CsrGraph:
     """
     n = edges.n_nodes
     loops = np.arange(n, dtype=np.int64)
-    u = np.concatenate([edges.pairs[:, 0], edges.pairs[:, 1], loops])
-    v = np.concatenate([edges.pairs[:, 1], edges.pairs[:, 0], loops])
-    order = np.lexsort((v, u))
-    u, v = u[order], v[order]
-    if u.size:
-        keep = np.ones(u.size, dtype=bool)
-        keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-        u, v = u[keep], v[keep]
+    # Sorted unique (u, v) pairs are the sorted unique keys u * n + v. The key
+    # needs n**2 < 2**63, which holds for any n whose arange fits in memory.
+    key = np.concatenate([edges.pairs[:, 0], edges.pairs[:, 1], loops])
+    key *= n
+    key += np.concatenate([edges.pairs[:, 1], edges.pairs[:, 0], loops])
+    key.sort()
+    if key.size:
+        keep = np.empty(key.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+    u, v = np.divmod(key, n)
     counts = np.bincount(u, minlength=n)
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package: dense adjacency matrices, an explicit cyclic Jacobi
-eigensolver, SVD-based PCA, and contingency-table entropies computed with
-plain loops.
+eigensolver, SVD-based PCA, contingency-table entropies computed with
+plain loops, and a dataset reader and writer that handle one line at a time.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -209,3 +210,49 @@ def nearest_centroid_accuracy(X_tr, y_tr, X, y):
     d = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     pred = classes[np.argmin(d, axis=1)]
     return float((pred == y).mean())
+
+
+def save_dataset_reference(ds, directory):
+    """The four dataset files, one f-string per line: edges u < v in row
+    order, features with `.9g`, then the labels and split names by node id."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    g = ds.graph
+    edge_lines = [
+        f"{u}\t{v}"
+        for u in range(g.n_nodes)
+        for v in g.col_idx[g.row_ptr[u] : g.row_ptr[u + 1]]
+        if u < v
+    ]
+    feat_lines = [",".join(f"{x:.9g}" for x in row) for row in ds.X]
+    label_lines = ["node_id,label"] + [f"{i},{c}" for i, c in enumerate(ds.y)]
+    names = {0: "train", 1: "valid", 2: "test"}
+    split_lines = ["node_id,split"] + [f"{i},{names[s]}" for i, s in enumerate(ds.split)]
+    for name, lines in [
+        ("edges.tsv", edge_lines),
+        ("features.csv", feat_lines),
+        ("labels.csv", label_lines),
+        ("splits.csv", split_lines),
+    ]:
+        (directory / name).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+
+
+def edge_file_reference(path, n_nodes):
+    """The (u, v) pairs of an edges.tsv file, read one line at a time with
+    `int()`, or the message naming the first bad line."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.startswith("#") or not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 2:
+                return f"{path}: line {lineno}: expected 'src<TAB>dst'"
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                return f"{path}: line {lineno}: non-integer node id in {parts!r}"
+            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
+                return f"{path}: line {lineno}: node id out of range for n_nodes={n_nodes}"
+            pairs.append([u, v])
+    return pairs

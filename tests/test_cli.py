@@ -6,8 +6,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pcapass import gbdt_from_bytes
+from pcapass import (
+    DataError,
+    SbmParams,
+    gbdt_from_bytes,
+    generate_sbm,
+    load_dataset,
+    save_dataset,
+)
 from pcapass.cli import main
 from pcapass.config import RunConfig
 from pcapass.gbdt import _HEADER
@@ -207,6 +216,22 @@ class TestErrors:
         assert err.startswith("error: data:") and "features.csv" in err
         assert "row 6, column 1" in err
 
+    @pytest.mark.parametrize("label", [10**15, 2**63])
+    def test_oversized_label_exits_3_naming_the_file(
+        self, label, tiny_config, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        assert run_cmd("gen", tiny_config, out) == 0
+        labels = out / "dataset" / "labels.csv"
+        rows = labels.read_text().splitlines()
+        rows[5] = f"4,{label}"
+        labels.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run_cmd("embed", tiny_config, out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "labels.csv" in err
+        assert f"label {label} is not below the node count 200" in err
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -232,6 +257,62 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: data:") and "embeddings.csv" in err
             assert message in err
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    """A saved 30-node dataset as {file name: lines}, and an embed config."""
+    root = tmp_path_factory.mktemp("tiny")
+    ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, n_features=3, p_in=0.2, seed=0))
+    save_dataset(ds, root)
+    names = ("edges.tsv", "features.csv", "labels.csv", "splits.csv")
+    files = {name: (root / name).read_text().splitlines() for name in names}
+    return files, write_config(root / "embed.cfg", k=2, d=4)
+
+
+_DATASET_LINES = st.one_of(
+    st.sampled_from(
+        [
+            "", " ", "#", "node_id,label", "node_id,split", "0\t29", "0\t30", "-1\t2",
+            "3\t1_0", "3,1", "3,2", "3,29", "3,30", "3,-1", "3,1000000000000000",
+            f"3,{2**63}", "3,99999999999999999999", "3,valid", "3,holdout", "30,1",
+            "3,1,1", "nan,0,0", "1e39,0,0", "0.5,0.5", "0.5,0.5,0.5,0.5", "x,y,z",
+        ]
+    ),
+    st.text(alphabet="0123456789,.-+e\t #_xn", max_size=12),
+)
+
+
+@given(
+    name=st.sampled_from(["edges.tsv", "features.csv", "labels.csv", "splits.csv"]),
+    edit=st.sampled_from(["replace", "drop", "duplicate"]),
+    index=st.integers(0, 10**6),
+    line=_DATASET_LINES,
+)
+@example(name="labels.csv", edit="replace", index=4, line="3,99999999999999999999")
+@settings(max_examples=120, deadline=None)
+def test_one_edited_dataset_line_loads_or_exits_3(
+    tiny_dataset, tmp_path_factory, name, edit, index, line
+):
+    files, config = tiny_dataset
+    out = tmp_path_factory.mktemp("fuzz")
+    (out / "dataset").mkdir()
+    for file_name, lines in files.items():
+        lines = list(lines)
+        if file_name == name:
+            i = index % len(lines)
+            if edit == "replace":
+                lines[i] = line
+            elif edit == "drop":
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+        (out / "dataset" / file_name).write_text("\n".join(lines) + "\n")
+    try:
+        load_dataset(out / "dataset")
+    except DataError:
+        pass
+    assert main(["embed", "--config", config, "--out", str(out)]) in (0, 3)
 
 
 class TestConfigPrecedence:

@@ -52,3 +52,15 @@ def test_every_config_key_has_help_text():
 
 def test_default_hpo_keys_build_the_default_search_space():
     assert _search_space(RunConfig()) == SearchSpace()
+
+
+def test_help_text_of_every_key_starts_at_one_column():
+    lines = config_help_text().splitlines()[1:]
+    keys = fields(RunConfig)
+    assert len(lines) == len(keys)
+    columns = set()
+    for line, f in zip(lines, keys):
+        entry = f"  {f.name} = {f.default!r} "
+        assert line.startswith(entry), line
+        columns.add(line.index(f.metadata["help"], len(entry)))
+    assert len(columns) == 1

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from oracles import save_dataset_reference
 
 from pcapass import (
     DataError,
     GbdtParams,
     SbmParams,
+    datasets,
     gbdt_predict,
     gbdt_train,
     generate_sbm,
@@ -131,6 +133,25 @@ class TestGenerate:
 
 
 class TestSaveLoad:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            *(SbmParams(n_nodes=90, n_classes=3, n_features=4, seed=s) for s in (0, 1, 2)),
+            SbmParams(n_nodes=40, n_classes=1, n_features=1, seed=3),
+            SbmParams(n_nodes=40, n_classes=2, n_features=3, p_in=0.0, p_out=0.0, seed=4),
+        ],
+        ids=["seed0", "seed1", "seed2", "one_feature", "no_edges"],
+    )
+    @pytest.mark.parametrize("chunk", [7, datasets._CHUNK])
+    def test_files_match_the_line_by_line_writer(self, params, chunk, tmp_path, monkeypatch):
+        monkeypatch.setattr(datasets, "_CHUNK", chunk)
+        ds = generate_sbm(params)
+        save_dataset(ds, tmp_path / "data")
+        save_dataset_reference(ds, tmp_path / "ref")
+        for name in ("edges.tsv", "features.csv", "labels.csv", "splits.csv"):
+            got = (tmp_path / "data" / name).read_bytes()
+            assert got == (tmp_path / "ref" / name).read_bytes(), name
+
     def test_roundtrip_is_exact(self, tmp_path):
         ds = generate_sbm(SbmParams(n_nodes=80, n_classes=3, seed=7, n_features=5))
         save_dataset(ds, tmp_path / "data")
@@ -174,4 +195,15 @@ class TestSaveLoad:
         lines = (tmp_path / "data" / "labels.csv").read_text().splitlines()
         (tmp_path / "data" / "labels.csv").write_text("\n".join(lines[1:]) + "\n")
         with pytest.raises(DataError, match="header"):
+            load_dataset(tmp_path / "data")
+
+    @pytest.mark.parametrize("label", [30, 10**15, 2**63])
+    def test_label_not_below_the_node_count(self, label, tmp_path):
+        ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, seed=0, n_features=3))
+        save_dataset(ds, tmp_path / "data")
+        path = tmp_path / "data" / "labels.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = f"3,{label}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=f"labels.csv: label {label} is not below"):
             load_dataset(tmp_path / "data")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import dense_prepared_adjacency, edge_file_reference
 
-from pcapass import DataError, EdgeList, load_edge_list, prepare
+from pcapass import DataError, EdgeList, graph, load_edge_list, prepare
 from pcapass.graph import edge_list_of, graphs_equal
 
 
@@ -61,6 +62,59 @@ class TestLoadEdgeList:
             load_edge_list(path, 3)
 
 
+# tokens int() and a C integer parser may disagree on, and ids near the limits
+_ID_TOKENS = [
+    "0", "1", "2", "3", "+1", "-0", "-1", "007", "1_0", "_1", "1__0", "\u0661",
+    "\u0967", " 1", "1 ", "\x0c1", "1\x0b", "\xa01", "1\u2028", "\ufeff1", "1\x00",
+    "1.5", "1.0", "1e0", "0x1", "0b1", "nan", "inf", "", "+", "-", "1 1", '"1"',
+    str(2**63 - 1), str(2**63), str(2**64), "#1",
+]
+_ids = st.one_of(st.sampled_from(_ID_TOKENS), st.integers(0, 4).map(str))
+_lines = st.one_of(
+    st.tuples(_ids, _ids).map("\t".join),
+    st.tuples(_ids, _ids).map(" ".join),
+    st.tuples(_ids, _ids, _ids).map("\t".join),
+    _ids,
+    st.sampled_from(["", " ", "\t", "\x0c", "\x1c", "\xa0", " \t ", "#", "#0\t1", "# x"]),
+)
+
+
+@st.composite
+def edge_file_texts(draw):
+    lines = draw(st.lists(_lines, max_size=8))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[: -len(ends[-1])]
+    return text
+
+
+@given(edge_file_texts(), st.integers(1, 4))
+@example("0\t1\n2\t3\n", 4)
+@example("# c\r\n1\t2\r\n\r\n \r\n0\t1", 3)
+@example(f"0\t{2**63}\n", 4)
+@settings(max_examples=400, deadline=None)
+def test_load_edge_list_matches_the_line_parser(tmp_path_factory, text, n):
+    path = tmp_path_factory.mktemp("edges") / "edges.tsv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        got = load_edge_list(path, n).pairs.tolist()
+    except DataError as exc:
+        got = str(exc)
+    assert got == edge_file_reference(path, n)
+
+
+def test_well_formed_file_is_not_parsed_line_by_line(tmp_path, monkeypatch):
+    def refuse(path, n_nodes):
+        raise AssertionError("parsed line by line")
+
+    monkeypatch.setattr(graph, "_load_edge_list_lines", refuse)
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(b"# header\r\n0\t1\r\n\r\n2\t1\n#x\n+1\t002\r 1\t0 ")
+    assert load_edge_list(path, 3).pairs.tolist() == [[0, 1], [2, 1], [1, 2], [1, 0]]
+
+
 class TestPrepare:
     def test_symmetrize_and_self_loops(self):
         g = prepare(EdgeList(2, np.array([[0, 1]])))
@@ -99,6 +153,20 @@ class TestDegrees:
         g = prepare(EdgeList(3, np.array([[0, 1], [0, 2], [1, 2]])))
         assert g.degree.tolist() == [3, 3, 3]
         assert g.degree.tolist() == np.diff(g.row_ptr).tolist()
+
+
+@given(edge_lists())
+@example(EdgeList(1, np.empty((0, 2), np.int64)))
+@example(EdgeList(1, np.array([[0, 0], [0, 0]])))
+@example(EdgeList(3, np.array([[0, 1], [1, 0], [0, 1], [2, 2], [1, 2], [2, 1]])))
+@settings(max_examples=100)
+def test_prepare_matches_dense_oracle(el):
+    g = prepare(el)
+    rows, cols = np.nonzero(dense_prepared_adjacency(el.n_nodes, el.pairs))
+    degree = np.bincount(rows, minlength=el.n_nodes)
+    assert g.col_idx.tolist() == cols.tolist()
+    assert g.row_ptr.tolist() == [0] + np.cumsum(degree).tolist()
+    assert g.degree.tolist() == degree.tolist()
 
 
 @given(edge_lists())
