@@ -20,16 +20,9 @@ from .aggregate import Aggregator
 from .analysis import SearchSpace, hpo_summary, oversmoothing_sweep, random_search
 from .config import RunConfig, build_config, config_help_text
 from .datasets import TEST, TRAIN, VALID, Dataset, SbmParams, generate_sbm, load_dataset, save_dataset
-from .embed import (
-    EmbedConfig,
-    Method,
-    embed,
-    embeddings_from_csv,
-    embeddings_to_binary,
-    embeddings_to_csv,
-)
+from .embed import EmbedConfig, Method, embed, embeddings_from_csv, embeddings_to_csv
 from .errors import ConfigError, DataError
-from .fileio import write_bytes_atomic, write_text_atomic
+from .fileio import _format_rows, _read_text, write_bytes_atomic, write_text_atomic
 from .gbdt import (
     GbdtModel,
     GbdtParams,
@@ -90,8 +83,9 @@ def _load_embeddings(cfg: RunConfig, n_nodes: int) -> np.ndarray:
     path = _embeddings_path(cfg)
     if not path.is_file():
         raise DataError(f"missing embeddings file: {path}")
+    text = _read_text(path)
     try:
-        H = embeddings_from_csv(path.read_text(encoding="utf-8"))
+        H = embeddings_from_csv(text)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     if H.shape[0] != n_nodes:
@@ -125,14 +119,14 @@ def cmd_gen(cfg: RunConfig) -> None:
 
 def cmd_embed(cfg: RunConfig) -> None:
     ds = load_dataset(_dataset_dir(cfg))
-    result = embed(ds.graph, ds.X, _embed_config(cfg))
+    embed_cfg = _embed_config(cfg)
+    try:
+        result = embed(ds.graph, ds.X, embed_cfg)
+    except ValueError as exc:  # such as a PCA hop on a 1-node graph
+        raise DataError(f"{_dataset_dir(cfg)}: {exc}") from None
     path = _embeddings_path(cfg)
     write_text_atomic(path, embeddings_to_csv(result.embeddings))
     print(f"wrote {path}")
-    if cfg.embed_binary:
-        bin_path = path.with_suffix(".bin")
-        write_bytes_atomic(bin_path, embeddings_to_binary(result.embeddings))
-        print(f"wrote {bin_path}")
     if result.per_hop_models:
         models_path = Path(cfg.out) / "pca_models.bin"
         write_bytes_atomic(models_path, models_to_bytes(result.per_hop_models))
@@ -173,27 +167,33 @@ def cmd_eval(cfg: RunConfig) -> None:
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
+    for key in ("sweep_hops", "kmeans_restarts"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
     ds = load_dataset(_dataset_dir(cfg))
     methods = [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
-    results = oversmoothing_sweep(
-        ds.graph,
-        ds.X,
-        ds.y,
-        methods,
-        max_hops=cfg.sweep_hops,
-        k_clusters=cfg.k_clusters if cfg.k_clusters > 0 else None,
-        seed=cfg.seed,
-        kmeans_restarts=cfg.kmeans_restarts,
+    try:
+        results = oversmoothing_sweep(
+            ds.graph,
+            ds.X,
+            ds.y,
+            methods,
+            max_hops=cfg.sweep_hops,
+            k_clusters=cfg.k_clusters if cfg.k_clusters > 0 else None,
+            seed=cfg.seed,
+            kmeans_restarts=cfg.kmeans_restarts,
+        )
+    except ValueError as exc:  # such as a 1-node dataset, or more clusters than nodes
+        raise DataError(f"{_dataset_dir(cfg)}: {exc}") from None
+    rows = _format_rows(
+        "{},{},{:.9g},{:.9g}\n",
+        np.repeat([res.method.value for res in results], [res.v_measures.size for res in results]),
+        np.concatenate([np.arange(1, res.v_measures.size + 1) for res in results]),
+        np.concatenate([res.v_measures for res in results]),
+        np.concatenate([res.normalized for res in results]),
     )
-    lines = ["method,k,v_measure,normalized_v_measure"]
-    for res in results:
-        for i in range(res.v_measures.size):
-            lines.append(
-                f"{res.method.value},{i + 1},"
-                f"{res.v_measures[i]:.9g},{res.normalized[i]:.9g}"
-            )
     path = Path(cfg.out) / "sweep.csv"
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "method,k,v_measure,normalized_v_measure\n" + rows)
     print(f"wrote {path}")
 
 

@@ -13,9 +13,6 @@ from .datasets import SbmParams
 from .errors import ConfigError
 from .gbdt import GbdtParams
 
-_TRUE = {"true", "yes", "1", "on"}
-_FALSE = {"false", "no", "0", "off"}
-
 
 def _key(default, text: str):
     """A config key's default and its `--help` text."""
@@ -40,7 +37,6 @@ class _Embedding:
     aggregator: str = _key("mean", "neighborhood aggregation: mean | symnorm")
     k: int = _key(8, "number of aggregation hops")
     d: int = _key(16, "embedding dimension (pcapass only)")
-    embed_binary: bool = _key(False, "also write a binary embeddings file")
 
 
 @dataclass
@@ -101,13 +97,6 @@ def _coerce(key: str, raw: str):
             return int(raw)
         if typ == "float":
             return float(raw)
-        if typ == "bool":
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(raw)
         return raw
     except ValueError:
         raise ConfigError(f"bad value for {key!r}: {raw!r} (expected {typ})") from None
@@ -117,8 +106,12 @@ def parse_config_file(path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     values: dict = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -9,14 +9,13 @@ graphs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataError
-from .fileio import write_text_atomic
+from .fileio import _format_rows, _parse_table, _read_text, write_text_atomic
 from .graph import CsrGraph, EdgeList, edge_list_of, graphs_equal, load_edge_list, prepare
 
 TRAIN, VALID, TEST = 0, 1, 2
@@ -161,25 +160,8 @@ def save_dataset(ds: Dataset, directory) -> None:
     write_text_atomic(directory / "splits.csv", "node_id,split\n" + splits)
 
 
-_CHUNK = 1 << 14
-
-
-def _format_rows(template: str, *columns: np.ndarray) -> str:
-    """`template` formatted with each row of the equal-length `columns`.
-
-    _CHUNK rows at a time are turned into Python scalars and formatted by one
-    call on the template repeated once per row, so the temporary objects do
-    not grow with the number of rows.
-    """
-    chunks = []
-    for lo in range(0, len(columns[0]), _CHUNK):
-        block = np.stack([col[lo : lo + _CHUNK].astype(object) for col in columns], axis=1)
-        chunks.append((template * len(block)).format(*block.ravel().tolist()))
-    return "".join(chunks)
-
-
 def _read_id_column(path: Path, header: str, n: int) -> list[str]:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0] != header:
         raise DataError(f"{path}: expected header line '{header}'")
     rows = [ln for ln in lines[1:] if ln.strip()]
@@ -212,13 +194,10 @@ def load_dataset(directory) -> Dataset:
 
     feats_path = directory / "features.csv"
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # empty input only warns by default
-            X = np.loadtxt(feats_path, delimiter=",", dtype=np.float32, ndmin=2)
-    except (ValueError, UserWarning) as exc:
+        with open(feats_path, encoding="utf-8") as fh:  # streamed by loadtxt
+            X = _parse_table(fh, np.float32, ",", comments="#", name=feats_path)
+    except ValueError as exc:
         raise DataError(f"{feats_path}: {exc}") from None
-    if X.size == 0:
-        raise DataError(f"{feats_path}: no feature rows")
     if not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise DataError(

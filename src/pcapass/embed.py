@@ -15,7 +15,6 @@ Three embedders share one hop loop:
 from __future__ import annotations
 
 import math
-import struct
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -24,10 +23,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .aggregate import Aggregator, aggregate
+from .fileio import _format_rows
 from .graph import CsrGraph
 from .pca import PcaModel, pca_fit, pca_transform
-
-EMBED_MAGIC = b"PCAE"
 
 
 class Method(Enum):
@@ -104,8 +102,8 @@ def embed(g: CsrGraph, X, cfg: EmbedConfig) -> EmbedResult:
 
 
 def embeddings_to_csv(H: np.ndarray) -> str:
-    lines = [",".join(f"{x:.9g}" for x in row) for row in np.asarray(H)]
-    return "\n".join(lines) + "\n"
+    H = np.asarray(H)
+    return _format_rows(",".join(["{:.9g}"] * H.shape[1]) + "\n", *H.T) or "\n"
 
 
 def embeddings_from_csv(text: str) -> np.ndarray:
@@ -125,22 +123,3 @@ def embeddings_from_csv(text: str) -> np.ndarray:
             raise ValueError(f"line {number}: {len(row)} values, expected {len(rows[0])}")
         rows.append(row)
     return np.asarray(rows, dtype=np.float64)
-
-
-def embeddings_to_binary(H: np.ndarray) -> bytes:
-    H = np.ascontiguousarray(H)
-    header = EMBED_MAGIC + struct.pack("<QQ", H.shape[0], H.shape[1])
-    return header + H.astype("<f4").tobytes()
-
-
-def embeddings_from_binary(buf: bytes) -> np.ndarray:
-    """Decode `embeddings_to_binary` output; malformed input raises ValueError."""
-    if buf[:4] != EMBED_MAGIC:
-        raise ValueError("bad magic: not a serialized embedding matrix")
-    if len(buf) < 20:
-        raise ValueError(f"truncated embedding header: {len(buf)} of 20 bytes")
-    n, d = struct.unpack_from("<QQ", buf, 4)
-    if len(buf) != 20 + 4 * n * d:  # Python integers, so a huge header cannot overflow
-        raise ValueError(f"{n} x {d} embedding needs {20 + 4 * n * d} bytes, got {len(buf)}")
-    data = np.frombuffer(buf, dtype="<f4", count=n * d, offset=20)
-    return data.reshape(n, d).astype(np.float64)

@@ -1,10 +1,17 @@
-"""Atomic file writing helpers (temp file + rename in the same directory)."""
+"""Atomic file writes, and the private text helpers: the UTF-8 decode that
+every text input goes through, the one `np.loadtxt` call, and the row
+formatter that writes every CSV/TSV file."""
 
 from __future__ import annotations
 
 import os
 import tempfile
+import warnings
 from pathlib import Path
+
+import numpy as np
+
+from .errors import DataError
 
 
 def write_bytes_atomic(path, data: bytes) -> None:
@@ -23,3 +30,44 @@ def write_bytes_atomic(path, data: bytes) -> None:
 
 def write_text_atomic(path, text: str) -> None:
     write_bytes_atomic(path, text.encode("utf-8"))
+
+
+def _read_text(path) -> str:
+    """`path` decoded as UTF-8 with universal newlines; a file that is not
+    UTF-8 raises a DataError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def _parse_table(fh, dtype, delimiter: str, *, comments=None, name="text") -> np.ndarray:
+    """`np.loadtxt` of the text stream `fh`, at least 2-d. What it refuses or
+    warns about (empty input), and a decode error, raise ValueError, naming
+    `name` where numpy names its input. A format with a line parse may only
+    accept by it: text it refuses, or whose values fail a check, goes to the
+    line parse, which words the error."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=comments, ndmin=2)
+    except (ValueError, Warning) as exc:
+        raise ValueError(str(exc).replace(str(fh), str(name))) from None
+
+
+_CHUNK = 1 << 14
+
+
+def _format_rows(template: str, *columns: np.ndarray) -> str:
+    """`template` formatted with each row of the equal-length `columns`.
+
+    _CHUNK rows at a time are turned into Python scalars and formatted by one
+    call on the template repeated once per row, so the temporary objects do
+    not grow with the number of rows.
+    """
+    chunks = []
+    for lo in range(0, len(columns[0]), _CHUNK):
+        block = np.stack([col[lo : lo + _CHUNK].astype(object) for col in columns], axis=1)
+        chunks.append((template * len(block)).format(*block.ravel().tolist()))
+    return "".join(chunks)

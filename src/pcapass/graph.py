@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import io
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
+from .fileio import _parse_table, _read_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,53 +74,42 @@ def load_edge_list(path, n_nodes: int) -> EdgeList:
     are 0-based decimal integers and must be < n_nodes.
 
     numpy parses the file in C. A file it refuses, or whose shape or ids are
-    wrong, is parsed again line by line, which decides whether to accept it
-    and names the offending line; loadtxt accepts only tokens `int()` also
-    accepts, so both parses agree on every file the C parse takes.
+    wrong, goes to the line parse, which decides and names the offending line;
+    loadtxt accepts only tokens `int()` also accepts, so both parses agree.
     """
+    text = _read_text(path)
+    # the line parse skips the same "#" lines
+    data = re.sub(r"(?m)^#.*\n?", "", text) if "#" in text else text
     try:
-        # universal newlines, as in the line-by-line parse: "\r\n" and "\r"
-        # end lines, so loadtxt sees the same lines; a decode error also goes
-        # to the line-by-line parse, which raises it
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if "#" in text:
-            text = re.sub(r"(?m)^#.*\n?", "", text)
-        with warnings.catch_warnings():
-            # an empty input, and an integer read via float on older numpy, only warn
-            warnings.simplefilter("error")
-            pairs = np.loadtxt(
-                io.StringIO(text), dtype=np.int64, delimiter="\t", comments=None, ndmin=2
-            )
-    except (ValueError, Warning):
-        return _load_edge_list_lines(path, n_nodes)
-    if pairs.shape[1] != 2 or pairs.min() < 0 or pairs.max() >= n_nodes:
-        return _load_edge_list_lines(path, n_nodes)
-    return EdgeList(n_nodes=n_nodes, pairs=pairs)
+        pairs = _parse_table(io.StringIO(data), np.int64, "\t")
+        if pairs.shape[1] == 2 and pairs.min() >= 0 and pairs.max() < n_nodes:
+            return EdgeList(n_nodes=n_nodes, pairs=pairs)
+    except ValueError:
+        pass
+    return _load_edge_list_lines(path, text, n_nodes)
 
 
-def _load_edge_list_lines(path, n_nodes: int) -> EdgeList:
+def _load_edge_list_lines(path, text: str, n_nodes: int) -> EdgeList:
     """`load_edge_list` one line at a time, with an error naming the line."""
     src, dst = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 'src<TAB>dst'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(
-                    f"{path}: line {lineno}: non-integer node id in {parts!r}"
-                ) from None
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                raise DataError(
-                    f"{path}: line {lineno}: node id out of range for n_nodes={n_nodes}"
-                )
-            src.append(u)
-            dst.append(v)
+    for lineno, line in enumerate(io.StringIO(text), start=1):
+        if line.startswith("#") or not line.strip():
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}: line {lineno}: expected 'src<TAB>dst'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(
+                f"{path}: line {lineno}: non-integer node id in {parts!r}"
+            ) from None
+        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
+            raise DataError(
+                f"{path}: line {lineno}: node id out of range for n_nodes={n_nodes}"
+            )
+        src.append(u)
+        dst.append(v)
     pairs = np.array([src, dst], dtype=np.int64).T if src else np.empty((0, 2), np.int64)
     return EdgeList(n_nodes=n_nodes, pairs=pairs)
 

@@ -256,3 +256,21 @@ def edge_file_reference(path, n_nodes):
                 return f"{path}: line {lineno}: node id out of range for n_nodes={n_nodes}"
             pairs.append([u, v])
     return pairs
+
+
+def embeddings_csv_text_reference(H):
+    """`embeddings.csv` text, one f-string join per row."""
+    lines = [",".join(f"{x:.9g}" for x in row) for row in np.asarray(H)]
+    return "\n".join(lines) + "\n"
+
+
+def sweep_csv_text_reference(results):
+    """`sweep.csv` text, one f-string per method and hop."""
+    lines = ["method,k,v_measure,normalized_v_measure"]
+    for res in results:
+        for i in range(res.v_measures.size):
+            lines.append(
+                f"{res.method.value},{i + 1},"
+                f"{res.v_measures[i]:.9g},{res.normalized[i]:.9g}"
+            )
+    return "\n".join(lines) + "\n"

@@ -3,6 +3,7 @@ import json
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +258,57 @@ class TestErrors:
             err = capsys.readouterr().err
             assert err.startswith("error: data:") and "embeddings.csv" in err
             assert message in err
+
+
+    @pytest.mark.parametrize(
+        "name", ["edges.tsv", "features.csv", "labels.csv", "splits.csv", "embeddings.csv", "run.cfg"]
+    )
+    def test_non_utf8_file_exits_naming_it(self, name, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        for command in ("gen", "embed"):
+            assert run_cmd(command, tiny_config, out) == 0
+        path = {"embeddings.csv": out / "embeddings.csv", "run.cfg": Path(tiny_config)}.get(
+            name, out / "dataset" / name
+        )
+        path.write_bytes(path.read_bytes() + b"\xff\xfe\n")
+        capsys.readouterr()
+        if name == "run.cfg":
+            assert run_cmd("gen", tiny_config, out) == 2
+        else:
+            assert run_cmd("train" if name == "embeddings.csv" else "embed", tiny_config, out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:" if name == "run.cfg" else "error: data:")
+        assert f"{path}: 'utf-8' codec can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize(
+        "command, methods, message",
+        [
+            ("embed", "pcapass", "pca_fit needs at least 2 rows, got 1"),
+            ("sweep", "pcapass", "pca_fit needs at least 2 rows, got 1"),
+            ("sweep", "message_passing", "standardize needs a 2-D matrix with >= 2 rows"),
+        ],
+    )
+    def test_one_node_dataset_exits_3_naming_the_directory(
+        self, command, methods, message, tmp_path, capsys
+    ):
+        config = write_config(
+            tmp_path / "one.cfg", n_nodes=1, n_classes=1, n_features=2, sweep_methods=methods
+        )
+        out = tmp_path / "run"
+        assert main(["gen", "--config", config, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", config, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: data: {out / 'dataset'}: ") and message in err
+
+    @pytest.mark.parametrize("key", ["sweep_hops", "kmeans_restarts"])
+    def test_sweep_count_below_one_exits_2(self, key, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["gen", "--out", str(out)]) == 0
+        config = write_config(tmp_path / "sweep.cfg", **{key: 0})
+        capsys.readouterr()
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config: {key} must be >= 1, got 0\n"
 
 
 @pytest.fixture(scope="module")

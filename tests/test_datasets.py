@@ -6,13 +6,13 @@ from pcapass import (
     DataError,
     GbdtParams,
     SbmParams,
-    datasets,
     gbdt_predict,
     gbdt_train,
     generate_sbm,
     load_dataset,
     save_dataset,
 )
+from pcapass import fileio
 from pcapass.datasets import TEST, TRAIN, VALID, datasets_equal
 
 
@@ -142,9 +142,9 @@ class TestSaveLoad:
         ],
         ids=["seed0", "seed1", "seed2", "one_feature", "no_edges"],
     )
-    @pytest.mark.parametrize("chunk", [7, datasets._CHUNK])
+    @pytest.mark.parametrize("chunk", [7, fileio._CHUNK])
     def test_files_match_the_line_by_line_writer(self, params, chunk, tmp_path, monkeypatch):
-        monkeypatch.setattr(datasets, "_CHUNK", chunk)
+        monkeypatch.setattr(fileio, "_CHUNK", chunk)
         ds = generate_sbm(params)
         save_dataset(ds, tmp_path / "data")
         save_dataset_reference(ds, tmp_path / "ref")
@@ -188,6 +188,15 @@ class TestSaveLoad:
         (tmp_path / "data" / "splits.csv").write_text(text)
         with pytest.raises(DataError, match="unknown split token"):
             load_dataset(tmp_path / "data")
+
+    def test_empty_features_file_names_the_file(self, tmp_path):
+        ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, seed=0, n_features=3))
+        save_dataset(ds, tmp_path / "data")
+        path = tmp_path / "data" / "features.csv"
+        path.write_text("# no rows\n")
+        with pytest.raises(DataError) as info:
+            load_dataset(tmp_path / "data")
+        assert str(info.value) == f'{path}: loadtxt: input contained no data: "{path}"'
 
     def test_missing_header_rejected(self, tmp_path):
         ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, seed=0, n_features=3))

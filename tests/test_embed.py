@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -15,12 +13,7 @@ from pcapass import (
     hop_states,
     prepare,
 )
-from pcapass.embed import (
-    embeddings_from_binary,
-    embeddings_from_csv,
-    embeddings_to_binary,
-    embeddings_to_csv,
-)
+from pcapass.embed import embeddings_from_csv, embeddings_to_csv
 
 
 def cfg_for(method, k, d, aggregator=Aggregator.MEAN):
@@ -165,20 +158,3 @@ class TestEmbeddingFiles:
         np.testing.assert_array_equal(
             restored.astype(np.float32), H.astype(np.float32)
         )
-
-    def test_binary_roundtrip(self, rng):
-        H = rng.standard_normal((5, 3)).astype(np.float32).astype(np.float64)
-        restored = embeddings_from_binary(embeddings_to_binary(H))
-        np.testing.assert_array_equal(restored, H)
-
-    def test_binary_bad_magic(self):
-        with pytest.raises(ValueError, match="magic"):
-            embeddings_from_binary(b"NOPE" + b"\0" * 16)
-
-    def test_binary_wrong_length_rejected(self, rng):
-        blob = embeddings_to_binary(rng.standard_normal((5, 3)))
-        prefixes = [blob[:cut] for cut in range(len(blob))]
-        oversized = b"PCAE" + struct.pack("<QQ", 2**62, 3) + b"\0" * 12
-        for bad in prefixes + [blob + b"\0", oversized]:
-            with pytest.raises(ValueError):
-                embeddings_from_binary(bad)

@@ -1,0 +1,81 @@
+"""The text-table writer in `pcapass.fileio`, checked against the f-string
+writers it replaced (tests/oracles.py), and the layout that keeps every
+CSV/TSV decision in that one module."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import embeddings_csv_text_reference, sweep_csv_text_reference
+
+import pcapass
+from pcapass import cli, fileio
+from pcapass.analysis import SweepResult
+from pcapass.embed import Method, embeddings_to_csv
+
+
+def test_public_functions_are_the_two_atomic_writers():
+    public = {
+        name
+        for name, obj in inspect.getmembers(fileio, inspect.isfunction)
+        if not name.startswith("_") and obj.__module__ == fileio.__name__
+    }
+    assert public == {"write_bytes_atomic", "write_text_atomic"}
+
+
+def test_only_fileio_calls_loadtxt():
+    callers = set()
+    for path in Path(pcapass.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "loadtxt":
+                    callers.add(path.name)
+    assert callers == {"fileio.py"}
+
+
+_cells = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308]),
+)
+
+
+@given(
+    arrays(np.float64, st.tuples(st.integers(0, 9), st.integers(1, 4)), elements=_cells)
+    | arrays(np.float32, st.tuples(st.integers(0, 9), st.integers(1, 4)),
+             elements=st.floats(width=32))
+)
+@settings(max_examples=200, deadline=None)
+def test_embeddings_to_csv_matches_the_row_writer(H):
+    assert embeddings_to_csv(H) == embeddings_csv_text_reference(H)
+
+
+def _sweep_result(method, raw):
+    raw = np.asarray(raw, dtype=np.float64)
+    return SweepResult(method=method, v_measures=raw, normalized=raw / 2.0, argmax_k=1)
+
+
+@pytest.mark.parametrize(
+    "results",
+    [
+        [_sweep_result(Method.PCAPASS, [0.5, 0.25, 1 / 3])],
+        [
+            _sweep_result(Method.PCAPASS, [0.0, -0.0, 1e-300, 0.123456789012]),
+            _sweep_result(Method.MESSAGE_PASSING, [np.nan, np.inf, 1.0, 2.0]),
+            _sweep_result(Method.SKIP_CONNECTIONS, np.linspace(0.0, 1.0, 4)),
+        ],
+    ],
+    ids=["one_method", "three_methods"],
+)
+def test_sweep_csv_matches_the_row_writer(results, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert cli.main(["gen", "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "oversmoothing_sweep", lambda *args, **kwargs: results)
+    assert cli.main(["sweep", "--out", str(out)]) == 0
+    assert (out / "sweep.csv").read_bytes() == sweep_csv_text_reference(results).encode()

@@ -106,7 +106,7 @@ def test_load_edge_list_matches_the_line_parser(tmp_path_factory, text, n):
 
 
 def test_well_formed_file_is_not_parsed_line_by_line(tmp_path, monkeypatch):
-    def refuse(path, n_nodes):
+    def refuse(path, text, n_nodes):
         raise AssertionError("parsed line by line")
 
     monkeypatch.setattr(graph, "_load_edge_list_lines", refuse)
