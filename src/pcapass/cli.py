@@ -28,7 +28,6 @@ from .gbdt import (
     GbdtParams,
     gbdt_dump_text,
     gbdt_from_bytes,
-    gbdt_predict,
     gbdt_predict_proba,
     gbdt_to_bytes,
     gbdt_train,
@@ -94,14 +93,14 @@ def _load_embeddings(cfg: RunConfig, n_nodes: int) -> np.ndarray:
 
 
 def _metrics(model: GbdtModel, H: np.ndarray, ds: Dataset) -> dict:
+    proba = gbdt_predict_proba(model, H)
+    pred = np.argmax(proba, axis=1)
     out = {"best_round": model.best_round, "n_rounds": len(model.rounds)}
     for name, which in (("train", TRAIN), ("valid", VALID), ("test", TEST)):
         idx = ds.indices(which)
-        out[f"{name}_accuracy"] = accuracy(gbdt_predict(model, H[idx]), ds.y[idx])
+        out[f"{name}_accuracy"] = accuracy(pred[idx], ds.y[idx])
     valid = ds.indices(VALID)
-    out["valid_cross_entropy"] = cross_entropy(
-        gbdt_predict_proba(model, H[valid]), ds.y[valid]
-    )
+    out["valid_cross_entropy"] = cross_entropy(proba[valid], ds.y[valid])
     return out
 
 
@@ -263,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcapass",
         description="Node embeddings from neighborhood aggregation with "
-        "concatenation skip connections and per-hop PCA, plus a "
+        "concatenation skip connections and per-hop PCA,\nplus a "
         "gradient-boosted-tree classifier and analyses.",
         epilog=config_help_text(),
         formatter_class=argparse.RawDescriptionHelpFormatter,

@@ -6,6 +6,7 @@ flags. Unknown keys are errors so typos never pass silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
@@ -95,11 +96,15 @@ def _coerce(key: str, raw: str):
     try:
         if typ == "int":
             return int(raw)
-        if typ == "float":
-            return float(raw)
-        return raw
+        if typ == "str":
+            return raw
+        value = float(raw)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} (expected {typ})") from None
+        pass
+    expected = "a finite float" if typ == "float" else typ
+    raise ConfigError(f"bad value for {key!r}: {raw!r} (expected {expected})")
 
 
 def parse_config_file(path) -> dict:
@@ -137,9 +142,18 @@ def build_config(config_path=None, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
+# The widest `key = default` entry that shares a line with its help text; a
+# wider one gets a line of its own, so that no help line passes 100 columns.
+_ENTRY_WIDTH = 32
+
+
 def config_help_text() -> str:
     entries = [(f"{f.name} = {f.default!r}", f.metadata["help"]) for f in fields(RunConfig)]
-    width = max(len(entry) for entry, _ in entries)
+    width = min(_ENTRY_WIDTH, max(len(entry) for entry, _ in entries))
     lines = ["configuration keys (key = default):"]
-    lines += [f"  {entry:<{width}} {text}" for entry, text in entries]
+    for entry, text in entries:
+        if len(entry) > width:
+            lines += [f"  {entry}", f"  {'':<{width}} {text}"]
+        else:
+            lines.append(f"  {entry:<{width}} {text}")
     return "\n".join(lines)

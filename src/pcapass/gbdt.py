@@ -5,12 +5,20 @@ hessians over histogram-quantized features. Validation cross-entropy drives
 early stopping; prediction uses only the rounds up to the best one. Split
 thresholds are stored as real bin-boundary values, so prediction needs no
 bin table.
+
+Training grows each tree one depth at a time: the split search of all the
+nodes of a depth shares its histogram and gain passes. The grower returns
+each row's leaf, and the validation rows and any rows outside the round's
+sample are routed on their bins, so the margins add leaf values without
+walking the finished trees over the raw features. The model is the one a
+node-by-node, depth-first grower would build, byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +55,9 @@ class GbdtParams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.max_depth < 1:
@@ -83,15 +94,7 @@ class Tree:
         return self.feature.shape[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            active = np.flatnonzero(feat >= 0)
-            if active.size == 0:
-                return self.value[node]
-            cur = node[active]
-            go_left = X[active, feat[active]] < self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
+        return self.value[_walk(self, self.threshold, X)]
 
     def split_thresholds(self) -> list[tuple[int, float]]:
         """(feature, threshold) of every internal node, preorder."""
@@ -124,109 +127,192 @@ def _quantile_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(np.quantile(col, probs))
 
 
-def _make_bins(X: np.ndarray, n_bins: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    n, f = X.shape
-    edges = [_quantile_edges(X[:, j], n_bins) for j in range(f)]
-    binned = np.empty((n, f), dtype=np.int32)
-    for j in range(f):
-        binned[:, j] = np.searchsorted(edges[j], X[:, j], side="right")
-    return binned, edges
+def _apply_bins(X: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
+    """Each value's bin: the number of its feature's edges at or below it."""
+    binned = np.empty(X.shape, dtype=np.int32)
+    for j, e in enumerate(edges):
+        binned[:, j] = np.searchsorted(e, X[:, j], side="right")
+    return binned
 
 
-class _TreeGrower:
-    """Grows one tree on pre-binned features, depth-first.
+@dataclass(eq=False)
+class _Bins:
+    """The histogram layout of the training rows, shared by every tree.
 
-    The split search scans features in index order and bin boundaries in
-    ascending order with a strict improvement test, so the chosen split is
-    the deterministic maximum with ties broken toward the lowest feature
-    index, then the lowest bin.
+    Cell `j * stride + b` of a node's histogram sums the node's rows whose
+    feature j falls in bin b. A split after bin b sends the rows with
+    bin <= b left, which holds exactly when x < edges[j][b]: a tree routes
+    binned rows and raw rows alike.
     """
 
-    def __init__(self, binned, edges, grad, hess, params: GbdtParams):
-        self.binned = binned
-        self.edges = edges
-        self.grad = grad
-        self.hess = hess
-        self.p = params
-        self.stride = max((e.size for e in edges), default=0) + 1
-        self.offsets = np.arange(len(edges), dtype=np.int32) * self.stride
-        n_edges = np.array([e.size for e in edges])
-        boundary = np.arange(self.stride - 1)[None, :]
-        self.valid = boundary < n_edges[:, None]  # (f, stride-1)
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+    binned: np.ndarray  # (n, f) int32
+    edges: list[np.ndarray]
+    stride: int  # cells per feature: the most edges of any feature, plus one
+    keys: np.ndarray  # (n, f) intp, each row's cells: binned + j * stride
+    invalid: np.ndarray  # (f, stride) bool, cells after which no split exists
 
-    def grow(self, rows: np.ndarray) -> Tree:
-        self._node(rows, depth=0)
-        return Tree(
-            feature=np.array(self.feature, dtype=np.int32),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int32),
-            right=np.array(self.right, dtype=np.int32),
-            value=np.array(self.value, dtype=np.float64),
-        )
+    @classmethod
+    def fit(cls, X: np.ndarray, n_bins: int) -> _Bins:
+        edges = [_quantile_edges(X[:, j], n_bins) for j in range(X.shape[1])]
+        binned = _apply_bins(X, edges)
+        n_edges = np.array([e.size for e in edges], dtype=np.intp)
+        stride = int(n_edges.max(initial=0)) + 1
+        keys = binned + np.arange(len(edges), dtype=np.intp) * stride
+        invalid = np.arange(stride) >= n_edges[:, None]
+        return cls(binned, edges, stride, keys, invalid)
 
-    def _emit(self, feature, threshold, value) -> int:
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(value)
-        return len(self.feature) - 1
 
-    def _node(self, rows: np.ndarray, depth: int) -> int:
-        g_tot = float(self.grad[rows].sum())
-        h_tot = float(self.hess[rows].sum())
-        if depth >= self.p.max_depth or rows.size < 2:
-            return self._emit(-1, 0.0, self._leaf_weight(g_tot, h_tot))
-        split = self._best_split(rows, g_tot, h_tot)
-        if split is None:
-            return self._emit(-1, 0.0, self._leaf_weight(g_tot, h_tot))
-        feat, boundary_idx = split
-        threshold = float(self.edges[feat][boundary_idx])
-        node = self._emit(feat, threshold, 0.0)
-        go_left = self.binned[rows, feat] <= boundary_idx
-        self.left[node] = self._node(rows[go_left], depth + 1)
-        self.right[node] = self._node(rows[~go_left], depth + 1)
-        return node
+# Histogram cells (nodes x features x bins) per split-search batch: enough
+# nodes to share each numpy call, few enough to stay in cache.
+_BATCH_CELLS = 1 << 17
 
-    def _leaf_weight(self, g_tot: float, h_tot: float) -> float:
-        return -g_tot / (h_tot + self.p.reg_lambda) * self.p.learning_rate
 
-    def _best_split(self, rows, g_tot, h_tot):
-        if self.stride <= 1:
-            return None  # every feature is constant
-        lam = self.p.reg_lambda
-        sub = self.binned[rows]
-        flat = (sub + self.offsets).ravel()
-        f = sub.shape[1]
-        size = f * self.stride
-        hist_g = np.bincount(flat, weights=np.repeat(self.grad[rows], f), minlength=size)
-        hist_h = np.bincount(flat, weights=np.repeat(self.hess[rows], f), minlength=size)
-        cum_g = np.cumsum(hist_g.reshape(f, self.stride), axis=1)[:, :-1]
-        cum_h = np.cumsum(hist_h.reshape(f, self.stride), axis=1)[:, :-1]
-        g_right = g_tot - cum_g
-        h_right = h_tot - cum_h
-        parent = g_tot * g_tot / (h_tot + lam) if h_tot + lam > 0 else 0.0
-        ok = (
-            self.valid
-            & (cum_h >= self.p.min_child_hessian)
-            & (h_right >= self.p.min_child_hessian)
-            & (cum_h + lam > 0)
-            & (h_right + lam > 0)
-        )
+def _grow(bins: _Bins, grad, hess, rows: np.ndarray, p: GbdtParams):
+    """Grow one tree on the training rows `rows` (ascending), one depth at a
+    time.
+
+    Returns the tree, each node's `cut` (a split sends bin < cut left) and
+    `leaf`, where leaf[i] is the leaf of row i for every i in `rows`.
+
+    Each node keeps its rows in ascending order, so every histogram cell
+    adds the same values in the same order as a node-by-node grower would,
+    and the node totals are the same `.sum()`s. Nodes are numbered
+    breadth-first while growing and in preorder in the returned tree.
+    """
+    feature: list[int] = []
+    cut: list[int] = []
+    threshold: list[float] = []
+    value: list[float] = []
+    first_child: list[int] = []  # the right child follows the left one
+    leaf = np.zeros(bins.binned.shape[0], dtype=np.intp)
+    level = [rows]  # the rows of each node at this depth
+    for depth in range(p.max_depth + 1):
+        g_tot = np.array([grad[r].sum() for r in level])
+        h_tot = np.array([hess[r].sum() for r in level])
+        # A node under 2m (m = min_child_hessian) has no split: a left side
+        # of at least m leaves at most h_tot - m on the right, which is
+        # exact (Sterbenz) and below m for h_tot in [m/2, 2m), and negative
+        # below m/2.
+        cand = [
+            i
+            for i, r in enumerate(level)
+            if depth < p.max_depth and r.size >= 2 and h_tot[i] >= 2.0 * p.min_child_hessian
+        ]
+        nodes = [level[i] for i in cand]
+        splits = dict(zip(cand, _best_splits(bins, grad, hess, nodes, g_tot[cand], h_tot[cand], p)))
+        children: list[np.ndarray] = []
+        next_id = len(feature) + len(level)
+        for i, r in enumerate(level):
+            split = splits.get(i)
+            if split is None:
+                # den is 0 only for a child with no hessian, which a split
+                # can leave when reg_lambda and min_child_hessian are both 0
+                den = float(h_tot[i]) + p.reg_lambda
+                feature.append(-1)
+                cut.append(0)
+                threshold.append(0.0)
+                value.append(-float(g_tot[i]) / den * p.learning_rate if den > 0 else 0.0)
+                first_child.append(-1)
+                leaf[r] = len(feature) - 1
+                continue
+            j, b = split
+            feature.append(j)
+            cut.append(b + 1)
+            threshold.append(float(bins.edges[j][b]))
+            value.append(0.0)
+            first_child.append(next_id + len(children))
+            go_left = bins.binned[r, j] <= b
+            children += [r[go_left], r[~go_left]]
+        if not children:
+            break
+        level = children
+
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if feature[i] >= 0:
+            stack += (first_child[i] + 1, first_child[i])
+    pre = np.empty(len(order), dtype=np.intp)
+    pre[order] = np.arange(len(order))
+    kid = np.array(first_child)[order]
+    internal = kid >= 0
+    tree = Tree(
+        feature=np.array(feature, dtype=np.int32)[order],
+        threshold=np.array(threshold, dtype=np.float64)[order],
+        left=np.where(internal, pre[kid], -1).astype(np.int32),
+        right=np.where(internal, pre[kid + 1], -1).astype(np.int32),
+        value=np.array(value, dtype=np.float64)[order],
+    )
+    return tree, np.array(cut)[order], pre[leaf]
+
+
+def _best_splits(bins: _Bins, grad, hess, nodes, g_tot, h_tot, p: GbdtParams):
+    """The best (feature, bin) split of each node in `nodes`, or None.
+
+    Features are scanned in index order and boundaries in ascending order,
+    and the first maximum wins. A split needs a finite gain above 0 and at
+    least `min_child_hessian` on each side.
+    """
+    f, stride = bins.keys.shape[1], bins.stride
+    size = f * stride
+    per = max(1, _BATCH_CELLS // size)
+    lam, min_h = p.reg_lambda, p.min_child_hessian
+    found = []
+    for s in range(0, len(nodes), per):
+        group = nodes[s : s + per]
+        nb = len(group)
+        rows = np.concatenate(group)
+        keys = bins.keys[rows]
+        keys += np.repeat(np.arange(nb) * size, [r.size for r in group])[:, None]
+        flat = keys.ravel()
+        shape = (nb, f, stride)
+        hist_g = np.bincount(flat, np.repeat(grad[rows], f), nb * size).reshape(shape)
+        hist_h = np.bincount(flat, np.repeat(hess[rows], f), nb * size).reshape(shape)
+        cum_g = np.cumsum(hist_g, axis=2, out=hist_g)
+        cum_h = np.cumsum(hist_h, axis=2, out=hist_h)
+        gt = g_tot[s : s + nb, None, None]
+        ht = h_tot[s : s + nb, None, None]
+        g_right = gt - cum_g
+        h_right = ht - cum_h
+        bad = bins.invalid | (cum_h < min_h) | (h_right < min_h)
+        if lam == 0 and min_h == 0:
+            # Otherwise the tests above keep both denominators positive,
+            # since cum_h >= 0.
+            bad |= (cum_h <= 0) | (h_right <= 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gains = 0.5 * (
-                cum_g**2 / (cum_h + lam) + g_right**2 / (h_right + lam) - parent
-            )
-        gains = np.where(ok, gains, -np.inf)
-        best = int(np.argmax(gains))
-        if not np.isfinite(gains.flat[best]) or gains.flat[best] <= 0.0:
-            return None
-        return best // (self.stride - 1), best % (self.stride - 1)
+            parent = np.where(ht + lam > 0, gt * gt / (ht + lam), 0.0)
+            gains = np.square(cum_g, out=cum_g)
+            cum_h += lam
+            gains /= cum_h
+            np.square(g_right, out=g_right)
+            h_right += lam
+            g_right /= h_right
+            gains += g_right
+            gains -= parent
+            gains *= 0.5
+        np.copyto(gains, -np.inf, where=bad)
+        gains = gains.reshape(nb, -1)
+        best = gains.argmax(axis=1)
+        top = gains[np.arange(nb), best]
+        for k, ok in zip(best.tolist(), (np.isfinite(top) & (top > 0.0)).tolist()):
+            found.append(divmod(k, stride) if ok else None)
+    return found
+
+
+def _walk(tree: Tree, cut: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The leaf each row of X reaches, going left where its value in a split's
+    feature is below the split's `cut`."""
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    while True:
+        feat = tree.feature[node]
+        active = np.flatnonzero(feat >= 0)
+        if active.size == 0:
+            return node
+        cur = node[active]
+        go_left = X[active, feat[active]] < cut[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
 
 
 def _softmax(margins: np.ndarray) -> np.ndarray:
@@ -273,7 +359,8 @@ def gbdt_train(X_tr, y_tr, X_val, y_val, params: GbdtParams) -> GbdtModel:
     base = np.log(class_counts / n_tr)
     margins_tr = np.tile(base, (n_tr, 1))
     margins_val = np.tile(base, (X_val.shape[0], 1))
-    binned, edges = _make_bins(X_tr, params.n_bins)
+    bins = _Bins.fit(X_tr, params.n_bins)
+    binned_val = _apply_bins(X_val, bins.edges)
     rng = np.random.default_rng(params.seed)
 
     prior_ce = cross_entropy(_softmax(margins_val), y_val)
@@ -292,15 +379,17 @@ def gbdt_train(X_tr, y_tr, X_val, y_val, params: GbdtParams) -> GbdtModel:
         if params.subsample < 1.0:
             m = max(1, int(params.subsample * n_tr))
             rows = np.sort(rng.choice(n_tr, size=m, replace=False))
+            rest = np.setdiff1d(all_rows, rows, assume_unique=True)
         else:
-            rows = all_rows
+            rows, rest = all_rows, all_rows[:0]
+        rest_bins = bins.binned[rest]  # the rows outside this round's sample
         trees = []
         for c in range(n_classes):
-            grower = _TreeGrower(binned, edges, grads[:, c], hesses[:, c], params)
-            tree = grower.grow(rows)
+            tree, cut, leaf = _grow(bins, grads[:, c], hesses[:, c], rows, params)
+            leaf[rest] = _walk(tree, cut, rest_bins)
             trees.append(tree)
-            margins_tr[:, c] += tree.predict(X_tr)
-            margins_val[:, c] += tree.predict(X_val)
+            margins_tr[:, c] += tree.value[leaf]
+            margins_val[:, c] += tree.value[_walk(tree, cut, binned_val)]
         rounds.append(trees)
         ce = cross_entropy(_softmax(margins_val), y_val)
         history.append(ce)

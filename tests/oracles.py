@@ -3,7 +3,8 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package: dense adjacency matrices, an explicit cyclic Jacobi
 eigensolver, SVD-based PCA, contingency-table entropies computed with
-plain loops, and a dataset reader and writer that handle one line at a time.
+plain loops, a dataset reader and writer that handle one line at a time, and
+a boosting loop that grows each tree depth-first, one node at a time.
 """
 
 import math
@@ -274,3 +275,192 @@ def sweep_csv_text_reference(results):
                 f"{res.v_measures[i]:.9g},{res.normalized[i]:.9g}"
             )
     return "\n".join(lines) + "\n"
+
+
+def _gbdt_bins_reference(X, n_bins):
+    """Quantile bin edges per feature and each value's `side="right"` bin."""
+    edges = []
+    for j in range(X.shape[1]):
+        unique = np.unique(X[:, j])
+        if unique.size <= 1:
+            edges.append(np.empty(0, dtype=np.float64))
+        elif unique.size <= n_bins:
+            edges.append((unique[:-1] + unique[1:]) / 2.0)
+        else:
+            probs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
+            edges.append(np.unique(np.quantile(X[:, j], probs)))
+    binned = np.empty(X.shape, dtype=np.int32)
+    for j in range(X.shape[1]):
+        binned[:, j] = np.searchsorted(edges[j], X[:, j], side="right")
+    return binned, edges
+
+
+class TreeGrowerReference:
+    """Grows one tree on pre-binned features, depth-first, one histogram and
+    one split scan per node.
+
+    The split search scans features in index order and bin boundaries in
+    ascending order with a strict improvement test, so the chosen split is
+    the deterministic maximum with ties broken toward the lowest feature
+    index, then the lowest bin. Nodes are numbered in preorder.
+    """
+
+    def __init__(self, binned, edges, grad, hess, params):
+        self.binned = binned
+        self.edges = edges
+        self.grad = grad
+        self.hess = hess
+        self.p = params
+        self.stride = max((e.size for e in edges), default=0) + 1
+        self.offsets = np.arange(len(edges), dtype=np.int32) * self.stride
+        n_edges = np.array([e.size for e in edges])
+        boundary = np.arange(self.stride - 1)[None, :]
+        self.valid = boundary < n_edges[:, None]  # (f, stride-1)
+        self.feature = []
+        self.threshold = []
+        self.left = []
+        self.right = []
+        self.value = []
+
+    def grow(self, rows):
+        """(feature, threshold, left, right, value) arrays of the tree."""
+        self._node(rows, depth=0)
+        return (
+            np.array(self.feature, dtype=np.int32),
+            np.array(self.threshold, dtype=np.float64),
+            np.array(self.left, dtype=np.int32),
+            np.array(self.right, dtype=np.int32),
+            np.array(self.value, dtype=np.float64),
+        )
+
+    def _emit(self, feature, threshold, value):
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(value)
+        return len(self.feature) - 1
+
+    def _node(self, rows, depth):
+        g_tot = float(self.grad[rows].sum())
+        h_tot = float(self.hess[rows].sum())
+        if depth >= self.p.max_depth or rows.size < 2:
+            return self._emit(-1, 0.0, self._leaf_weight(g_tot, h_tot))
+        split = self._best_split(rows, g_tot, h_tot)
+        if split is None:
+            return self._emit(-1, 0.0, self._leaf_weight(g_tot, h_tot))
+        feat, boundary_idx = split
+        threshold = float(self.edges[feat][boundary_idx])
+        node = self._emit(feat, threshold, 0.0)
+        go_left = self.binned[rows, feat] <= boundary_idx
+        self.left[node] = self._node(rows[go_left], depth + 1)
+        self.right[node] = self._node(rows[~go_left], depth + 1)
+        return node
+
+    def _leaf_weight(self, g_tot, h_tot):
+        return -g_tot / (h_tot + self.p.reg_lambda) * self.p.learning_rate
+
+    def _best_split(self, rows, g_tot, h_tot):
+        if self.stride <= 1:
+            return None  # every feature is constant
+        lam = self.p.reg_lambda
+        sub = self.binned[rows]
+        flat = (sub + self.offsets).ravel()
+        f = sub.shape[1]
+        size = f * self.stride
+        hist_g = np.bincount(flat, weights=np.repeat(self.grad[rows], f), minlength=size)
+        hist_h = np.bincount(flat, weights=np.repeat(self.hess[rows], f), minlength=size)
+        cum_g = np.cumsum(hist_g.reshape(f, self.stride), axis=1)[:, :-1]
+        cum_h = np.cumsum(hist_h.reshape(f, self.stride), axis=1)[:, :-1]
+        g_right = g_tot - cum_g
+        h_right = h_tot - cum_h
+        parent = g_tot * g_tot / (h_tot + lam) if h_tot + lam > 0 else 0.0
+        ok = (
+            self.valid
+            & (cum_h >= self.p.min_child_hessian)
+            & (h_right >= self.p.min_child_hessian)
+            & (cum_h + lam > 0)
+            & (h_right + lam > 0)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (
+                cum_g**2 / (cum_h + lam) + g_right**2 / (h_right + lam) - parent
+            )
+        gains = np.where(ok, gains, -np.inf)
+        best = int(np.argmax(gains))
+        if not np.isfinite(gains.flat[best]) or gains.flat[best] <= 0.0:
+            return None
+        return best // (self.stride - 1), best % (self.stride - 1)
+
+
+def tree_predict_reference(tree, X):
+    """Leaf value of each row of X, walking x < threshold to the left."""
+    feature, threshold, left, right, value = tree
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feat = feature[node]
+        active = np.flatnonzero(feat >= 0)
+        if active.size == 0:
+            return value[node]
+        cur = node[active]
+        go_left = X[active, feat[active]] < threshold[cur]
+        node[active] = np.where(go_left, left[cur], right[cur])
+
+
+def gbdt_train_reference(X_tr, y_tr, X_val, y_val, params):
+    """The boosting loop with one `TreeGrowerReference` per class and round,
+    and both margins updated by walking every finished tree over the raw
+    features. Returns (base_score, rounds, best_round, best_ce, prior_ce,
+    history), with `rounds[r][c]` the `grow` tuple of a tree."""
+
+    def softmax(margins):
+        shifted = margins - margins.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True)
+
+    def cross_entropy(proba, truth):
+        p_true = proba[np.arange(truth.shape[0]), truth]
+        return float(-np.log(np.maximum(p_true, 1e-15)).mean())
+
+    X_tr = np.ascontiguousarray(X_tr, dtype=np.float64)
+    X_val = np.ascontiguousarray(X_val, dtype=np.float64)
+    y_tr = np.asarray(y_tr, dtype=np.int64)
+    y_val = np.asarray(y_val, dtype=np.int64)
+    n_classes = int(max(y_tr.max(), y_val.max())) + 1
+    n_tr = X_tr.shape[0]
+    base = np.log(np.bincount(y_tr, minlength=n_classes) / n_tr)
+    margins_tr = np.tile(base, (n_tr, 1))
+    margins_val = np.tile(base, (X_val.shape[0], 1))
+    binned, edges = _gbdt_bins_reference(X_tr, params.n_bins)
+    rng = np.random.default_rng(params.seed)
+    prior_ce = best_ce = cross_entropy(softmax(margins_val), y_val)
+    best_round, stall = -1, 0
+    rounds, history = [], []
+    all_rows = np.arange(n_tr)
+    for r in range(params.n_rounds):
+        probs = softmax(margins_tr)
+        grads = probs.copy()
+        grads[all_rows, y_tr] -= 1.0
+        hesses = probs * (1.0 - probs)
+        if params.subsample < 1.0:
+            m = max(1, int(params.subsample * n_tr))
+            rows = np.sort(rng.choice(n_tr, size=m, replace=False))
+        else:
+            rows = all_rows
+        trees = []
+        for c in range(n_classes):
+            grower = TreeGrowerReference(binned, edges, grads[:, c], hesses[:, c], params)
+            tree = grower.grow(rows)
+            trees.append(tree)
+            margins_tr[:, c] += tree_predict_reference(tree, X_tr)
+            margins_val[:, c] += tree_predict_reference(tree, X_val)
+        rounds.append(trees)
+        ce = cross_entropy(softmax(margins_val), y_val)
+        history.append(ce)
+        if ce < best_ce:
+            best_ce, best_round, stall = ce, r, 0
+        else:
+            stall += 1
+            if stall >= params.patience:
+                break
+    return base, rounds, best_round, best_ce, prior_ce, history

@@ -14,12 +14,17 @@ from pcapass import (
     DataError,
     SbmParams,
     gbdt_from_bytes,
+    gbdt_predict,
+    gbdt_predict_proba,
     generate_sbm,
     load_dataset,
     save_dataset,
 )
 from pcapass.cli import main
 from pcapass.config import RunConfig
+from pcapass.datasets import TEST, TRAIN, VALID
+from pcapass.embed import embeddings_from_csv
+from pcapass.metrics import accuracy, cross_entropy
 from pcapass.gbdt import _HEADER
 
 SIX_METRIC_KEYS = {
@@ -79,6 +84,24 @@ class TestPipelineSmoke:
         assert run_cmd("eval", tiny_config, out) == 0
         assert (out / "metrics.json").read_bytes() == train_metrics
 
+    def test_metrics_match_scoring_each_split_on_its_own(self, tiny_config, tmp_path):
+        # metrics.json scores every row in one pass; the numbers are those of
+        # scoring the train, valid and test rows one split at a time.
+        out = tmp_path / "run"
+        for command in ("gen", "embed", "train"):
+            assert run_cmd(command, tiny_config, out) == 0
+        ds = load_dataset(out / "dataset")
+        H = embeddings_from_csv((out / "embeddings.csv").read_text())
+        model = gbdt_from_bytes((out / "model.bin").read_bytes())
+        metrics = json.loads((out / "metrics.json").read_text())
+        for name, which in (("train", TRAIN), ("valid", VALID), ("test", TEST)):
+            idx = ds.indices(which)
+            expected = accuracy(gbdt_predict(model, H[idx]), ds.y[idx])
+            assert metrics[f"{name}_accuracy"] == expected
+        valid = ds.indices(VALID)
+        proba = gbdt_predict_proba(model, H[valid])
+        assert metrics["valid_cross_entropy"] == cross_entropy(proba, ds.y[valid])
+
     def test_embed_with_zero_hops_reproduces_features(self, tmp_path):
         config = write_config(
             tmp_path / "run.cfg", n_nodes=60, n_classes=2, n_features=4, k=0
@@ -98,6 +121,18 @@ class TestPipelineSmoke:
         first = (out / "metrics.json").read_bytes()
         assert run_cmd("train", tiny_config, out, seed=5) == 0
         assert (out / "metrics.json").read_bytes() == first
+
+    def test_zero_lambda_and_min_child_hessian_train_and_eval(self, tmp_path):
+        # A split can leave a child whose hessian sums to 0: its leaf weight
+        # once divided by zero and train exited 4.
+        config = write_config(
+            tmp_path / "run.cfg", n_nodes=300, reg_lambda=0, min_child_hessian=0
+        )
+        out = tmp_path / "run"
+        for command in ("gen", "embed", "train", "eval"):
+            assert run_cmd(command, config, out) == 0, command
+        model = gbdt_from_bytes((out / "model.bin").read_bytes())
+        assert model.params.reg_lambda == model.params.min_child_hessian == 0.0
 
     def test_sweep_and_hpo_outputs(self, tiny_config, tmp_path):
         out = tmp_path / "run"
@@ -128,6 +163,26 @@ class TestErrors:
         config.write_text("k = banana\n")
         assert main(["embed", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "error: config:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("learning_rate", "nan"),
+            ("learning_rate", "inf"),
+            ("reg_lambda", "nan"),
+            ("min_child_hessian", "nan"),
+            ("subsample", "-inf"),
+            ("p_in", "nan"),
+            ("hpo_lr_max", "1e999"),
+        ],
+    )
+    def test_non_finite_float_exits_2_naming_the_key(self, key, value, tmp_path, capsys):
+        # Before, train accepted learning_rate = nan and wrote a model that
+        # eval rejected, and min_child_hessian = nan disabled every split.
+        config = write_config(tmp_path / "bad.cfg", **{key: value})
+        assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and repr(key) in err
 
     def test_missing_dataset_exits_3(self, tmp_path, capsys):
         assert main(["embed", "--out", str(tmp_path / "nope")]) == 3
@@ -399,6 +454,13 @@ class TestHelp:
         for field in dataclasses.fields(RunConfig):
             entry = f"{field.name} = {field.default!r}"
             assert entry in text, f"{entry!r} missing from --help"
+
+    @pytest.mark.parametrize("command", [[], ["gen"], ["train"], ["hpo"]])
+    def test_no_help_line_passes_100_columns(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")  # argparse wraps its own text to this
+        assert main([*command, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert max(len(line) for line in lines) <= 100
 
     def test_top_level_help(self, capsys):
         assert main(["--help"]) == 0

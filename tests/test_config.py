@@ -56,11 +56,13 @@ def test_default_hpo_keys_build_the_default_search_space():
 
 def test_help_text_of_every_key_starts_at_one_column():
     lines = config_help_text().splitlines()[1:]
-    keys = fields(RunConfig)
-    assert len(lines) == len(keys)
     columns = set()
-    for line, f in zip(lines, keys):
-        entry = f"  {f.name} = {f.default!r} "
+    for f in fields(RunConfig):
+        entry = f"  {f.name} = {f.default!r}"
+        line = lines.pop(0)
         assert line.startswith(entry), line
-        columns.add(line.index(f.metadata["help"], len(entry)))
+        if line == entry:  # a long entry: its help text is on the next line
+            line = lines.pop(0)
+        columns.add(line.index(f.metadata["help"]))
+    assert not lines
     assert len(columns) == 1

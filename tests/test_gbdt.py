@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import blob_data, xor_data
-from oracles import best_depth2_tree_accuracy, nearest_centroid_accuracy
+from oracles import (
+    best_depth2_tree_accuracy,
+    gbdt_train_reference,
+    nearest_centroid_accuracy,
+)
 from pcapass import (
+    GbdtModel,
     GbdtParams,
     gbdt_from_bytes,
     gbdt_predict,
@@ -13,7 +18,7 @@ from pcapass import (
     gbdt_to_bytes,
     gbdt_train,
 )
-from pcapass.gbdt import gbdt_dump_text
+from pcapass.gbdt import Tree, gbdt_dump_text
 
 
 def quick_params(**kw):
@@ -292,3 +297,93 @@ class TestParams:
     def test_invalid_params_rejected(self, kw):
         with pytest.raises(ValueError):
             GbdtParams(**kw)
+
+    @pytest.mark.parametrize(
+        "key", ["learning_rate", "reg_lambda", "min_child_hessian", "subsample"]
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            GbdtParams(**{key: value})
+
+
+def reference_model(X_tr, y_tr, X_val, y_val, params) -> GbdtModel:
+    """`gbdt_train_reference` output in the package's model type."""
+    base, rounds, best_round, best_ce, prior_ce, history = gbdt_train_reference(
+        X_tr, y_tr, X_val, y_val, params
+    )
+    return GbdtModel(
+        n_classes=base.size,
+        n_features=X_tr.shape[1],
+        params=params,
+        base_score=base,
+        rounds=[[Tree(*tree) for tree in trees] for trees in rounds],
+        best_round=best_round,
+        best_valid_ce=best_ce,
+        prior_valid_ce=prior_ce,
+        valid_ce_history=history,
+    )
+
+
+def differential_case(case: int):
+    """Data and parameters of one case of the grid the level-by-level grower
+    is checked on: every depth from 1 to 9 with each data kind, drawn
+    settings of the other parameters, and a case that every depth pins."""
+    rng = np.random.default_rng(1000 + case)
+    kind = ("normal", "ties", "constant", "few_values")[case % 4]
+    max_depth = 1 + case // 4 % 9
+    n, f = int(rng.integers(8, 160)), int(rng.integers(1, 5))
+    n_classes = int(rng.integers(2, 5))
+    X = rng.standard_normal((n + 40, f))
+    if kind == "ties":
+        X = np.round(X, 1)
+    elif kind == "constant":
+        X[:, 0] = 1.5
+    elif kind == "few_values":
+        X = rng.integers(0, 3, size=X.shape).astype(np.float64)
+    y = rng.integers(0, n_classes, size=n + 40)
+    y[:n_classes] = np.arange(n_classes)
+    pinned = case % 36 == 35
+    params = GbdtParams(
+        learning_rate=float(rng.choice([0.1, 0.3, 1.0])),
+        max_depth=max_depth,
+        n_rounds=int(rng.integers(1, 8)),
+        reg_lambda=0.0 if pinned else float(rng.choice([0.0, 0.5, 1.0, 3.0])),
+        min_child_hessian=0.3 if pinned else float(rng.choice([0.0, 0.3, 1.0, 2.5])),
+        patience=int(rng.integers(1, 4)),
+        n_bins=2 if pinned else int(rng.choice([2, 3, 7, 16, 64, 256])),
+        subsample=0.05 if pinned else float(rng.choice([0.05, 0.5, 0.8, 1.0, 1.0])),
+        seed=case,
+    )
+    return (X[:n], y[:n]), (X[n:], y[n:]), params
+
+
+@pytest.mark.parametrize("case", range(144))
+def test_same_model_as_the_node_by_node_grower(case):
+    (X_tr, y_tr), (X_val, y_val), params = differential_case(case)
+    model = gbdt_train(X_tr, y_tr, X_val, y_val, params)
+    try:
+        expected = reference_model(X_tr, y_tr, X_val, y_val, params)
+    except ZeroDivisionError:
+        # The reference divides by a child's zero hessian when neither
+        # reg_lambda nor min_child_hessian keeps it positive; such a leaf
+        # now weighs 0.
+        assert params.reg_lambda == params.min_child_hessian == 0.0
+        assert any((t.value == 0.0).any() for trees in model.rounds for t in trees)
+        return
+    assert gbdt_to_bytes(model) == gbdt_to_bytes(expected)
+    assert model.valid_ce_history == expected.valid_ce_history
+
+
+@pytest.mark.parametrize("cells", [1, 700, 5000])
+def test_split_search_batches_do_not_change_the_model(cells, monkeypatch):
+    # Small batches put the nodes of one depth into several histogram passes.
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((400, 3))
+    y = (X[:, 0] + 0.5 * rng.standard_normal(400) > 0).astype(np.int64) + (X[:, 1] > 1)
+    params = GbdtParams(max_depth=7, n_rounds=4, min_child_hessian=0.3, n_bins=64)
+    expected = gbdt_to_bytes(reference_model(X[:300], y[:300], X[300:], y[300:], params))
+    monkeypatch.setattr("pcapass.gbdt._BATCH_CELLS", cells)
+    model = gbdt_train(X[:300], y[:300], X[300:], y[300:], params)
+    assert gbdt_to_bytes(model) == expected
+    assert max(t.n_nodes for trees in model.rounds for t in trees) > 31
