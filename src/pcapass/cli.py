@@ -33,7 +33,6 @@ from .gbdt import (
     gbdt_train,
 )
 from .metrics import accuracy, cross_entropy
-from .pca import models_to_bytes
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -126,10 +125,6 @@ def cmd_embed(cfg: RunConfig) -> None:
     path = _embeddings_path(cfg)
     write_text_atomic(path, embeddings_to_csv(result.embeddings))
     print(f"wrote {path}")
-    if result.per_hop_models:
-        models_path = Path(cfg.out) / "pca_models.bin"
-        write_bytes_atomic(models_path, models_to_bytes(result.per_hop_models))
-        print(f"wrote {models_path}")
 
 
 def cmd_train(cfg: RunConfig) -> None:

@@ -52,7 +52,6 @@ class EmbedConfig:
 class EmbedResult:
     embeddings: np.ndarray
     per_hop_models: list[PcaModel] = field(default_factory=list)
-    hops_run: int = 0
 
 
 def hop_states(
@@ -93,12 +92,10 @@ def embed(g: CsrGraph, X, cfg: EmbedConfig) -> EmbedResult:
     """Run the configured embedder for cfg.k hops."""
     h = np.array(X, dtype=np.float64, copy=True)
     models: list[PcaModel] = []
-    hops = 0
     for h, model in hop_states(g, X, cfg):
-        hops += 1
         if model is not None:
             models.append(model)
-    return EmbedResult(embeddings=h, per_hop_models=models, hops_run=hops)
+    return EmbedResult(embeddings=h, per_hop_models=models)
 
 
 def embeddings_to_csv(H: np.ndarray) -> str:

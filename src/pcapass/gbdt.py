@@ -281,7 +281,7 @@ def _best_splits(bins: _Bins, grad, hess, nodes, g_tot, h_tot, p: GbdtParams):
             # Otherwise the tests above keep both denominators positive,
             # since cum_h >= 0.
             bad |= (cum_h <= 0) | (h_right <= 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             parent = np.where(ht + lam > 0, gt * gt / (ht + lam), 0.0)
             gains = np.square(cum_g, out=cum_g)
             cum_h += lam
@@ -546,6 +546,8 @@ def gbdt_from_bytes(buf: bytes) -> GbdtModel:
     pos = 4 + _HEADER.size
     _check_size(buf, pos, 8 * n_classes, "base scores")
     base = np.frombuffer(buf, "<f8", n_classes, pos).copy()
+    if not (np.isfinite(base).all() and np.isfinite([best_ce, prior_ce]).all()):
+        raise ValueError("GBDT model has a non-finite base score or validation loss")
     pos += 8 * n_classes
     rounds = []
     for _ in range(n_stored):

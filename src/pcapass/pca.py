@@ -14,14 +14,9 @@ fixed sign convention so repeated fits are reproducible.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
-
-MODEL_MAGIC = b"PCAM"
-MODELS_MAGIC = b"PCAS"
-FORMAT_VERSION = 1
 
 # Relative cutoff below which eigenvalues are reported as exactly zero.
 _EIGENVALUE_FLOOR = 1e-12
@@ -31,8 +26,9 @@ _EIGENVALUE_FLOOR = 1e-12
 class PcaModel:
     """Fitted mean, orthonormal components (rows), and eigenvalue spectrum.
 
-    `total_variance` is the trace of the sample covariance, kept so that
-    explained-variance ratios survive serialization round-trips.
+    `total_variance` is the trace of the sample covariance. The components
+    are truncated to `d`, so the eigenvalues kept may sum to less; it is
+    the denominator of the explained-variance ratios.
     """
 
     mean: np.ndarray  # (f,)
@@ -139,71 +135,3 @@ def explained_variance_ratio(model: PcaModel) -> np.ndarray:
         return np.zeros_like(model.eigenvalues)
     return np.minimum(model.eigenvalues / model.total_variance, 1.0)
 
-
-def pca_to_bytes(model: PcaModel) -> bytes:
-    f, d = model.n_features, model.n_components
-    header = MODEL_MAGIC + struct.pack("<III", FORMAT_VERSION, f, d)
-    body = (
-        model.mean.astype("<f8").tobytes()
-        + np.ascontiguousarray(model.components, dtype="<f8").tobytes()
-        + model.eigenvalues.astype("<f8").tobytes()
-        + struct.pack("<d", model.total_variance)
-    )
-    return header + body
-
-
-def _check_size(buf: bytes, pos: int, size: int, what: str) -> None:
-    if len(buf) - pos < size:
-        raise ValueError(
-            f"truncated PCA model: {what} needs {size} bytes at offset {pos}, "
-            f"{len(buf) - pos} left"
-        )
-
-
-def pca_from_bytes(buf: bytes, offset: int = 0) -> tuple[PcaModel, int]:
-    """Decode one model starting at `offset`; returns (model, next offset).
-    Malformed input raises ValueError."""
-    if buf[offset : offset + 4] != MODEL_MAGIC:
-        raise ValueError("bad magic: not a serialized PCA model")
-    _check_size(buf, offset + 4, 12, "header")
-    version, f, d = struct.unpack_from("<III", buf, offset + 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported PCA model format version {version}")
-    pos = offset + 16
-    _check_size(buf, pos, 8 * (f + d * f + d + 1), f"body of {d} x {f} model")
-    mean = np.frombuffer(buf, dtype="<f8", count=f, offset=pos).copy()
-    pos += 8 * f
-    components = (
-        np.frombuffer(buf, dtype="<f8", count=d * f, offset=pos).reshape(d, f).copy()
-    )
-    pos += 8 * d * f
-    eigenvalues = np.frombuffer(buf, dtype="<f8", count=d, offset=pos).copy()
-    pos += 8 * d
-    (total_variance,) = struct.unpack_from("<d", buf, pos)
-    pos += 8
-    model = PcaModel(mean, components, eigenvalues, total_variance)
-    return model, pos
-
-
-def models_to_bytes(models: list[PcaModel]) -> bytes:
-    out = [MODELS_MAGIC, struct.pack("<II", FORMAT_VERSION, len(models))]
-    out.extend(pca_to_bytes(m) for m in models)
-    return b"".join(out)
-
-
-def models_from_bytes(buf: bytes) -> list[PcaModel]:
-    """Decode `models_to_bytes` output; malformed input raises ValueError."""
-    if buf[:4] != MODELS_MAGIC:
-        raise ValueError("bad magic: not a serialized PCA model container")
-    _check_size(buf, 4, 8, "container header")
-    version, count = struct.unpack_from("<II", buf, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported container format version {version}")
-    models = []
-    pos = 12
-    for _ in range(count):
-        model, pos = pca_from_bytes(buf, pos)
-        models.append(model)
-    if pos != len(buf):
-        raise ValueError(f"{len(buf) - pos} trailing bytes after the PCA models")
-    return models

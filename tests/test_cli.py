@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import struct
 import subprocess
@@ -77,12 +79,22 @@ class TestPipelineSmoke:
         assert run_cmd("train", tiny_config, out) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics) == SIX_METRIC_KEYS
-        assert (out / "model.bin").is_file() and (out / "model.txt").is_file()
-        assert (out / "pca_models.bin").is_file()
 
         train_metrics = (out / "metrics.json").read_bytes()
         assert run_cmd("eval", tiny_config, out) == 0
         assert (out / "metrics.json").read_bytes() == train_metrics
+        # Exactly these files, so that no write-only output creeps back in.
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert written == {
+            "dataset/edges.tsv",
+            "dataset/features.csv",
+            "dataset/labels.csv",
+            "dataset/splits.csv",
+            "embeddings.csv",
+            "model.bin",
+            "model.txt",
+            "metrics.json",
+        }
 
     def test_metrics_match_scoring_each_split_on_its_own(self, tiny_config, tmp_path):
         # metrics.json scores every row in one pass; the numbers are those of
@@ -241,6 +253,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and "model.bin" in err
         assert "feature 999" in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_base_score_exits_3_naming_the_file(
+        self, value, tiny_config, tmp_path, capsys
+    ):
+        # A NaN base score used to reach metrics.json as `NaN`, which is not JSON.
+        out = tmp_path / "run"
+        for command in ("gen", "embed", "train"):
+            run_cmd(command, tiny_config, out)
+        model = out / "model.bin"
+        blob = bytearray(model.read_bytes())
+        struct.pack_into("<d", blob, 4 + _HEADER.size, value)
+        model.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run_cmd("eval", tiny_config, out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "model.bin" in err
+        assert "non-finite base score" in err
 
     @pytest.mark.parametrize(
         "keys, message",
@@ -420,6 +450,74 @@ def test_one_edited_dataset_line_loads_or_exits_3(
     except DataError:
         pass
     assert main(["embed", "--config", config, "--out", str(out)]) in (0, 3)
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    """A config whose dataset and embeddings live outside `--out`, and a
+    small 4-class `model.bin` trained on them."""
+    root = tmp_path_factory.mktemp("trained")
+    config = write_config(
+        root / "run.cfg",
+        n_nodes=60,
+        n_classes=4,
+        n_features=4,
+        p_in=0.2,
+        k=2,
+        d=4,
+        n_rounds=4,
+        max_depth=2,
+        dataset_dir=root / "dataset",
+        embeddings_path=root / "embeddings.csv",
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("gen", "embed", "train"):
+            assert main([command, "--config", config, "--out", str(root)]) == 0
+    return config, root / "model.bin"
+
+
+def _reject_constant(name):
+    raise ValueError(f"metrics.json holds {name}, which is not JSON")
+
+
+# Bit 6 of the high byte of the first base score. Base scores are log class
+# priors; at a prior of 1/4 the exponent is 0x3ff, and this flip makes it
+# 0x7ff: a NaN.
+_BASE_SCORE_FLIP = 8 * (4 + _HEADER.size + 7) + 6
+
+
+@given(
+    edit=st.sampled_from(["cut", "pad", "flip"]),
+    index=st.integers(0, 10**6),
+    pad=st.binary(min_size=1, max_size=16),
+)
+@example(edit="flip", index=_BASE_SCORE_FLIP, pad=b"\0")
+@settings(max_examples=150, deadline=None)
+def test_edited_model_file_evaluates_or_exits_3(
+    trained_model, tmp_path_factory, edit, index, pad
+):
+    config, model = trained_model
+    blob = model.read_bytes()
+    if edit == "cut":
+        data = blob[: index % len(blob)]
+    elif edit == "pad":
+        data = blob + pad
+    else:
+        bit = index % (8 * len(blob))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << bit % 8
+        data = bytes(flipped)
+    out = tmp_path_factory.mktemp("model_fuzz")
+    (out / "model.bin").write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["eval", "--config", config, "--out", str(out)])
+    if edit == "flip":
+        assert code in (0, 3), err.getvalue()
+    else:
+        assert code == 3 and "model.bin" in err.getvalue()
+    if code == 0:
+        json.loads((out / "metrics.json").read_text(), parse_constant=_reject_constant)
 
 
 class TestConfigPrecedence:

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from pcapass import (
     gbdt_to_bytes,
     gbdt_train,
 )
-from pcapass.gbdt import Tree, gbdt_dump_text
+from pcapass.gbdt import _HEADER, Tree, _best_splits, _Bins, gbdt_dump_text
 
 
 def quick_params(**kw):
@@ -224,6 +225,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="trailing"):
             gbdt_from_bytes(self.small_blob() + b"\0")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("offset", [0, -16, -8], ids=["base", "best_ce", "prior_ce"])
+    def test_non_finite_base_score_or_loss_rejected(self, offset, value):
+        # The first base score follows the header, which ends with the best
+        # and the prior validation loss.
+        blob = bytearray(self.small_blob())
+        struct.pack_into("<d", blob, 4 + _HEADER.size + offset, value)
+        with pytest.raises(ValueError, match="non-finite base score or validation loss"):
+            gbdt_from_bytes(bytes(blob))
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
@@ -387,3 +398,20 @@ def test_split_search_batches_do_not_change_the_model(cells, monkeypatch):
     model = gbdt_train(X[:300], y[:300], X[300:], y[300:], params)
     assert gbdt_to_bytes(model) == expected
     assert max(t.n_nodes for trees in model.rounds for t in trees) > 31
+
+
+def test_subnormal_hessian_split_search_is_silent():
+    # With reg_lambda = 0 the left child's hessian after bin 0 is 1e-310, so
+    # its gain overflows to inf. An infinite gain wins the argmax and fails
+    # the finiteness test: the node stays a leaf, and numpy must not warn.
+    X = np.arange(8.0)[:, None]
+    grad = np.array([1.0, -1.0, 1.0, -1.0, 0.5, -0.5, 0.25, -0.25])
+    hess = np.ones(8)
+    hess[0] = 1e-310
+    params = GbdtParams(reg_lambda=0.0, min_child_hessian=0.0)
+    bins = _Bins.fit(X, params.n_bins)
+    g_tot, h_tot = np.array([grad.sum()]), np.array([hess.sum()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        splits = _best_splits(bins, grad, hess, [np.arange(8)], g_tot, h_tot, params)
+    assert splits == [None]

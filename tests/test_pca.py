@@ -6,13 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import jacobi_eigendecomposition
 from pcapass import explained_variance_ratio, pca_fit, pca_transform
-from pcapass.pca import (
-    _canonical_order,
-    models_from_bytes,
-    models_to_bytes,
-    pca_from_bytes,
-    pca_to_bytes,
-)
+from pcapass.pca import _canonical_order
 
 DIAGONAL_LINE = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]])
 
@@ -193,46 +187,3 @@ def test_repeated_fit_bitwise_identical(rng):
     assert a.components.tobytes() == b.components.tobytes()
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
 
-
-class TestSerialization:
-    def test_roundtrip_exact(self, rng):
-        X = rng.standard_normal((18, 5))
-        model = pca_fit(X, d=3)
-        restored, consumed = pca_from_bytes(pca_to_bytes(model))
-        assert consumed == len(pca_to_bytes(model))
-        assert restored.mean.tobytes() == model.mean.tobytes()
-        assert restored.components.tobytes() == model.components.tobytes()
-        assert restored.eigenvalues.tobytes() == model.eigenvalues.tobytes()
-        assert restored.total_variance == model.total_variance
-        np.testing.assert_array_equal(
-            pca_transform(restored, X), pca_transform(model, X)
-        )
-
-    def test_container_roundtrip(self, rng):
-        models = [pca_fit(rng.standard_normal((10, 3)), d=2) for _ in range(3)]
-        restored = models_from_bytes(models_to_bytes(models))
-        assert len(restored) == 3
-        for a, b in zip(models, restored):
-            assert a.components.tobytes() == b.components.tobytes()
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(ValueError, match="magic"):
-            pca_from_bytes(b"XXXX" + b"\0" * 32)
-
-    def test_every_model_truncation_rejected(self, rng):
-        blob = pca_to_bytes(pca_fit(rng.standard_normal((10, 3)), d=2))
-        for cut in range(len(blob)):
-            with pytest.raises(ValueError):
-                pca_from_bytes(blob[:cut])
-
-    def test_every_container_truncation_rejected(self, rng):
-        models = [pca_fit(rng.standard_normal((10, 3)), d=2) for _ in range(2)]
-        blob = models_to_bytes(models)
-        for cut in range(len(blob)):
-            with pytest.raises(ValueError):
-                models_from_bytes(blob[:cut])
-
-    def test_container_trailing_bytes_rejected(self, rng):
-        blob = models_to_bytes([pca_fit(rng.standard_normal((10, 3)), d=2)])
-        with pytest.raises(ValueError, match="trailing"):
-            models_from_bytes(blob + b"\0")
