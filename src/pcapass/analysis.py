@@ -24,6 +24,7 @@ from .datasets import TEST, TRAIN, VALID, Dataset
 from .embed import EmbedConfig, Method, embed, hop_states
 from .gbdt import GbdtParams, gbdt_predict, gbdt_train
 from .metrics import accuracy, kmeans, pearson_correlation, standardize, v_measure
+from .schema import setting
 
 
 @dataclass
@@ -44,19 +45,29 @@ class HpoRecord:
 @dataclass(frozen=True)
 class SearchSpace:
     """Uniform sampling ranges, inclusive for integers; learning_rate and
-    reg_lambda are sampled log-uniformly."""
+    reg_lambda are sampled log-uniformly. The CLI's `hpo_*` config keys are
+    derived from these fields; the GBDT `patience` key serves `patience`."""
 
-    k: tuple[int, int] = (1, 10)
-    d: tuple[int, int] = (4, 32)
-    learning_rate: tuple[float, float] = (0.03, 0.3)
-    max_depth: tuple[int, int] = (3, 8)
-    reg_lambda: tuple[float, float] = (0.1, 10.0)
-    subsample: tuple[float, float] = (0.6, 1.0)
-    aggregators: tuple[str, ...] = ("mean", "symnorm")
-    n_rounds: int = 200
-    patience: int = 10
+    k: tuple[int, int] = setting((1, 10), "search range for hops", "hpo_k")
+    d: tuple[int, int] = setting((4, 32), "search range for embedding dimension", "hpo_d")
+    learning_rate: tuple[float, float] = setting(
+        (0.03, 0.3), "learning-rate range (log-uniform)", "hpo_lr"
+    )
+    max_depth: tuple[int, int] = setting((3, 8), "tree-depth range", "hpo_depth")
+    reg_lambda: tuple[float, float] = setting(
+        (0.1, 10.0), "reg_lambda range (log-uniform)", "hpo_lambda"
+    )
+    subsample: tuple[float, float] = setting((0.6, 1.0), "subsample range", "hpo_subsample")
+    n_rounds: int = setting(200, "boosting round cap during search runs", "hpo_rounds")
+    aggregators: tuple[str, ...] = setting(
+        ("mean", "symnorm"), "comma-separated aggregators sampled during search", "hpo_aggregators"
+    )
+    patience: int = GbdtParams.patience
 
     def __post_init__(self):
+        for name in self.aggregators:
+            if name not in {a.value for a in Aggregator}:
+                raise ValueError(f"unknown aggregator {name!r}")
         for name in ("k", "d", "learning_rate", "max_depth", "reg_lambda", "subsample"):
             lo, hi = getattr(self, name)
             if lo > hi:
@@ -73,6 +84,7 @@ class SearchSpace:
             raise ValueError(f"subsample range must lie in (0, 1], got {self.subsample}")
         if not self.aggregators:
             raise ValueError("at least one aggregator is needed")
+        GbdtParams(n_rounds=self.n_rounds, patience=self.patience)  # their own checks
 
 
 def normalize_scores(raw) -> np.ndarray:

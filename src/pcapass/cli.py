@@ -12,11 +12,11 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .aggregate import Aggregator
 from .analysis import SearchSpace, hpo_summary, oversmoothing_sweep, random_search
 from .config import RunConfig, build_config, config_help_text
 from .datasets import TEST, TRAIN, VALID, Dataset, SbmParams, generate_sbm, load_dataset, save_dataset
@@ -33,6 +33,7 @@ from .gbdt import (
     gbdt_train,
 )
 from .metrics import accuracy, cross_entropy
+from .schema import field_keys
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,21 +61,28 @@ def _choice(enum, value: str):
         raise ConfigError(f"unknown {enum.__name__.lower()} {value!r}") from None
 
 
-def _params(cls, cfg: RunConfig, **converted):
-    """Build dataclass `cls` from the config keys of the same names, with
-    `converted` replacing the raw values of keys that need it."""
-    values = {f.name: getattr(cfg, f.name) for f in fields(cls)}
-    values.update(converted)
+def _params(cls, cfg: RunConfig):
+    """Build dataclass `cls` from its fields' config keys: a range from its
+    two bounds, an enum from its value, a tuple of strings from its commas."""
+    values = {}
+    for f in fields(cls):
+        raw = [getattr(cfg, name) for name in field_keys(f)]
+        if isinstance(f.default, Enum):
+            values[f.name] = _choice(type(f.default), *raw)
+        elif isinstance(f.default, tuple):  # a (low, high) range or a comma list
+            values[f.name] = tuple(raw if len(raw) == 2 else _split_tokens(*raw))
+        else:
+            values[f.name] = raw[0]
     try:
         return cls(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _embed_config(cfg: RunConfig) -> EmbedConfig:
-    aggregator = _choice(Aggregator, cfg.aggregator)
-    method = _choice(Method, cfg.method)
-    return _params(EmbedConfig, cfg, aggregator=aggregator, method=method)
+def _check_counts(cfg: RunConfig, *keys: str) -> None:
+    for key in keys:
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
 
 
 def _load_embeddings(cfg: RunConfig, n_nodes: int) -> np.ndarray:
@@ -117,7 +125,7 @@ def cmd_gen(cfg: RunConfig) -> None:
 
 def cmd_embed(cfg: RunConfig) -> None:
     ds = load_dataset(_dataset_dir(cfg))
-    embed_cfg = _embed_config(cfg)
+    embed_cfg = _params(EmbedConfig, cfg)
     try:
         result = embed(ds.graph, ds.X, embed_cfg)
     except ValueError as exc:  # such as a PCA hop on a 1-node graph
@@ -155,15 +163,14 @@ def cmd_eval(cfg: RunConfig) -> None:
         raise DataError(f"{model_file}: {exc}") from None
     if H.shape[1] != model.n_features:
         raise DataError(
-            f"model expects {model.n_features} features, embeddings have {H.shape[1]}"
+            f"{model_file}: model expects {model.n_features} features, "
+            f"{_embeddings_path(cfg)} has {H.shape[1]}"
         )
     _write_json(Path(cfg.out) / "metrics.json", _metrics(model, H, ds))
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
-    for key in ("sweep_hops", "kmeans_restarts"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+    _check_counts(cfg, "sweep_hops", "kmeans_restarts")
     ds = load_dataset(_dataset_dir(cfg))
     methods = [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
     try:
@@ -191,47 +198,29 @@ def cmd_sweep(cfg: RunConfig) -> None:
     print(f"wrote {path}")
 
 
-def _search_space(cfg: RunConfig) -> SearchSpace:
-    """The hpo_* keys, mapped by hand: their names differ from SearchSpace's."""
-    aggregators = tuple(_split_tokens(cfg.hpo_aggregators))
-    for name in aggregators:
-        _choice(Aggregator, name)
-    try:
-        return SearchSpace(
-            k=(cfg.hpo_k_min, cfg.hpo_k_max),
-            d=(cfg.hpo_d_min, cfg.hpo_d_max),
-            learning_rate=(cfg.hpo_lr_min, cfg.hpo_lr_max),
-            max_depth=(cfg.hpo_depth_min, cfg.hpo_depth_max),
-            reg_lambda=(cfg.hpo_lambda_min, cfg.hpo_lambda_max),
-            subsample=(cfg.hpo_subsample_min, cfg.hpo_subsample_max),
-            aggregators=aggregators,
-            n_rounds=cfg.hpo_rounds,
-            patience=cfg.patience,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+# hpo.csv: the run index, these `HpoRecord.params` entries, the loss and the accuracy.
+_HPO_PARAMS = "k d aggregator learning_rate max_depth reg_lambda subsample n_rounds patience seed"
 
 
 def cmd_hpo(cfg: RunConfig) -> None:
+    _check_counts(cfg, "hpo_runs")
     ds = load_dataset(_dataset_dir(cfg))
-    space = _search_space(cfg)
+    space = _params(SearchSpace, cfg)
     method = _choice(Method, cfg.method)
     records = random_search(space, cfg.hpo_runs, cfg.seed, ds, method=method)
+    rows = _format_rows(
+        "{},{},{},{},{:.9g},{},{:.9g},{:.9g},{},{},{},{:.9g},{:.9g}\n",
+        np.arange(len(records)),
+        *(np.array([rec.params[name] for rec in records]) for name in _HPO_PARAMS.split()),
+        np.array([rec.valid_ce for rec in records]),
+        np.array([rec.test_accuracy for rec in records]),
+    )
     header = (
         "run,k,d,aggregator,learning_rate,max_depth,reg_lambda,subsample,"
-        "n_rounds,patience,gbdt_seed,valid_ce,test_accuracy"
+        "n_rounds,patience,gbdt_seed,valid_ce,test_accuracy\n"
     )
-    lines = [header]
-    for i, rec in enumerate(records):
-        p = rec.params
-        lines.append(
-            f"{i},{p['k']},{p['d']},{p['aggregator']},{p['learning_rate']:.9g},"
-            f"{p['max_depth']},{p['reg_lambda']:.9g},{p['subsample']:.9g},"
-            f"{p['n_rounds']},{p['patience']},{p['seed']},"
-            f"{rec.valid_ce:.9g},{rec.test_accuracy:.9g}"
-        )
     path = Path(cfg.out) / "hpo.csv"
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, header + rows)
     print(f"wrote {path}")
     _write_json(Path(cfg.out) / "hpo_summary.json", hpo_summary(records))
 
@@ -265,10 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(
-            name,
-            help=help_text,
-            epilog=config_help_text(),
-            formatter_class=argparse.RawDescriptionHelpFormatter,
+            name, help=help_text, epilog=parser.epilog, formatter_class=parser.formatter_class
         )
         sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
         sub.add_argument("--seed", type=int, metavar="N", help="override the seed key")
@@ -292,8 +278,7 @@ def main(argv=None) -> int:
     }
     try:
         cfg = build_config(args.config, overrides)
-        if cfg.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {cfg.threads}")
+        _check_counts(cfg, "threads")
         _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         _report("config", exc)

@@ -7,82 +7,72 @@ flags. Unknown keys are errors so typos never pass silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import dataclass, fields, make_dataclass
+from enum import Enum
 from pathlib import Path
 
+from .analysis import SearchSpace
 from .datasets import SbmParams
+from .embed import EmbedConfig
 from .errors import ConfigError
 from .gbdt import GbdtParams
-
-
-def _key(default, text: str):
-    """A config key's default and its `--help` text."""
-    return field(default=default, metadata={"help": text})
+from .schema import field_keys, setting
 
 
 @dataclass
 class _Global:
-    seed: int = _key(0, "global RNG seed; feeds data generation, training and analyses")
-    threads: int = _key(1, "accepted and has no effect; analyses run in order")
-    out: str = _key("run_out", "output directory for the command's files")
-    dataset_dir: str = _key("", "dataset directory (default: <out>/dataset)")
-    embeddings_path: str = _key("", "embeddings CSV path (default: <out>/embeddings.csv)")
-    model_path: str = _key("", "classifier model path (default: <out>/model.bin)")
+    seed: int = setting(0, "global RNG seed; feeds data generation, training and analyses")
+    threads: int = setting(1, "accepted and has no effect; analyses run in order")
+    out: str = setting("run_out", "output directory for the command's files")
+    dataset_dir: str = setting("", "dataset directory (default: <out>/dataset)")
+    embeddings_path: str = setting("", "embeddings CSV path (default: <out>/embeddings.csv)")
+    model_path: str = setting("", "classifier model path (default: <out>/model.bin)")
 
 
 @dataclass
-class _Embedding:
-    method: str = _key(
-        "pcapass", "embedder: pcapass | message_passing | skip_connections"
-    )
-    aggregator: str = _key("mean", "neighborhood aggregation: mean | symnorm")
-    k: int = _key(8, "number of aggregation hops")
-    d: int = _key(16, "embedding dimension (pcapass only)")
+class _Analyses:
+    """Arguments of oversmoothing_sweep and random_search, not dataclass fields."""
 
-
-@dataclass
-class _Sweep:
-    sweep_hops: int = _key(30, "maximum hop count scanned by the over-smoothing sweep")
-    sweep_methods: str = _key(
+    sweep_hops: int = setting(30, "maximum hop count scanned by the over-smoothing sweep")
+    sweep_methods: str = setting(
         "pcapass,message_passing,skip_connections", "comma-separated methods to sweep"
     )
-    k_clusters: int = _key(
+    k_clusters: int = setting(
         0, "clusters for the sweep's k-means (0: distinct label count)"
     )
-    kmeans_restarts: int = _key(1, "k-means seeding restarts per sweep cell")
+    kmeans_restarts: int = setting(1, "k-means seeding restarts per sweep cell")
+    hpo_runs: int = setting(50, "number of random-search runs")
 
 
-@dataclass
-class _Search:
-    # named for the CLI, not after SearchSpace's fields; the CLI maps them
-    hpo_runs: int = _key(50, "number of random-search runs")
-    hpo_k_min: int = _key(1, "search range for hops, lower bound")
-    hpo_k_max: int = _key(10, "search range for hops, upper bound")
-    hpo_d_min: int = _key(4, "search range for embedding dimension, lower bound")
-    hpo_d_max: int = _key(32, "search range for embedding dimension, upper bound")
-    hpo_lr_min: float = _key(0.03, "learning-rate range (log-uniform), lower bound")
-    hpo_lr_max: float = _key(0.3, "learning-rate range (log-uniform), upper bound")
-    hpo_depth_min: int = _key(3, "tree-depth range, lower bound")
-    hpo_depth_max: int = _key(8, "tree-depth range, upper bound")
-    hpo_lambda_min: float = _key(0.1, "reg_lambda range (log-uniform), lower bound")
-    hpo_lambda_max: float = _key(10.0, "reg_lambda range (log-uniform), upper bound")
-    hpo_subsample_min: float = _key(0.6, "subsample range, lower bound")
-    hpo_subsample_max: float = _key(1.0, "subsample range, upper bound")
-    hpo_rounds: int = _key(200, "boosting round cap during search runs")
-    hpo_aggregators: str = _key(
-        "mean,symnorm", "comma-separated aggregators sampled during search"
-    )
+def _config_keys(section):
+    """(name, type, default, help) of each config key of `section`'s fields.
+    A field without help text has none; the key of its name serves it, as the
+    global seed serves SbmParams.seed. An enum's key holds its member's value
+    and a tuple of strings is a comma list."""
+    for f in fields(section):
+        text = f.metadata.get("help")
+        if not text:
+            continue
+        names = field_keys(f)
+        if len(names) == 2:
+            typ = f.type[len("tuple[") :].split(",")[0]
+            yield names[0], typ, f.default[0], f"{text}, lower bound"
+            yield names[1], typ, f.default[1], f"{text}, upper bound"
+        elif isinstance(f.default, Enum):
+            choices = " | ".join(member.value for member in type(f.default))
+            yield names[0], "str", f.default.value, f"{text}: {choices}"
+        elif isinstance(f.default, tuple):
+            yield names[0], "str", ",".join(f.default), text
+        else:
+            yield names[0], f.type, f.default, text
 
 
-# The dataset and classifier keys are the fields of SbmParams and GbdtParams;
-# their own `seed` fields are served by the global seed key.
 RunConfig = make_dataclass(
     "RunConfig",
     [
-        (f.name, f.type, field(default=f.default, metadata=f.metadata))
-        for section in (_Global, SbmParams, _Embedding, GbdtParams, _Sweep, _Search)
-        for f in fields(section)
-        if section is _Global or f.name != "seed"
+        (name, typ, setting(default, text))
+        for section in (_Global, SbmParams, EmbedConfig, GbdtParams, _Analyses, SearchSpace)
+        for name, typ, default, text in _config_keys(section)
     ],
     namespace={"__module__": __name__},
 )

@@ -9,7 +9,7 @@ graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DataError
 from .fileio import _format_rows, _parse_table, _read_text, write_text_atomic
 from .graph import CsrGraph, EdgeList, edge_list_of, graphs_equal, load_edge_list, prepare
+from .schema import setting
 
 TRAIN, VALID, TEST = 0, 1, 2
 _SPLIT_TOKENS = {"train": TRAIN, "valid": VALID, "test": TEST}
@@ -28,20 +29,15 @@ class SbmParams:
     """Generator settings. Each field's help text is its `help` metadata; the
     CLI's config keys of the same names are derived from these fields."""
 
-    n_nodes: int = field(default=2000, metadata={"help": "synthetic graph size"})
-    n_classes: int = field(default=4, metadata={"help": "number of block classes"})
-    p_in: float = field(default=0.05, metadata={"help": "within-block edge probability"})
-    p_out: float = field(default=0.005, metadata={"help": "cross-block edge probability"})
-    n_features: int = field(default=16, metadata={"help": "node feature dimension"})
-    feature_signal: float = field(
-        default=1.0,
-        metadata={"help": "distance between class feature centroids (unit noise)"},
-    )
-    train_frac: float = field(
-        default=0.6, metadata={"help": "train split fraction (stratified by class)"}
-    )
-    valid_frac: float = field(default=0.2, metadata={"help": "validation split fraction"})
-    test_frac: float = field(default=0.2, metadata={"help": "test split fraction"})
+    n_nodes: int = setting(2000, "synthetic graph size")
+    n_classes: int = setting(4, "number of block classes")
+    p_in: float = setting(0.05, "within-block edge probability")
+    p_out: float = setting(0.005, "cross-block edge probability")
+    n_features: int = setting(16, "node feature dimension")
+    feature_signal: float = setting(1.0, "distance between class feature centroids (unit noise)")
+    train_frac: float = setting(0.6, "train split fraction (stratified by class)")
+    valid_frac: float = setting(0.2, "validation split fraction")
+    test_frac: float = setting(0.2, "test split fraction")
     seed: int = 0
 
     def __post_init__(self):

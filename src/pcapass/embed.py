@@ -26,6 +26,7 @@ from .aggregate import Aggregator, aggregate
 from .fileio import _format_rows
 from .graph import CsrGraph
 from .pca import PcaModel, pca_fit, pca_transform
+from .schema import setting
 
 
 class Method(Enum):
@@ -36,10 +37,13 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class EmbedConfig:
-    k: int
-    d: int
-    aggregator: Aggregator = Aggregator.MEAN
-    method: Method = Method.PCAPASS
+    """Embedding settings. Each field's help text is its `help` metadata; the
+    CLI's config keys of the same names are derived from these fields."""
+
+    method: Method = setting(Method.PCAPASS, "embedder")
+    aggregator: Aggregator = setting(Aggregator.MEAN, "neighborhood aggregation")
+    k: int = setting(8, "number of aggregation hops")
+    d: int = setting(16, "embedding dimension (pcapass only)")
 
     def __post_init__(self):
         if self.k < 0:

@@ -23,6 +23,7 @@ from dataclasses import astuple, dataclass, field, fields
 import numpy as np
 
 from .metrics import cross_entropy
+from .schema import setting
 
 MODEL_MAGIC = b"PGBM"
 FORMAT_VERSION = 1
@@ -33,25 +34,14 @@ class GbdtParams:
     """Boosting settings. Each field's help text is its `help` metadata; the
     CLI's config keys of the same names are derived from these fields."""
 
-    learning_rate: float = field(
-        default=0.1, metadata={"help": "boosting shrinkage per round"}
-    )
-    max_depth: int = field(default=6, metadata={"help": "maximum tree depth"})
-    n_rounds: int = field(default=500, metadata={"help": "maximum boosting rounds"})
-    reg_lambda: float = field(
-        default=1.0, metadata={"help": "L2 leaf weight regularizer"}
-    )
-    min_child_hessian: float = field(
-        default=1.0, metadata={"help": "minimum hessian sum per child to allow a split"}
-    )
-    patience: int = field(
-        default=10,
-        metadata={"help": "rounds without validation improvement before stopping"},
-    )
-    n_bins: int = field(default=256, metadata={"help": "histogram bins per feature"})
-    subsample: float = field(
-        default=1.0, metadata={"help": "row fraction sampled per boosting round"}
-    )
+    learning_rate: float = setting(0.1, "boosting shrinkage per round")
+    max_depth: int = setting(6, "maximum tree depth")
+    n_rounds: int = setting(500, "maximum boosting rounds")
+    reg_lambda: float = setting(1.0, "L2 leaf weight regularizer")
+    min_child_hessian: float = setting(1.0, "minimum hessian sum per child to allow a split")
+    patience: int = setting(10, "rounds without validation improvement before stopping")
+    n_bins: int = setting(256, "histogram bins per feature")
+    subsample: float = setting(1.0, "row fraction sampled per boosting round")
     seed: int = 0
 
     def __post_init__(self):
@@ -543,6 +533,8 @@ def gbdt_from_bytes(buf: bytes) -> GbdtModel:
     n_classes, n_features, best_round, n_stored, best_ce, prior_ce = vals[n_params:]
     if n_classes < 2:
         raise ValueError(f"GBDT model has {n_classes} classes, need at least 2")
+    if not -1 <= best_round < n_stored:
+        raise ValueError(f"GBDT best round {best_round} is outside [-1, {n_stored})")
     pos = 4 + _HEADER.size
     _check_size(buf, pos, 8 * n_classes, "base scores")
     base = np.frombuffer(buf, "<f8", n_classes, pos).copy()

@@ -277,6 +277,23 @@ def sweep_csv_text_reference(results):
     return "\n".join(lines) + "\n"
 
 
+def hpo_csv_text_reference(records):
+    """`hpo.csv` text, one f-string per run."""
+    lines = [
+        "run,k,d,aggregator,learning_rate,max_depth,reg_lambda,subsample,"
+        "n_rounds,patience,gbdt_seed,valid_ce,test_accuracy"
+    ]
+    for i, rec in enumerate(records):
+        p = rec.params
+        lines.append(
+            f"{i},{p['k']},{p['d']},{p['aggregator']},{p['learning_rate']:.9g},"
+            f"{p['max_depth']},{p['reg_lambda']:.9g},{p['subsample']:.9g},"
+            f"{p['n_rounds']},{p['patience']},{p['seed']},"
+            f"{rec.valid_ce:.9g},{rec.test_accuracy:.9g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _gbdt_bins_reference(X, n_bins):
     """Quantile bin edges per feature and each value's `side="right"` bin."""
     edges = []

@@ -27,7 +27,7 @@ from pcapass.config import RunConfig
 from pcapass.datasets import TEST, TRAIN, VALID
 from pcapass.embed import embeddings_from_csv
 from pcapass.metrics import accuracy, cross_entropy
-from pcapass.gbdt import _HEADER
+from pcapass.gbdt import _HEADER, PARAMS_FORMAT
 
 SIX_METRIC_KEYS = {
     "train_accuracy",
@@ -213,7 +213,7 @@ class TestErrors:
         config.write_text("p_in = 0.001\np_out = 0.5\n")
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
-    def test_eval_with_mismatched_embeddings_exits_3(self, tiny_config, tmp_path):
+    def test_eval_with_mismatched_embeddings_exits_3(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
         run_cmd("gen", tiny_config, out)
         run_cmd("embed", tiny_config, out)
@@ -221,7 +221,11 @@ class TestErrors:
         # re-embed narrower than the trained model expects
         narrow = write_config(tmp_path / "narrow.cfg", k=1, d=2, n_features=6)
         assert run_cmd("embed", narrow, out) == 0
+        capsys.readouterr()
         assert run_cmd("eval", tiny_config, out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "expects 6 features" in err
+        assert str(out / "model.bin") in err and str(out / "embeddings.csv") in err
 
     def test_truncated_model_exits_3_naming_the_file(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
@@ -277,6 +281,10 @@ class TestErrors:
         [
             ({"hpo_k_min": 5, "hpo_k_max": 3}, "k range is inverted"),
             ({"hpo_lr_min": 0}, "learning_rate lower bound must be > 0"),
+            ({"hpo_aggregators": "mean,max"}, "unknown aggregator 'max'"),
+            # once every run failed and hpo exited 0; GbdtParams' own messages
+            ({"hpo_rounds": -1}, "n_rounds must be >= 0, got -1"),
+            ({"patience": 0}, "patience must be >= 1, got 0"),
         ],
     )
     def test_bad_hpo_range_exits_2(self, keys, message, tmp_path, capsys):
@@ -395,6 +403,16 @@ class TestErrors:
         assert main(["sweep", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: config: {key} must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_hpo_runs_below_one_exits_2(self, runs, tmp_path, capsys):
+        # hpo_runs = 0 once exited 4 with random_search's "n_runs must be >= 1"
+        out = tmp_path / "run"
+        assert main(["gen", "--out", str(out)]) == 0
+        config = write_config(tmp_path / "hpo.cfg", hpo_runs=runs)
+        capsys.readouterr()
+        assert main(["hpo", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config: hpo_runs must be >= 1, got {runs}\n"
+
 
 @pytest.fixture(scope="module")
 def tiny_dataset(tmp_path_factory):
@@ -484,6 +502,10 @@ def _reject_constant(name):
 # priors; at a prior of 1/4 the exponent is 0x3ff, and this flip makes it
 # 0x7ff: a NaN.
 _BASE_SCORE_FLIP = 8 * (4 + _HEADER.size + 7) + 6
+# The sign bit of the best round, which follows the magic, the version, the
+# GbdtParams fields and the class and feature counts. The flip makes the best
+# round negative, far below -1, which once scored with no stored round at all.
+_BEST_ROUND_SIGN_FLIP = 8 * (4 + struct.calcsize("<I" + PARAMS_FORMAT + "II") + 3) + 7
 
 
 @given(
@@ -492,6 +514,7 @@ _BASE_SCORE_FLIP = 8 * (4 + _HEADER.size + 7) + 6
     pad=st.binary(min_size=1, max_size=16),
 )
 @example(edit="flip", index=_BASE_SCORE_FLIP, pad=b"\0")
+@example(edit="flip", index=_BEST_ROUND_SIGN_FLIP, pad=b"\0")
 @settings(max_examples=150, deadline=None)
 def test_edited_model_file_evaluates_or_exits_3(
     trained_model, tmp_path_factory, edit, index, pad
@@ -517,7 +540,8 @@ def test_edited_model_file_evaluates_or_exits_3(
     else:
         assert code == 3 and "model.bin" in err.getvalue()
     if code == 0:
-        json.loads((out / "metrics.json").read_text(), parse_constant=_reject_constant)
+        metrics = json.loads((out / "metrics.json").read_text(), parse_constant=_reject_constant)
+        assert -1 <= metrics["best_round"] < metrics["n_rounds"]
 
 
 class TestConfigPrecedence:

@@ -1,14 +1,78 @@
-"""The parameter schema: each knob is a dataclass field defined once, and
-the CLI config, its help text and the PGBM header derive from those fields."""
+"""The parameter schema: each knob is a field of SbmParams, EmbedConfig,
+GbdtParams or SearchSpace, defined once with its default and help text, or a
+CLI-only key in config.py. The config keys, their help text, the CLI's
+dataclass construction and the PGBM header derive from those fields; the
+literal key table below pins what the derivation produces."""
 
 import struct
 from dataclasses import fields
+from enum import Enum
 
 from pcapass.analysis import SearchSpace
-from pcapass.cli import _search_space
+from pcapass.cli import _params
 from pcapass.config import RunConfig, config_help_text
 from pcapass.datasets import SbmParams
+from pcapass.embed import EmbedConfig
 from pcapass.gbdt import PARAMS_FORMAT, GbdtParams
+
+# Every config key as (name, type, default), in `--help` order.
+RUN_CONFIG_KEYS = [
+    ("seed", "int", 0),
+    ("threads", "int", 1),
+    ("out", "str", "run_out"),
+    ("dataset_dir", "str", ""),
+    ("embeddings_path", "str", ""),
+    ("model_path", "str", ""),
+    ("n_nodes", "int", 2000),
+    ("n_classes", "int", 4),
+    ("p_in", "float", 0.05),
+    ("p_out", "float", 0.005),
+    ("n_features", "int", 16),
+    ("feature_signal", "float", 1.0),
+    ("train_frac", "float", 0.6),
+    ("valid_frac", "float", 0.2),
+    ("test_frac", "float", 0.2),
+    ("method", "str", "pcapass"),
+    ("aggregator", "str", "mean"),
+    ("k", "int", 8),
+    ("d", "int", 16),
+    ("learning_rate", "float", 0.1),
+    ("max_depth", "int", 6),
+    ("n_rounds", "int", 500),
+    ("reg_lambda", "float", 1.0),
+    ("min_child_hessian", "float", 1.0),
+    ("patience", "int", 10),
+    ("n_bins", "int", 256),
+    ("subsample", "float", 1.0),
+    ("sweep_hops", "int", 30),
+    ("sweep_methods", "str", "pcapass,message_passing,skip_connections"),
+    ("k_clusters", "int", 0),
+    ("kmeans_restarts", "int", 1),
+    ("hpo_runs", "int", 50),
+    ("hpo_k_min", "int", 1),
+    ("hpo_k_max", "int", 10),
+    ("hpo_d_min", "int", 4),
+    ("hpo_d_max", "int", 32),
+    ("hpo_lr_min", "float", 0.03),
+    ("hpo_lr_max", "float", 0.3),
+    ("hpo_depth_min", "int", 3),
+    ("hpo_depth_max", "int", 8),
+    ("hpo_lambda_min", "float", 0.1),
+    ("hpo_lambda_max", "float", 10.0),
+    ("hpo_subsample_min", "float", 0.6),
+    ("hpo_subsample_max", "float", 1.0),
+    ("hpo_rounds", "int", 200),
+    ("hpo_aggregators", "str", "mean,symnorm"),
+]
+
+
+def test_run_config_keys_are_the_literal_table():
+    # A slip in the derivation (a renamed, retyped, reordered or dropped key)
+    # fails here rather than silently changing the config file format.
+    assert [(f.name, f.type, f.default) for f in fields(RunConfig)] == RUN_CONFIG_KEYS
+    assert [type(f.default).__name__ for f in fields(RunConfig)] == [
+        typ for _, typ, _ in RUN_CONFIG_KEYS
+    ]
 
 
 def test_pgbm_parameter_format_has_one_code_per_gbdt_field():
@@ -20,27 +84,61 @@ def test_pgbm_parameter_format_has_one_code_per_gbdt_field():
     )
 
 
+def _expected_keys(f):
+    """(name, type, default, help) of the config keys that field `f` derives,
+    written out case by case."""
+    text, stem = f.metadata["help"], f.metadata.get("key") or f.name
+    if isinstance(f.default, Enum):
+        choices = " | ".join(member.value for member in type(f.default))
+        return [(stem, "str", f.default.value, f"{text}: {choices}")]
+    if isinstance(f.default, tuple) and isinstance(f.default[0], str):
+        return [(stem, "str", ",".join(f.default), text)]
+    if isinstance(f.default, tuple):
+        lo, hi = f.default
+        return [
+            (f"{stem}_min", type(lo).__name__, lo, f"{text}, lower bound"),
+            (f"{stem}_max", type(hi).__name__, hi, f"{text}, upper bound"),
+        ]
+    return [(stem, f.type, f.default, text)]
+
+
 def test_library_params_are_run_config_keys_with_the_same_defaults():
     run = {f.name: f for f in fields(RunConfig)}
-    for cls in (SbmParams, GbdtParams):
+    for cls in (SbmParams, EmbedConfig, GbdtParams, SearchSpace):
         for f in fields(cls):
-            if f.name == "seed":
-                continue  # served by the global seed key
-            assert f.name in run, f"{cls.__name__}.{f.name} is not a config key"
-            assert run[f.name].default == f.default
-            assert run[f.name].type == f.type
-            assert run[f.name].metadata["help"] == f.metadata["help"]
+            if not f.metadata.get("help"):
+                # served by the key of its name: the global seed, or the
+                # GBDT patience for SearchSpace.patience
+                assert f.name in ("seed", "patience"), f"{cls.__name__}.{f.name}"
+                assert run[f.name].default == f.default
+                continue
+            for name, typ, default, text in _expected_keys(f):
+                assert name in run, f"{cls.__name__}.{f.name}: {name} is not a config key"
+                assert run[name].default == default
+                assert run[name].type == typ
+                assert run[name].metadata["help"] == text
 
 
 def test_run_config_keeps_one_seed_and_the_section_order():
     names = [f.name for f in fields(RunConfig)]
     assert names.count("seed") == 1 and names[0] == "seed"
-    sbm = [f.name for f in fields(SbmParams) if f.name != "seed"]
-    gbdt = [f.name for f in fields(GbdtParams) if f.name != "seed"]
-    start = names.index(sbm[0])
-    assert names[start : start + len(sbm)] == sbm
-    start = names.index(gbdt[0])
-    assert names[start : start + len(gbdt)] == gbdt
+    sections = []
+    for cls in (SbmParams, EmbedConfig, GbdtParams, SearchSpace):
+        keys = [
+            name
+            for f in fields(cls)
+            if f.metadata.get("help")
+            for name, *_ in _expected_keys(f)
+        ]
+        start = names.index(keys[0])
+        assert names[start : start + len(keys)] == keys, cls.__name__
+        sections.append((start, start + len(keys)))
+    # the library sections in this order, the sweep and hpo_runs keys between
+    # GbdtParams and SearchSpace
+    assert sections == sorted(sections)
+    assert names[sections[2][1] : sections[3][0]] == [
+        "sweep_hops", "sweep_methods", "k_clusters", "kmeans_restarts", "hpo_runs"
+    ]
 
 
 def test_every_config_key_has_help_text():
@@ -51,7 +149,8 @@ def test_every_config_key_has_help_text():
 
 
 def test_default_hpo_keys_build_the_default_search_space():
-    assert _search_space(RunConfig()) == SearchSpace()
+    assert _params(SearchSpace, RunConfig()) == SearchSpace()
+    assert _params(EmbedConfig, RunConfig()) == EmbedConfig()
 
 
 def test_help_text_of_every_key_starts_at_one_column():

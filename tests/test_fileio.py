@@ -11,11 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from oracles import embeddings_csv_text_reference, sweep_csv_text_reference
+from oracles import (
+    embeddings_csv_text_reference,
+    hpo_csv_text_reference,
+    sweep_csv_text_reference,
+)
 
 import pcapass
 from pcapass import cli, fileio
-from pcapass.analysis import SweepResult
+from pcapass.analysis import HpoRecord, SweepResult
 from pcapass.embed import Method, embeddings_to_csv
 
 
@@ -79,3 +83,32 @@ def test_sweep_csv_matches_the_row_writer(results, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "oversmoothing_sweep", lambda *args, **kwargs: results)
     assert cli.main(["sweep", "--out", str(out)]) == 0
     assert (out / "sweep.csv").read_bytes() == sweep_csv_text_reference(results).encode()
+
+
+def _hpo_record(k, aggregator, learning_rate, seed, valid_ce, test_accuracy):
+    params = {
+        "k": k, "d": 2 * k + 1, "aggregator": aggregator, "learning_rate": learning_rate,
+        "max_depth": 3, "reg_lambda": 1 / 3, "subsample": 1 - learning_rate / 7,
+        "n_rounds": 200, "patience": 10, "seed": seed,
+    }
+    return HpoRecord(params=params, valid_ce=valid_ce, test_accuracy=test_accuracy)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [_hpo_record(1, "mean", 0.1, 0, 0.5, 0.75)],
+        [
+            _hpo_record(0, "symnorm", 0.0300000001, 2**31 - 1, np.inf, 0.0),
+            _hpo_record(10, "mean", 0.123456789012, 7, 1e-300, 1.0),
+            _hpo_record(3, "symnorm", 5e-324, 12345, 2 / 3, -0.0),
+        ],
+    ],
+    ids=["one_run", "three_runs"],
+)
+def test_hpo_csv_matches_the_row_writer(records, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert cli.main(["gen", "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "random_search", lambda *args, **kwargs: records)
+    assert cli.main(["hpo", "--out", str(out)]) == 0
+    assert (out / "hpo.csv").read_bytes() == hpo_csv_text_reference(records).encode()

@@ -256,6 +256,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             gbdt_from_bytes(gbdt_to_bytes(model))
 
+    @pytest.mark.parametrize("best_round", [-3, -2, "n_stored", 2**31 - 1])
+    def test_best_round_outside_the_stored_rounds_rejected(self, best_round):
+        # A best round of -3 once decoded, and prediction then used rounds[:-2].
+        model = gbdt_from_bytes(self.small_blob())
+        n_stored = len(model.rounds)
+        model.best_round = n_stored if best_round == "n_stored" else best_round
+        with pytest.raises(ValueError, match=f"best round {model.best_round} is outside"):
+            gbdt_from_bytes(gbdt_to_bytes(model))
+        for best_round in range(-1, n_stored):  # every stored round, and the prior
+            model.best_round = best_round
+            assert gbdt_from_bytes(gbdt_to_bytes(model)).best_round == best_round
+
     def test_header_layout_is_format_version_1(self):
         (X_tr, y_tr), (X_val, y_val), _ = blob_data(seed=13)
         model = gbdt_train(X_tr, y_tr, X_val, y_val, quick_params(subsample=0.9))
