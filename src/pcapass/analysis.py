@@ -113,12 +113,15 @@ def oversmoothing_sweep(
     gets to resize; mean aggregation is used throughout. Each hop is scored
     as soon as `hop_states` yields it, so memory holds one hop state, not
     `len(methods) * max_hops` of them. Cell (mi, ki) seeds its k-means with
-    `seed ^ (mi * max_hops + ki)`.
+    `seed ^ (mi * max_hops + ki)`. A `k_clusters` of None or 0 means the
+    distinct label count.
     """
     y = np.asarray(y)
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
-    if k_clusters is None or k_clusters <= 0:
+    if k_clusters is not None and k_clusters < 0:
+        raise ValueError(f"k_clusters must be >= 0, got {k_clusters}")
+    if not k_clusters:
         k_clusters = int(np.unique(y).size)
     width = np.asarray(X).shape[1]
 

@@ -142,8 +142,8 @@ def cmd_train(cfg: RunConfig) -> None:
     tr, va = ds.indices(TRAIN), ds.indices(VALID)
     try:
         model = gbdt_train(H[tr], ds.y[tr], H[va], ds.y[va], params)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    except ValueError as exc:  # such as a class with no train node
+        raise DataError(f"{_dataset_dir(cfg)}: {exc}") from None
     model_file = _model_path(cfg)
     write_bytes_atomic(model_file, gbdt_to_bytes(model))
     print(f"wrote {model_file}")
@@ -171,6 +171,8 @@ def cmd_eval(cfg: RunConfig) -> None:
 
 def cmd_sweep(cfg: RunConfig) -> None:
     _check_counts(cfg, "sweep_hops", "kmeans_restarts")
+    if cfg.k_clusters < 0:
+        raise ConfigError(f"k_clusters must be >= 0, got {cfg.k_clusters}")
     ds = load_dataset(_dataset_dir(cfg))
     methods = [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
     try:
@@ -180,7 +182,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
             ds.y,
             methods,
             max_hops=cfg.sweep_hops,
-            k_clusters=cfg.k_clusters if cfg.k_clusters > 0 else None,
+            k_clusters=cfg.k_clusters,
             seed=cfg.seed,
             kmeans_restarts=cfg.kmeans_restarts,
         )

@@ -50,6 +50,13 @@ class SbmParams:
         fracs = (self.train_frac, self.valid_frac, self.test_frac)
         if min(fracs) <= 0.0 or abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must be positive and sum to 1, got {fracs}")
+        smallest = self.n_nodes // self.n_classes  # generate_sbm's smallest class
+        if round(self.train_frac * smallest) < 1:
+            raise ValueError(
+                f"train_frac = {self.train_frac} gives the smallest class "
+                f"({smallest} of {self.n_nodes} nodes in {self.n_classes} classes) "
+                "no train node"
+            )
         if self.feature_signal < 0.0:
             raise ValueError(f"feature_signal must be >= 0, got {self.feature_signal}")
         if self.feature_signal > 0.0 and self.n_classes > self.n_features:
@@ -130,10 +137,6 @@ def generate_sbm(p: SbmParams) -> Dataset:
         size = order.size
         n_tr = int(round(p.train_frac * size))
         n_va = int(round(p.valid_frac * size))
-        if n_tr < 1:
-            raise DataError(
-                f"class {c} has {size} nodes; expected train count is zero"
-            )
         n_va = min(n_va, size - n_tr)
         split[order[:n_tr]] = TRAIN
         split[order[n_tr : n_tr + n_va]] = VALID

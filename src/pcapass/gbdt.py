@@ -7,11 +7,11 @@ thresholds are stored as real bin-boundary values, so prediction needs no
 bin table.
 
 Training grows each tree one depth at a time: the split search of all the
-nodes of a depth shares its histogram and gain passes. The grower returns
-each row's leaf, and the validation rows and any rows outside the round's
-sample are routed on their bins, so the margins add leaf values without
-walking the finished trees over the raw features. The model is the one a
-node-by-node, depth-first grower would build, byte for byte.
+nodes of a depth shares its histogram and gain passes. Bins exist only for
+that search. The grower returns the leaf of each row it grew on, and the
+validation rows and any rows outside the round's sample are routed by the
+trees' thresholds, as in prediction. The model is the one a node-by-node,
+depth-first grower would build, byte for byte.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class Tree:
         return self.feature.shape[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.value[_walk(self, self.threshold, X)]
+        return self.value[_walk(self, X)]
 
     def split_thresholds(self) -> list[tuple[int, float]]:
         """(feature, threshold) of every internal node, preorder."""
@@ -117,39 +117,33 @@ def _quantile_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(np.quantile(col, probs))
 
 
-def _apply_bins(X: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
-    """Each value's bin: the number of its feature's edges at or below it."""
-    binned = np.empty(X.shape, dtype=np.int32)
-    for j, e in enumerate(edges):
-        binned[:, j] = np.searchsorted(e, X[:, j], side="right")
-    return binned
-
-
 @dataclass(eq=False)
 class _Bins:
-    """The histogram layout of the training rows, shared by every tree.
+    """The histogram layout of the training rows, shared by the split search
+    of every tree.
 
-    Cell `j * stride + b` of a node's histogram sums the node's rows whose
+    A value's bin is the number of its feature's edges at or below it. Cell
+    `j * stride + b` of a node's histogram sums the node's rows whose
     feature j falls in bin b. A split after bin b sends the rows with
-    bin <= b left, which holds exactly when x < edges[j][b]: a tree routes
-    binned rows and raw rows alike.
+    bin <= b left, which holds exactly when x < edges[j][b]: the tree keeps
+    edges[j][b] as the split's threshold and routes raw rows by it.
     """
 
-    binned: np.ndarray  # (n, f) int32
     edges: list[np.ndarray]
     stride: int  # cells per feature: the most edges of any feature, plus one
-    keys: np.ndarray  # (n, f) intp, each row's cells: binned + j * stride
+    keys: np.ndarray  # (n, f) intp, each row's cells: j * stride + its bin
     invalid: np.ndarray  # (f, stride) bool, cells after which no split exists
 
     @classmethod
     def fit(cls, X: np.ndarray, n_bins: int) -> _Bins:
         edges = [_quantile_edges(X[:, j], n_bins) for j in range(X.shape[1])]
-        binned = _apply_bins(X, edges)
         n_edges = np.array([e.size for e in edges], dtype=np.intp)
         stride = int(n_edges.max(initial=0)) + 1
-        keys = binned + np.arange(len(edges), dtype=np.intp) * stride
+        keys = np.empty(X.shape, dtype=np.intp)
+        for j, e in enumerate(edges):
+            keys[:, j] = np.searchsorted(e, X[:, j], side="right") + j * stride
         invalid = np.arange(stride) >= n_edges[:, None]
-        return cls(binned, edges, stride, keys, invalid)
+        return cls(edges, stride, keys, invalid)
 
 
 # Histogram cells (nodes x features x bins) per split-search batch: enough
@@ -161,8 +155,8 @@ def _grow(bins: _Bins, grad, hess, rows: np.ndarray, p: GbdtParams):
     """Grow one tree on the training rows `rows` (ascending), one depth at a
     time.
 
-    Returns the tree, each node's `cut` (a split sends bin < cut left) and
-    `leaf`, where leaf[i] is the leaf of row i for every i in `rows`.
+    Returns the tree and `leaf`, where leaf[i] is the leaf of row i for
+    every i in `rows`.
 
     Each node keeps its rows in ascending order, so every histogram cell
     adds the same values in the same order as a node-by-node grower would,
@@ -170,11 +164,10 @@ def _grow(bins: _Bins, grad, hess, rows: np.ndarray, p: GbdtParams):
     breadth-first while growing and in preorder in the returned tree.
     """
     feature: list[int] = []
-    cut: list[int] = []
     threshold: list[float] = []
     value: list[float] = []
     first_child: list[int] = []  # the right child follows the left one
-    leaf = np.zeros(bins.binned.shape[0], dtype=np.intp)
+    leaf = np.zeros(bins.keys.shape[0], dtype=np.intp)
     level = [rows]  # the rows of each node at this depth
     for depth in range(p.max_depth + 1):
         g_tot = np.array([grad[r].sum() for r in level])
@@ -199,7 +192,6 @@ def _grow(bins: _Bins, grad, hess, rows: np.ndarray, p: GbdtParams):
                 # can leave when reg_lambda and min_child_hessian are both 0
                 den = float(h_tot[i]) + p.reg_lambda
                 feature.append(-1)
-                cut.append(0)
                 threshold.append(0.0)
                 value.append(-float(g_tot[i]) / den * p.learning_rate if den > 0 else 0.0)
                 first_child.append(-1)
@@ -207,11 +199,10 @@ def _grow(bins: _Bins, grad, hess, rows: np.ndarray, p: GbdtParams):
                 continue
             j, b = split
             feature.append(j)
-            cut.append(b + 1)
             threshold.append(float(bins.edges[j][b]))
             value.append(0.0)
             first_child.append(next_id + len(children))
-            go_left = bins.binned[r, j] <= b
+            go_left = bins.keys[r, j] <= j * bins.stride + b
             children += [r[go_left], r[~go_left]]
         if not children:
             break
@@ -235,7 +226,7 @@ def _grow(bins: _Bins, grad, hess, rows: np.ndarray, p: GbdtParams):
         right=np.where(internal, pre[kid + 1], -1).astype(np.int32),
         value=np.array(value, dtype=np.float64)[order],
     )
-    return tree, np.array(cut)[order], pre[leaf]
+    return tree, pre[leaf]
 
 
 def _best_splits(bins: _Bins, grad, hess, nodes, g_tot, h_tot, p: GbdtParams):
@@ -291,9 +282,9 @@ def _best_splits(bins: _Bins, grad, hess, nodes, g_tot, h_tot, p: GbdtParams):
     return found
 
 
-def _walk(tree: Tree, cut: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _walk(tree: Tree, X: np.ndarray) -> np.ndarray:
     """The leaf each row of X reaches, going left where its value in a split's
-    feature is below the split's `cut`."""
+    feature is below the split's threshold."""
     node = np.zeros(X.shape[0], dtype=np.intp)
     while True:
         feat = tree.feature[node]
@@ -301,7 +292,7 @@ def _walk(tree: Tree, cut: np.ndarray, X: np.ndarray) -> np.ndarray:
         if active.size == 0:
             return node
         cur = node[active]
-        go_left = X[active, feat[active]] < cut[cur]
+        go_left = X[active, feat[active]] < tree.threshold[cur]
         node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
 
 
@@ -350,7 +341,6 @@ def gbdt_train(X_tr, y_tr, X_val, y_val, params: GbdtParams) -> GbdtModel:
     margins_tr = np.tile(base, (n_tr, 1))
     margins_val = np.tile(base, (X_val.shape[0], 1))
     bins = _Bins.fit(X_tr, params.n_bins)
-    binned_val = _apply_bins(X_val, bins.edges)
     rng = np.random.default_rng(params.seed)
 
     prior_ce = cross_entropy(_softmax(margins_val), y_val)
@@ -372,14 +362,14 @@ def gbdt_train(X_tr, y_tr, X_val, y_val, params: GbdtParams) -> GbdtModel:
             rest = np.setdiff1d(all_rows, rows, assume_unique=True)
         else:
             rows, rest = all_rows, all_rows[:0]
-        rest_bins = bins.binned[rest]  # the rows outside this round's sample
+        X_rest = X_tr[rest]  # the rows outside this round's sample
         trees = []
         for c in range(n_classes):
-            tree, cut, leaf = _grow(bins, grads[:, c], hesses[:, c], rows, params)
-            leaf[rest] = _walk(tree, cut, rest_bins)
+            tree, leaf = _grow(bins, grads[:, c], hesses[:, c], rows, params)
+            leaf[rest] = _walk(tree, X_rest)
             trees.append(tree)
             margins_tr[:, c] += tree.value[leaf]
-            margins_val[:, c] += tree.value[_walk(tree, cut, binned_val)]
+            margins_val[:, c] += tree.value[_walk(tree, X_val)]
         rounds.append(trees)
         ce = cross_entropy(_softmax(margins_val), y_val)
         history.append(ce)
@@ -430,15 +420,20 @@ def gbdt_predict(model: GbdtModel, X) -> np.ndarray:
     return np.argmax(gbdt_predict_proba(model, X), axis=1)
 
 
+# A tree's bytes: its node count, then each of these columns in turn.
+_TREE_COLUMNS = (
+    ("feature", "<i4"),
+    ("threshold", "<f8"),
+    ("left", "<i4"),
+    ("right", "<i4"),
+    ("value", "<f8"),
+)
+_NODE_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _TREE_COLUMNS)
+
+
 def _pack_tree(tree: Tree) -> bytes:
-    return (
-        struct.pack("<I", tree.n_nodes)
-        + tree.feature.astype("<i4").tobytes()
-        + tree.threshold.astype("<f8").tobytes()
-        + tree.left.astype("<i4").tobytes()
-        + tree.right.astype("<i4").tobytes()
-        + tree.value.astype("<f8").tobytes()
-    )
+    columns = (getattr(tree, name).astype(dtype).tobytes() for name, dtype in _TREE_COLUMNS)
+    return struct.pack("<I", tree.n_nodes) + b"".join(columns)
 
 
 def _check_size(buf: bytes, pos: int, size: int, what: str) -> None:
@@ -453,19 +448,13 @@ def _unpack_tree(buf: bytes, pos: int, n_features: int) -> tuple[Tree, int]:
     _check_size(buf, pos, 4, "tree node count")
     (n,) = struct.unpack_from("<I", buf, pos)
     pos += 4
-    _check_size(buf, pos, 28 * n, f"tree of {n} nodes")
-    feature = np.frombuffer(buf, "<i4", n, pos).copy()
-    pos += 4 * n
-    threshold = np.frombuffer(buf, "<f8", n, pos).copy()
-    pos += 8 * n
-    left = np.frombuffer(buf, "<i4", n, pos).copy()
-    pos += 4 * n
-    right = np.frombuffer(buf, "<i4", n, pos).copy()
-    pos += 4 * n
-    value = np.frombuffer(buf, "<f8", n, pos).copy()
-    pos += 8 * n
-    _check_tree(feature, threshold, left, right, value, n_features)
-    return Tree(feature, threshold, left, right, value), pos
+    _check_size(buf, pos, _NODE_BYTES * n, f"tree of {n} nodes")
+    columns = {}
+    for name, dtype in _TREE_COLUMNS:
+        columns[name] = np.frombuffer(buf, dtype, n, pos).copy()
+        pos += columns[name].nbytes
+    _check_tree(**columns, n_features=n_features)
+    return Tree(**columns), pos
 
 
 def _check_tree(feature, threshold, left, right, value, n_features: int) -> None:

@@ -130,6 +130,13 @@ class TestOversmoothingSweep:
         )
         assert res.v_measures.shape == (3,)
 
+    def test_rejects_a_negative_cluster_count(self):
+        ds = small_sbm(seed=4, n=60)
+        with pytest.raises(ValueError, match="k_clusters must be >= 0, got -3"):
+            oversmoothing_sweep(
+                ds.graph, ds.X, ds.y, [Method.PCAPASS], max_hops=1, k_clusters=-3
+            )
+
     def test_rejects_zero_hops(self):
         ds = small_sbm(seed=4, n=60)
         with pytest.raises(ValueError):

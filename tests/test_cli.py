@@ -403,6 +403,47 @@ class TestErrors:
         assert main(["sweep", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: config: {key} must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            dict(n_nodes=3, n_classes=4),
+            dict(n_nodes=40, n_classes=4, train_frac=0.04, valid_frac=0.48, test_frac=0.48),
+        ],
+    )
+    def test_gen_leaving_a_class_no_train_node_exits_2(self, keys, tmp_path, capsys):
+        # Both once exited 3 (data) from generate_sbm, though no file is read.
+        config = write_config(tmp_path / "gen.cfg", n_features=4, **keys)
+        out = tmp_path / "run"
+        assert main(["gen", "--config", config, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: train_frac = ")
+        assert not out.exists()
+
+    def test_negative_k_clusters_exits_2(self, tmp_path, capsys):
+        # k_clusters = -3 once meant "the label count" and exited 0.
+        out = tmp_path / "run"
+        assert main(["gen", "--out", str(out)]) == 0
+        config = write_config(tmp_path / "sweep.cfg", k_clusters=-3, sweep_hops=1)
+        capsys.readouterr()
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: config: k_clusters must be >= 0, got -3\n"
+        assert not (out / "sweep.csv").exists()
+
+    def test_class_missing_from_train_exits_3_naming_the_directory(
+        self, tiny_config, tmp_path, capsys
+    ):
+        out = tmp_path / "run"
+        assert run_cmd("gen", tiny_config, out) == 0
+        assert run_cmd("embed", tiny_config, out) == 0
+        ds = load_dataset(out / "dataset")
+        split = ds.split.copy()
+        split[(ds.y == 1) & (split == TRAIN)] = TEST
+        save_dataset(dataclasses.replace(ds, split=split), out / "dataset")
+        capsys.readouterr()
+        assert run_cmd("train", tiny_config, out) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: data: {out / 'dataset'}: class 1 missing from training labels\n"
+
     @pytest.mark.parametrize("runs", [0, -1])
     def test_hpo_runs_below_one_exits_2(self, runs, tmp_path, capsys):
         # hpo_runs = 0 once exited 4 with random_search's "n_runs must be >= 1"

@@ -86,18 +86,28 @@ class TestGenerate:
         assert train_classes == {0, 1, 2, 3}
 
     def test_tiny_classes_rejected(self):
-        with pytest.raises(DataError, match="train count"):
-            generate_sbm(
+        # The smallest of 4 classes has n_nodes // 4 nodes; a train_frac that
+        # rounds its train count to 0 is a settings error, raised before any
+        # sampling. round(0.5) is 0, as in generate_sbm.
+        for n_nodes, train_frac in ((4, 0.1), (3, 0.6), (40, 0.04), (40, 0.05)):
+            rest = (1.0 - train_frac) / 2
+            with pytest.raises(ValueError, match="train_frac"):
                 SbmParams(
-                    n_nodes=4,
+                    n_nodes=n_nodes,
                     n_classes=4,
                     n_features=4,
-                    train_frac=0.1,
-                    valid_frac=0.1,
-                    test_frac=0.8,
-                    seed=0,
+                    train_frac=train_frac,
+                    valid_frac=rest,
+                    test_frac=rest,
                 )
-            )
+
+    def test_one_train_node_in_the_smallest_class_is_enough(self):
+        params = SbmParams(
+            n_nodes=42, n_classes=4, n_features=4, train_frac=0.06, valid_frac=0.47, test_frac=0.47
+        )
+        ds = generate_sbm(params)
+        train_counts = np.bincount(ds.y[ds.split == TRAIN], minlength=4)
+        assert train_counts.tolist() == [1, 1, 1, 1]
 
     def test_centroid_distances_equal_signal(self):
         params = SbmParams(

@@ -20,6 +20,7 @@ from pcapass import (
     gbdt_train,
 )
 from pcapass.gbdt import _HEADER, Tree, _best_splits, _Bins, gbdt_dump_text
+from pcapass.metrics import cross_entropy
 
 
 def quick_params(**kw):
@@ -162,6 +163,37 @@ class TestEarlyStopping:
         (X_tr, _), _, _ = blob_data(seed=11)
         full = gbdt_predict_proba(model, X_tr, n_rounds=model.best_round + 1)
         np.testing.assert_array_equal(gbdt_predict_proba(model, X_tr), full)
+
+
+@pytest.mark.parametrize(
+    "kind, n_bins, subsample",
+    [("ties", 256, 1.0), ("ties", 3, 0.5), ("few_values", 2, 0.8), ("normal", 4, 0.3)],
+)
+def test_each_recorded_loss_is_the_loss_of_that_many_rounds(kind, n_bins, subsample):
+    # Training routes the validation rows and the rows outside a round's
+    # sample itself; prediction must send every row to the same leaf, so the
+    # loss recorded after round r is, to the bit, that of the first r + 1
+    # rounds. Half the validation rows repeat training rows, whose values
+    # can be split thresholds.
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((300, 3))
+        if kind == "ties":
+            X = np.round(X, 1)
+        elif kind == "few_values":
+            X = rng.integers(0, 4, size=X.shape).astype(np.float64)
+        y = (X[:, 0] + X[:, 1] + rng.standard_normal(300) > 0).astype(np.int64)
+        y[2] = 2  # a third class, present in training
+        X[250:] = X[:50]
+        params = quick_params(
+            max_depth=4, n_rounds=12, patience=12, min_child_hessian=0.3,
+            n_bins=n_bins, subsample=subsample, seed=seed,
+        )
+        model = gbdt_train(X[:200], y[:200], X[200:], y[200:], params)
+        assert len(model.valid_ce_history) == 12
+        for r, ce in enumerate(model.valid_ce_history):
+            proba = gbdt_predict_proba(model, X[200:], n_rounds=r + 1)
+            assert cross_entropy(proba, y[200:]) == ce
 
 
 class TestDeterminism:
