@@ -3,29 +3,26 @@
 reports how strongly validation loss predicts test accuracy."""
 
 import argparse
+import sys
 
-from pcapass import Method, SbmParams, SearchSpace, generate_sbm, hpo_summary, random_search
+from pcapass import (
+    ConfigError,
+    Method,
+    SbmParams,
+    SearchSpace,
+    generate_sbm,
+    hpo_summary,
+    random_search,
+)
+from pcapass.cli import EXIT_CONFIG, _check_counts, _choice, _params, _report
+from pcapass.config import build_config
 
 
-def run(args):
-    ds = generate_sbm(
-        SbmParams(
-            n_nodes=args.n_nodes,
-            n_classes=args.n_classes,
-            p_in=args.p_in,
-            p_out=args.p_out,
-            n_features=args.n_features,
-            feature_signal=args.feature_signal,
-            seed=args.seed,
-        )
-    )
-    records = random_search(
-        SearchSpace(),
-        n_runs=args.runs,
-        seed=args.seed,
-        dataset=ds,
-        method=Method(args.method),
-    )
+def run(cfg):
+    _check_counts(cfg, "hpo_runs")
+    space, method = _params(SearchSpace, cfg), _choice(Method, cfg.method)
+    ds = generate_sbm(_params(SbmParams, cfg))
+    records = random_search(space, n_runs=cfg.hpo_runs, seed=cfg.seed, dataset=ds, method=method)
     for i, rec in enumerate(records):
         p = rec.params
         print(
@@ -48,20 +45,14 @@ def _fmt(value, spec=".4f"):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-nodes", type=int, default=2000)
-    parser.add_argument("--n-classes", type=int, default=4)
-    parser.add_argument("--p-in", type=float, default=0.05)
-    parser.add_argument("--p-out", type=float, default=0.005)
-    parser.add_argument("--n-features", type=int, default=16)
-    parser.add_argument("--feature-signal", type=float, default=1.0)
-    parser.add_argument(
-        "--method",
-        choices=["pcapass", "message_passing", "skip_connections"],
-        default="pcapass",
-    )
-    parser.add_argument("--runs", type=int, default=50)
-    parser.add_argument("--seed", type=int, default=7)
-    run(parser.parse_args())
+    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
+    parser.add_argument("--seed", type=int, metavar="N", help="override the seed key")
+    args = parser.parse_args()
+    try:
+        run(build_config(args.config, {} if args.seed is None else {"seed": args.seed}))
+    except ConfigError as exc:
+        _report("config", exc)
+        sys.exit(EXIT_CONFIG)
 
 
 if __name__ == "__main__":

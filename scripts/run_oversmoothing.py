@@ -3,29 +3,22 @@
 how v-measure decays as the receptive field grows."""
 
 import argparse
+import sys
 
-from pcapass import Method, SbmParams, generate_sbm, oversmoothing_sweep
+from pcapass import ConfigError, SbmParams, generate_sbm, oversmoothing_sweep
+from pcapass.cli import EXIT_CONFIG, _params, _report, _sweep_methods
+from pcapass.config import build_config
 
 
-def run(args):
-    ds = generate_sbm(
-        SbmParams(
-            n_nodes=args.n_nodes,
-            n_classes=args.n_classes,
-            p_in=args.p_in,
-            p_out=args.p_out,
-            n_features=args.n_features,
-            feature_signal=args.feature_signal,
-            seed=args.seed,
-        )
-    )
-    methods = [Method.PCAPASS, Method.MESSAGE_PASSING, Method.SKIP_CONNECTIONS]
+def run(cfg):
+    methods = _sweep_methods(cfg)
+    ds = generate_sbm(_params(SbmParams, cfg))
     results = oversmoothing_sweep(
-        ds.graph, ds.X, ds.y, methods, max_hops=args.max_hops,
-        seed=args.seed,
+        ds.graph, ds.X, ds.y, methods, max_hops=cfg.sweep_hops,
+        k_clusters=cfg.k_clusters, seed=cfg.seed, kmeans_restarts=cfg.kmeans_restarts,
     )
     print(f"{'k':>3} " + " ".join(f"{r.method.value:>18}" for r in results))
-    for i in range(args.max_hops):
+    for i in range(cfg.sweep_hops):
         cells = " ".join(f"{r.v_measures[i]:>18.4f}" for r in results)
         print(f"{i + 1:>3} {cells}")
     for r in results:
@@ -34,15 +27,14 @@ def run(args):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-nodes", type=int, default=2000)
-    parser.add_argument("--n-classes", type=int, default=4)
-    parser.add_argument("--p-in", type=float, default=0.05)
-    parser.add_argument("--p-out", type=float, default=0.005)
-    parser.add_argument("--n-features", type=int, default=16)
-    parser.add_argument("--feature-signal", type=float, default=1.0)
-    parser.add_argument("--max-hops", type=int, default=30)
-    parser.add_argument("--seed", type=int, default=7)
-    run(parser.parse_args())
+    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
+    parser.add_argument("--seed", type=int, metavar="N", help="override the seed key")
+    args = parser.parse_args()
+    try:
+        run(build_config(args.config, {} if args.seed is None else {"seed": args.seed}))
+    except ConfigError as exc:
+        _report("config", exc)
+        sys.exit(EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -3,12 +3,12 @@
 against the same classifier on raw features."""
 
 import argparse
+import sys
 
 from pcapass import (
-    Aggregator,
+    ConfigError,
     EmbedConfig,
     GbdtParams,
-    Method,
     SbmParams,
     accuracy,
     embed,
@@ -16,53 +16,39 @@ from pcapass import (
     gbdt_train,
     generate_sbm,
 )
+from pcapass.cli import EXIT_CONFIG, _params, _report
+from pcapass.config import build_config
 from pcapass.datasets import TEST, TRAIN, VALID
 
 
-def run(args):
-    ds = generate_sbm(
-        SbmParams(
-            n_nodes=args.n_nodes,
-            n_classes=args.n_classes,
-            p_in=args.p_in,
-            p_out=args.p_out,
-            n_features=args.n_features,
-            feature_signal=args.feature_signal,
-            seed=args.seed,
-        )
-    )
+def run(cfg):
+    sbm, embed_cfg, params = (_params(cls, cfg) for cls in (SbmParams, EmbedConfig, GbdtParams))
+    ds = generate_sbm(sbm)
     tr, va, te = ds.indices(TRAIN), ds.indices(VALID), ds.indices(TEST)
-    params = GbdtParams(seed=args.seed)
 
     raw = gbdt_train(ds.X[tr], ds.y[tr], ds.X[va], ds.y[va], params)
     raw_acc = accuracy(gbdt_predict(raw, ds.X[te]), ds.y[te])
     print(f"raw features : test accuracy {raw_acc:.4f} "
           f"({raw.best_round + 1} rounds kept)")
 
-    cfg = EmbedConfig(
-        k=args.k, d=args.d, aggregator=Aggregator(args.aggregator), method=Method.PCAPASS
-    )
-    emb = embed(ds.graph, ds.X, cfg).embeddings
+    emb = embed(ds.graph, ds.X, embed_cfg).embeddings
     boosted = gbdt_train(emb[tr], ds.y[tr], emb[va], ds.y[va], params)
     emb_acc = accuracy(gbdt_predict(boosted, emb[te]), ds.y[te])
     print(f"embeddings   : test accuracy {emb_acc:.4f} "
-          f"({boosted.best_round + 1} rounds kept, k={args.k}, d={args.d})")
+          f"({boosted.best_round + 1} rounds kept, k={embed_cfg.k}, d={embed_cfg.d})")
     print(f"lift         : {100 * (emb_acc - raw_acc):+.1f} accuracy points")
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-nodes", type=int, default=2000)
-    parser.add_argument("--n-classes", type=int, default=4)
-    parser.add_argument("--p-in", type=float, default=0.05)
-    parser.add_argument("--p-out", type=float, default=0.005)
-    parser.add_argument("--n-features", type=int, default=16)
-    parser.add_argument("--feature-signal", type=float, default=1.0)
-    parser.add_argument("--k", type=int, default=8)
-    parser.add_argument("--d", type=int, default=16)
-    parser.add_argument("--aggregator", choices=["mean", "symnorm"], default="mean")
-    parser.add_argument("--seed", type=int, default=7)
-    run(parser.parse_args())
+    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
+    parser.add_argument("--seed", type=int, metavar="N", help="override the seed key")
+    args = parser.parse_args()
+    try:
+        run(build_config(args.config, {} if args.seed is None else {"seed": args.seed}))
+    except ConfigError as exc:
+        _report("config", exc)
+        sys.exit(EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -85,6 +85,19 @@ def _check_counts(cfg: RunConfig, *keys: str) -> None:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
 
 
+_SPLITS = (("train", TRAIN), ("valid", VALID), ("test", TEST))
+
+
+def _load_split_dataset(cfg: RunConfig) -> Dataset:
+    """The dataset, which must hold a node of every split: loaded data skips
+    the split checks of `gen`."""
+    ds = load_dataset(_dataset_dir(cfg))
+    for name, which in _SPLITS:
+        if not (ds.split == which).any():
+            raise DataError(f"{_dataset_dir(cfg) / 'splits.csv'}: no {name} node")
+    return ds
+
+
 def _load_embeddings(cfg: RunConfig, n_nodes: int) -> np.ndarray:
     path = _embeddings_path(cfg)
     if not path.is_file():
@@ -103,7 +116,7 @@ def _metrics(model: GbdtModel, H: np.ndarray, ds: Dataset) -> dict:
     proba = gbdt_predict_proba(model, H)
     pred = np.argmax(proba, axis=1)
     out = {"best_round": model.best_round, "n_rounds": len(model.rounds)}
-    for name, which in (("train", TRAIN), ("valid", VALID), ("test", TEST)):
+    for name, which in _SPLITS:
         idx = ds.indices(which)
         out[f"{name}_accuracy"] = accuracy(pred[idx], ds.y[idx])
     valid = ds.indices(VALID)
@@ -136,7 +149,7 @@ def cmd_embed(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    ds = load_dataset(_dataset_dir(cfg))
+    ds = _load_split_dataset(cfg)
     H = _load_embeddings(cfg, ds.n_nodes)
     params = _params(GbdtParams, cfg)
     tr, va = ds.indices(TRAIN), ds.indices(VALID)
@@ -152,7 +165,7 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    ds = load_dataset(_dataset_dir(cfg))
+    ds = _load_split_dataset(cfg)
     H = _load_embeddings(cfg, ds.n_nodes)
     model_file = _model_path(cfg)
     if not model_file.is_file():
@@ -169,12 +182,17 @@ def cmd_eval(cfg: RunConfig) -> None:
     _write_json(Path(cfg.out) / "metrics.json", _metrics(model, H, ds))
 
 
-def cmd_sweep(cfg: RunConfig) -> None:
+def _sweep_methods(cfg: RunConfig) -> list[Method]:
+    """The methods to sweep, once the sweep's other keys are checked."""
     _check_counts(cfg, "sweep_hops", "kmeans_restarts")
     if cfg.k_clusters < 0:
         raise ConfigError(f"k_clusters must be >= 0, got {cfg.k_clusters}")
+    return [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
+
+
+def cmd_sweep(cfg: RunConfig) -> None:
+    methods = _sweep_methods(cfg)
     ds = load_dataset(_dataset_dir(cfg))
-    methods = [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
     try:
         results = oversmoothing_sweep(
             ds.graph,
@@ -206,7 +224,7 @@ _HPO_PARAMS = "k d aggregator learning_rate max_depth reg_lambda subsample n_rou
 
 def cmd_hpo(cfg: RunConfig) -> None:
     _check_counts(cfg, "hpo_runs")
-    ds = load_dataset(_dataset_dir(cfg))
+    ds = _load_split_dataset(cfg)
     space = _params(SearchSpace, cfg)
     method = _choice(Method, cfg.method)
     records = random_search(space, cfg.hpo_runs, cfg.seed, ds, method=method)

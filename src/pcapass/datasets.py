@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 from .fileio import _format_rows, _parse_table, _read_text, write_text_atomic
-from .graph import CsrGraph, EdgeList, edge_list_of, graphs_equal, load_edge_list, prepare
+from .graph import CsrGraph, EdgeList, edge_list_of, load_edge_list, prepare
 from .schema import setting
 
 TRAIN, VALID, TEST = 0, 1, 2
@@ -51,12 +51,13 @@ class SbmParams:
         if min(fracs) <= 0.0 or abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must be positive and sum to 1, got {fracs}")
         smallest = self.n_nodes // self.n_classes  # generate_sbm's smallest class
-        if round(self.train_frac * smallest) < 1:
-            raise ValueError(
-                f"train_frac = {self.train_frac} gives the smallest class "
-                f"({smallest} of {self.n_nodes} nodes in {self.n_classes} classes) "
-                "no train node"
-            )
+        for name, frac, count in zip(_SPLIT_NAMES, fracs, self._split_sizes(smallest)):
+            if count < 1:
+                raise ValueError(
+                    f"{name}_frac = {frac} gives the smallest class "
+                    f"({smallest} of {self.n_nodes} nodes in {self.n_classes} classes) "
+                    f"no {name} node"
+                )
         if self.feature_signal < 0.0:
             raise ValueError(f"feature_signal must be >= 0, got {self.feature_signal}")
         if self.feature_signal > 0.0 and self.n_classes > self.n_features:
@@ -64,6 +65,12 @@ class SbmParams:
                 "equidistant class centroids need n_classes <= n_features "
                 f"(got {self.n_classes} > {self.n_features})"
             )
+
+    def _split_sizes(self, size: int) -> tuple[int, int, int]:
+        """The train, valid and test node counts of a class of `size` nodes."""
+        n_tr = round(self.train_frac * size)
+        n_va = min(round(self.valid_frac * size), size - n_tr)
+        return n_tr, n_va, size - n_tr - n_va
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,10 +141,7 @@ def generate_sbm(p: SbmParams) -> Dataset:
     split = np.empty(n, dtype=np.int8)
     for c in range(n_cls):
         order = rng.permutation(members[c])
-        size = order.size
-        n_tr = int(round(p.train_frac * size))
-        n_va = int(round(p.valid_frac * size))
-        n_va = min(n_va, size - n_tr)
+        n_tr, n_va, _ = p._split_sizes(order.size)
         split[order[:n_tr]] = TRAIN
         split[order[n_tr : n_tr + n_va]] = VALID
         split[order[n_tr + n_va :]] = TEST
@@ -238,12 +242,3 @@ def load_dataset(directory) -> Dataset:
 
     graph = prepare(load_edge_list(directory / "edges.tsv", n))
     return Dataset(graph=graph, X=X, y=y, split=split)
-
-
-def datasets_equal(a: Dataset, b: Dataset) -> bool:
-    return (
-        graphs_equal(a.graph, b.graph)
-        and np.array_equal(a.X, b.X)
-        and np.array_equal(a.y, b.y)
-        and np.array_equal(a.split, b.split)
-    )

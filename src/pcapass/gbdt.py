@@ -86,13 +86,6 @@ class Tree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[_walk(self, X)]
 
-    def split_thresholds(self) -> list[tuple[int, float]]:
-        """(feature, threshold) of every internal node, preorder."""
-        internal = self.feature >= 0
-        return list(
-            zip(self.feature[internal].tolist(), self.threshold[internal].tolist())
-        )
-
 
 @dataclass(eq=False)
 class GbdtModel:

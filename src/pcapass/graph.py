@@ -59,9 +59,6 @@ class CsrGraph:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.col_idx[self.row_ptr[v] : self.row_ptr[v + 1]]
-
     @property
     def n_entries(self) -> int:
         return self.col_idx.shape[0]
@@ -139,14 +136,6 @@ def prepare(edges: EdgeList) -> CsrGraph:
     row_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
     return CsrGraph(n_nodes=n, row_ptr=row_ptr, col_idx=v, degree=counts)
-
-
-def graphs_equal(a: CsrGraph, b: CsrGraph) -> bool:
-    return (
-        a.n_nodes == b.n_nodes
-        and np.array_equal(a.row_ptr, b.row_ptr)
-        and np.array_equal(a.col_idx, b.col_idx)
-    )
 
 
 def edge_list_of(g: CsrGraph) -> EdgeList:

@@ -138,7 +138,6 @@ def _assign(X: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _lloyd(X, centers, max_iter):
     k = centers.shape[0]
     assign, dist = _assign(X, centers)
-    inertia_history = [float(dist.sum())]
     for _ in range(max_iter):
         counts = np.bincount(assign, minlength=k)
         for c in range(k):
@@ -154,16 +153,14 @@ def _lloyd(X, centers, max_iter):
                 centers[c] = X[far]
                 remaining[far] = -np.inf
         new_assign, dist = _assign(X, centers)
-        inertia_history.append(float(dist.sum()))
         if np.array_equal(new_assign, assign):
             assign = new_assign
             break
         assign = new_assign
-    return assign, inertia_history
+    return assign, float(dist.sum())
 
 
-def kmeans(X, k: int, seed: int = 0, n_restarts: int = 1, max_iter: int = 300,
-           return_history: bool = False):
+def kmeans(X, k: int, seed: int = 0, n_restarts: int = 1, max_iter: int = 300):
     """Lloyd's algorithm with k-means++ seeding.
 
     Converges when assignments stabilize (or at max_iter). With
@@ -183,10 +180,7 @@ def kmeans(X, k: int, seed: int = 0, n_restarts: int = 1, max_iter: int = 300,
     best = None
     for _ in range(n_restarts):
         centers = _plus_plus_centers(X, k, rng)
-        assign, history = _lloyd(X, centers, max_iter)
-        if best is None or history[-1] < best[1][-1]:
-            best = (assign, history)
-    assign, history = best
-    if return_history:
-        return assign, history
-    return assign
+        assign, inertia = _lloyd(X, centers, max_iter)
+        if best is None or inertia < best[1]:
+            best = (assign, inertia)
+    return best[0]

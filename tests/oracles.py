@@ -213,6 +213,39 @@ def nearest_centroid_accuracy(X_tr, y_tr, X, y):
     return float((pred == y).mean())
 
 
+def neighbors(g, v):
+    """Neighbor ids of node `v`: row `v` of a CSR graph."""
+    return g.col_idx[g.row_ptr[v] : g.row_ptr[v + 1]]
+
+
+def graphs_equal(a, b):
+    return (
+        a.n_nodes == b.n_nodes
+        and np.array_equal(a.row_ptr, b.row_ptr)
+        and np.array_equal(a.col_idx, b.col_idx)
+    )
+
+
+def datasets_equal(a, b):
+    return (
+        graphs_equal(a.graph, b.graph)
+        and np.array_equal(a.X, b.X)
+        and np.array_equal(a.y, b.y)
+        and np.array_equal(a.split, b.split)
+    )
+
+
+def inertia(X, assign):
+    """Sum of squared distances from each row of `X` to the centroid of the
+    rows that share its cluster id."""
+    X = np.asarray(X, dtype=np.float64)
+    total = 0.0
+    for c in np.unique(assign):
+        members = X[assign == c]
+        total += float(((members - members.mean(axis=0)) ** 2).sum())
+    return total
+
+
 def save_dataset_reference(ds, directory):
     """The four dataset files, one f-string per line: edges u < v in row
     order, features with `.9g`, then the labels and split names by node id."""

@@ -384,12 +384,18 @@ class TestErrors:
     def test_one_node_dataset_exits_3_naming_the_directory(
         self, command, methods, message, tmp_path, capsys
     ):
-        config = write_config(
-            tmp_path / "one.cfg", n_nodes=1, n_classes=1, n_features=2, sweep_methods=methods
-        )
+        # gen makes no 1-node dataset, whose node leaves two splits empty, so
+        # the dataset is written as converted external data would be
         out = tmp_path / "run"
-        assert main(["gen", "--config", config, "--out", str(out)]) == 0
-        capsys.readouterr()
+        (out / "dataset").mkdir(parents=True)
+        for name, text in [
+            ("edges.tsv", "\n"),
+            ("features.csv", "0.5,-0.5\n"),
+            ("labels.csv", "node_id,label\n0,0\n"),
+            ("splits.csv", "node_id,split\n0,train\n"),
+        ]:
+            (out / "dataset" / name).write_text(text)
+        config = write_config(tmp_path / "one.cfg", sweep_methods=methods)
         assert main([command, "--config", config, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: data: {out / 'dataset'}: ") and message in err
@@ -404,20 +410,52 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: config: {key} must be >= 1, got 0\n"
 
     @pytest.mark.parametrize(
-        "keys",
+        "keys, key",
         [
-            dict(n_nodes=3, n_classes=4),
-            dict(n_nodes=40, n_classes=4, train_frac=0.04, valid_frac=0.48, test_frac=0.48),
+            (dict(n_nodes=3, n_classes=4), "train_frac"),
+            (
+                dict(n_nodes=40, n_classes=4, train_frac=0.04, valid_frac=0.48, test_frac=0.48),
+                "train_frac",
+            ),
+            (
+                dict(n_nodes=40, n_classes=4, train_frac=0.5, valid_frac=0.01, test_frac=0.49),
+                "valid_frac",
+            ),
+            (
+                dict(n_nodes=40, n_classes=4, train_frac=0.5, valid_frac=0.49, test_frac=0.01),
+                "test_frac",
+            ),
         ],
     )
-    def test_gen_leaving_a_class_no_train_node_exits_2(self, keys, tmp_path, capsys):
-        # Both once exited 3 (data) from generate_sbm, though no file is read.
+    def test_gen_leaving_a_class_no_train_node_exits_2(self, keys, key, tmp_path, capsys):
+        # The train cases once exited 3 (data) from generate_sbm, though no
+        # file is read; the others wrote a dataset with an empty split.
         config = write_config(tmp_path / "gen.cfg", n_features=4, **keys)
         out = tmp_path / "run"
         assert main(["gen", "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config: train_frac = ")
+        assert err.startswith(f"error: config: {key} = ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["valid", "test"])
+    def test_loaded_dataset_with_an_empty_split_exits_3(
+        self, split, tiny_config, tmp_path, capsys
+    ):
+        # Once train exited 3 with numpy's "zero-size array" on an empty valid
+        # split and wrote "test_accuracy": NaN on an empty test split, and hpo
+        # exited 0 after every run failed.
+        out = tmp_path / "run"
+        for command in ("gen", "embed", "train"):
+            assert run_cmd(command, tiny_config, out) == 0
+        (out / "metrics.json").unlink()
+        splits = out / "dataset" / "splits.csv"
+        splits.write_text(splits.read_text().replace(f",{split}\n", ",train\n"))
+        for command in ("train", "eval", "hpo"):
+            capsys.readouterr()
+            assert run_cmd(command, tiny_config, out) == 3
+            assert capsys.readouterr().err == f"error: data: {splits}: no {split} node\n"
+        assert not (out / "metrics.json").exists()
+        assert not (out / "hpo.csv").exists()
 
     def test_negative_k_clusters_exits_2(self, tmp_path, capsys):
         # k_clusters = -3 once meant "the label count" and exited 0.

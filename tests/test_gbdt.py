@@ -219,7 +219,7 @@ def test_monotone_1d_split_thresholds_in_the_gap():
     model = gbdt_train(X, y, X, y, quick_params(n_rounds=20))
     gap_lo, gap_hi = x[x < 0].max(), x[x > 0].min()
     thresholds = [
-        t for trees in model.rounds for tree in trees for _, t in tree.split_thresholds()
+        t for trees in model.rounds for tree in trees for t in tree.threshold[tree.feature >= 0]
     ]
     assert thresholds, "no splits learned"
     assert all(gap_lo < t <= gap_hi for t in thresholds)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import v_measure_reference
+from oracles import inertia, v_measure_reference
 from pcapass import (
     accuracy,
     cross_entropy,
@@ -162,9 +162,9 @@ class TestKmeans:
 
     def test_k_equals_n_gives_zero_inertia(self, rng):
         X = rng.standard_normal((6, 2))
-        assign, history = kmeans(X, 6, seed=0, return_history=True)
+        assign = kmeans(X, 6, seed=0)
         assert sorted(assign.tolist()) == list(range(6))
-        assert history[-1] == pytest.approx(0.0, abs=1e-20)
+        assert inertia(X, assign) == pytest.approx(0.0, abs=1e-20)
 
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -172,7 +172,8 @@ class TestKmeans:
 
     def test_inertia_non_increasing(self, rng):
         X = rng.standard_normal((120, 3))
-        _, history = kmeans(X, 5, seed=2, return_history=True)
+        # the inertia after m = 0, 1, 2, ... Lloyd iterations, past convergence
+        history = [inertia(X, kmeans(X, 5, seed=2, max_iter=m)) for m in range(40)]
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_deterministic_for_fixed_seed(self, rng):
@@ -183,6 +184,6 @@ class TestKmeans:
 
     def test_restarts_never_worsen_inertia(self, rng):
         X = rng.standard_normal((80, 2))
-        _, single = kmeans(X, 6, seed=5, return_history=True)
-        _, multi = kmeans(X, 6, seed=5, n_restarts=5, return_history=True)
-        assert multi[-1] <= single[-1] + 1e-12
+        single = inertia(X, kmeans(X, 6, seed=5))
+        multi = inertia(X, kmeans(X, 6, seed=5, n_restarts=5))
+        assert multi <= single + 1e-12

@@ -9,42 +9,66 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-TINY = ["--n-nodes", "200", "--n-classes", "2", "--n-features", "4"]
+SCRIPTS = ["run_pipeline.py", "run_oversmoothing.py", "run_generalization.py"]
+TINY = dict(n_nodes=200, n_classes=2, n_features=4)
 
 
 @pytest.mark.parametrize(
     "script, extra, last_line",
     [
-        ("run_pipeline.py", ["--k", "2", "--d", "4"], "lift         : "),
-        ("run_oversmoothing.py", ["--max-hops", "3"], "skip_connections: best v-measure"),
-        ("run_generalization.py", ["--runs", "2"], "pearson(valid CE, test accuracy) = "),
+        ("run_pipeline.py", dict(k=2, d=4), "lift         : "),
+        ("run_oversmoothing.py", dict(sweep_hops=3), "skip_connections: best v-measure"),
+        ("run_generalization.py", dict(hpo_runs=2), "pearson(valid CE, test accuracy) = "),
     ],
 )
-def test_script_runs_at_tiny_size(script, extra, last_line):
-    proc = run_script(script, *TINY, *extra)
+def test_script_runs_at_tiny_size(script, extra, last_line, tmp_path):
+    proc = run_script(script, write_config(tmp_path, **TINY, **extra))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith(last_line)
 
 
-def test_generalization_without_a_correlation_prints_n_a():
+def test_generalization_without_a_correlation_prints_n_a(tmp_path):
     # 20 nodes leave too few test rows for the accuracy to vary across runs,
     # so hpo_summary has no Pearson correlation to report.
-    proc = run_script(
-        "run_generalization.py",
-        *("--n-nodes", "20", "--n-classes", "2", "--n-features", "2"),
-        *("--runs", "2", "--feature-signal", "5"),
+    config = write_config(
+        tmp_path, n_nodes=20, n_classes=2, n_features=2, hpo_runs=2, feature_signal=5
     )
+    proc = run_script("run_generalization.py", config)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "pearson(valid CE, test accuracy) = n/a"
 
 
-def run_script(script, *args):
+@pytest.mark.parametrize("script", SCRIPTS)
+@pytest.mark.parametrize(
+    "keys, message",
+    [
+        (dict(not_a_key=5), "unknown config key 'not_a_key'"),
+        (dict(p_in=0.001, p_out=0.5), "need 0 <= p_out <= p_in <= 1"),
+    ],
+    ids=["unknown_key", "rejected_value"],
+)
+def test_bad_config_exits_2_with_one_error_line(script, keys, message, tmp_path):
+    proc = run_script(script, write_config(tmp_path, **keys))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: config: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+def write_config(directory, **keys):
+    path = directory / "run.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    return path
+
+
+def run_script(script, config):
+    """Run `script` on `config` at the seed the scripts once defaulted to."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, str(ROOT / "scripts" / script), "--config", str(config), "--seed", "7"],
         capture_output=True,
         text=True,
         env=env,
