@@ -2,27 +2,15 @@
 """Random hyperparameter search over embedding and classifier settings;
 reports how strongly validation loss predicts test accuracy."""
 
-import argparse
 import sys
 
-from pcapass import (
-    ConfigError,
-    Method,
-    SbmParams,
-    SearchSpace,
-    generate_sbm,
-    hpo_summary,
-    random_search,
-)
-from pcapass.cli import EXIT_CONFIG, _check_counts, _choice, _params, _report
-from pcapass.config import build_config
+from pcapass import SbmParams, generate_sbm, hpo_summary
+from pcapass.cli import run_script, search
+from pcapass.config import from_config
 
 
 def run(cfg):
-    _check_counts(cfg, "hpo_runs")
-    space, method = _params(SearchSpace, cfg), _choice(Method, cfg.method)
-    ds = generate_sbm(_params(SbmParams, cfg))
-    records = random_search(space, n_runs=cfg.hpo_runs, seed=cfg.seed, dataset=ds, method=method)
+    records = search(cfg, lambda: generate_sbm(from_config(SbmParams, cfg)))
     for i, rec in enumerate(records):
         p = rec.params
         print(
@@ -43,17 +31,5 @@ def _fmt(value, spec=".4f"):
     return "n/a" if value is None else format(value, spec)
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, metavar="N", help="override the seed key")
-    args = parser.parse_args()
-    try:
-        run(build_config(args.config, {} if args.seed is None else {"seed": args.seed}))
-    except ConfigError as exc:
-        _report("config", exc)
-        sys.exit(EXIT_CONFIG)
-
-
 if __name__ == "__main__":
-    main()
+    sys.exit(run_script(run, __doc__))

@@ -2,11 +2,9 @@
 """End-to-end experiment: synthesize a graph, embed, classify, and compare
 against the same classifier on raw features."""
 
-import argparse
 import sys
 
 from pcapass import (
-    ConfigError,
     EmbedConfig,
     GbdtParams,
     SbmParams,
@@ -16,13 +14,13 @@ from pcapass import (
     gbdt_train,
     generate_sbm,
 )
-from pcapass.cli import EXIT_CONFIG, _params, _report
-from pcapass.config import build_config
+from pcapass.cli import run_script
+from pcapass.config import from_config
 from pcapass.datasets import TEST, TRAIN, VALID
 
 
 def run(cfg):
-    sbm, embed_cfg, params = (_params(cls, cfg) for cls in (SbmParams, EmbedConfig, GbdtParams))
+    sbm, embed_cfg, params = (from_config(cls, cfg) for cls in (SbmParams, EmbedConfig, GbdtParams))
     ds = generate_sbm(sbm)
     tr, va, te = ds.indices(TRAIN), ds.indices(VALID), ds.indices(TEST)
 
@@ -39,17 +37,5 @@ def run(cfg):
     print(f"lift         : {100 * (emb_acc - raw_acc):+.1f} accuracy points")
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, metavar="N", help="override the seed key")
-    args = parser.parse_args()
-    try:
-        run(build_config(args.config, {} if args.seed is None else {"seed": args.seed}))
-    except ConfigError as exc:
-        _report("config", exc)
-        sys.exit(EXIT_CONFIG)
-
-
 if __name__ == "__main__":
-    main()
+    sys.exit(run_script(run, __doc__))

@@ -24,7 +24,7 @@ from .datasets import TEST, TRAIN, VALID, Dataset
 from .embed import EmbedConfig, Method, embed, hop_states
 from .gbdt import GbdtParams, gbdt_predict, gbdt_train
 from .metrics import accuracy, kmeans, pearson_correlation, standardize, v_measure
-from .schema import setting
+from .schema import check_finite, setting
 
 
 @dataclass
@@ -65,6 +65,7 @@ class SearchSpace:
     patience: int = GbdtParams.patience
 
     def __post_init__(self):
+        check_finite(self)
         for name in self.aggregators:
             if name not in {a.value for a in Aggregator}:
                 raise ValueError(f"unknown aggregator {name!r}")
@@ -103,7 +104,7 @@ def oversmoothing_sweep(
     y,
     methods: list[Method],
     max_hops: int,
-    k_clusters: int | None = None,
+    k_clusters: int = 0,
     seed: int = 0,
     kmeans_restarts: int = 1,
 ) -> list[SweepResult]:
@@ -113,15 +114,15 @@ def oversmoothing_sweep(
     gets to resize; mean aggregation is used throughout. Each hop is scored
     as soon as `hop_states` yields it, so memory holds one hop state, not
     `len(methods) * max_hops` of them. Cell (mi, ki) seeds its k-means with
-    `seed ^ (mi * max_hops + ki)`. A `k_clusters` of None or 0 means the
-    distinct label count.
+    `seed ^ (mi * max_hops + ki)`. A `k_clusters` of 0 means the distinct
+    label count.
     """
     y = np.asarray(y)
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
-    if k_clusters is not None and k_clusters < 0:
+    if k_clusters < 0:
         raise ValueError(f"k_clusters must be >= 0, got {k_clusters}")
-    if not k_clusters:
+    if k_clusters == 0:
         k_clusters = int(np.unique(y).size)
     width = np.asarray(X).shape[1]
 

@@ -3,7 +3,9 @@
 Every command is a pure function of (config file, flags, input files) and
 writes its outputs atomically, so re-running with the same inputs overwrites
 outputs identically. Exit codes: 0 success, 2 config error, 3 data error,
-4 runtime error.
+4 runtime error. The experiment scripts enter through `run_script`, which
+maps errors to the same codes, and run their analyses through `sweep` and
+`search`, as the `sweep` and `hpo` commands do.
 """
 
 from __future__ import annotations
@@ -11,15 +13,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
-from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .analysis import SearchSpace, hpo_summary, oversmoothing_sweep, random_search
-from .config import RunConfig, build_config, config_help_text
-from .datasets import TEST, TRAIN, VALID, Dataset, SbmParams, generate_sbm, load_dataset, save_dataset
+from .analysis import (
+    HpoRecord,
+    SearchSpace,
+    SweepResult,
+    hpo_summary,
+    oversmoothing_sweep,
+    random_search,
+)
+from .config import RunConfig, _choice, _split_tokens, build_config, config_help_text, from_config
+from .datasets import SPLITS, TRAIN, VALID, Dataset, SbmParams, generate_sbm, load_dataset, save_dataset
 from .embed import EmbedConfig, Method, embed, embeddings_from_csv, embeddings_to_csv
 from .errors import ConfigError, DataError
 from .fileio import _format_rows, _read_text, write_bytes_atomic, write_text_atomic
@@ -33,7 +41,6 @@ from .gbdt import (
     gbdt_train,
 )
 from .metrics import accuracy, cross_entropy
-from .schema import field_keys
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,46 +60,17 @@ def _model_path(cfg: RunConfig) -> Path:
     return Path(cfg.model_path) if cfg.model_path else Path(cfg.out) / "model.bin"
 
 
-def _choice(enum, value: str):
-    """The member of `enum` named by a config value."""
-    try:
-        return enum(value)
-    except ValueError:
-        raise ConfigError(f"unknown {enum.__name__.lower()} {value!r}") from None
-
-
-def _params(cls, cfg: RunConfig):
-    """Build dataclass `cls` from its fields' config keys: a range from its
-    two bounds, an enum from its value, a tuple of strings from its commas."""
-    values = {}
-    for f in fields(cls):
-        raw = [getattr(cfg, name) for name in field_keys(f)]
-        if isinstance(f.default, Enum):
-            values[f.name] = _choice(type(f.default), *raw)
-        elif isinstance(f.default, tuple):  # a (low, high) range or a comma list
-            values[f.name] = tuple(raw if len(raw) == 2 else _split_tokens(*raw))
-        else:
-            values[f.name] = raw[0]
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _check_counts(cfg: RunConfig, *keys: str) -> None:
     for key in keys:
         if getattr(cfg, key) < 1:
             raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
 
 
-_SPLITS = (("train", TRAIN), ("valid", VALID), ("test", TEST))
-
-
 def _load_split_dataset(cfg: RunConfig) -> Dataset:
     """The dataset, which must hold a node of every split: loaded data skips
     the split checks of `gen`."""
     ds = load_dataset(_dataset_dir(cfg))
-    for name, which in _SPLITS:
+    for which, name in enumerate(SPLITS):
         if not (ds.split == which).any():
             raise DataError(f"{_dataset_dir(cfg) / 'splits.csv'}: no {name} node")
     return ds
@@ -116,7 +94,7 @@ def _metrics(model: GbdtModel, H: np.ndarray, ds: Dataset) -> dict:
     proba = gbdt_predict_proba(model, H)
     pred = np.argmax(proba, axis=1)
     out = {"best_round": model.best_round, "n_rounds": len(model.rounds)}
-    for name, which in _SPLITS:
+    for which, name in enumerate(SPLITS):
         idx = ds.indices(which)
         out[f"{name}_accuracy"] = accuracy(pred[idx], ds.y[idx])
     valid = ds.indices(VALID)
@@ -130,7 +108,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_gen(cfg: RunConfig) -> None:
-    ds = generate_sbm(_params(SbmParams, cfg))
+    ds = generate_sbm(from_config(SbmParams, cfg))
     target = _dataset_dir(cfg)
     save_dataset(ds, target)
     print(f"wrote {target}")
@@ -138,7 +116,7 @@ def cmd_gen(cfg: RunConfig) -> None:
 
 def cmd_embed(cfg: RunConfig) -> None:
     ds = load_dataset(_dataset_dir(cfg))
-    embed_cfg = _params(EmbedConfig, cfg)
+    embed_cfg = from_config(EmbedConfig, cfg)
     try:
         result = embed(ds.graph, ds.X, embed_cfg)
     except ValueError as exc:  # such as a PCA hop on a 1-node graph
@@ -151,7 +129,7 @@ def cmd_embed(cfg: RunConfig) -> None:
 def cmd_train(cfg: RunConfig) -> None:
     ds = _load_split_dataset(cfg)
     H = _load_embeddings(cfg, ds.n_nodes)
-    params = _params(GbdtParams, cfg)
+    params = from_config(GbdtParams, cfg)
     tr, va = ds.indices(TRAIN), ds.indices(VALID)
     try:
         model = gbdt_train(H[tr], ds.y[tr], H[va], ds.y[va], params)
@@ -182,30 +160,36 @@ def cmd_eval(cfg: RunConfig) -> None:
     _write_json(Path(cfg.out) / "metrics.json", _metrics(model, H, ds))
 
 
-def _sweep_methods(cfg: RunConfig) -> list[Method]:
-    """The methods to sweep, once the sweep's other keys are checked."""
+def sweep(cfg: RunConfig, load: Callable[[], Dataset], where: str | Path) -> list[SweepResult]:
+    """The over-smoothing sweep of `cfg`'s sweep keys on the dataset that
+    `load()` gives once those keys are checked. A dataset the sweep cannot
+    score, such as a 1-node one or one with fewer nodes than clusters, is a
+    data error at `where`."""
     _check_counts(cfg, "sweep_hops", "kmeans_restarts")
     if cfg.k_clusters < 0:
         raise ConfigError(f"k_clusters must be >= 0, got {cfg.k_clusters}")
-    return [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
+    methods = [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
+    ds = load()
+    try:
+        return oversmoothing_sweep(
+            ds.graph, ds.X, ds.y, methods, max_hops=cfg.sweep_hops,
+            k_clusters=cfg.k_clusters, seed=cfg.seed, kmeans_restarts=cfg.kmeans_restarts,
+        )
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
+def search(cfg: RunConfig, load: Callable[[], Dataset]) -> list[HpoRecord]:
+    """The random search of `cfg`'s `hpo_*` keys and `method` on the dataset
+    that `load()` gives once those keys are checked."""
+    _check_counts(cfg, "hpo_runs")
+    space, method = from_config(SearchSpace, cfg), _choice(Method, cfg.method)
+    return random_search(space, cfg.hpo_runs, cfg.seed, load(), method)
 
 
 def cmd_sweep(cfg: RunConfig) -> None:
-    methods = _sweep_methods(cfg)
-    ds = load_dataset(_dataset_dir(cfg))
-    try:
-        results = oversmoothing_sweep(
-            ds.graph,
-            ds.X,
-            ds.y,
-            methods,
-            max_hops=cfg.sweep_hops,
-            k_clusters=cfg.k_clusters,
-            seed=cfg.seed,
-            kmeans_restarts=cfg.kmeans_restarts,
-        )
-    except ValueError as exc:  # such as a 1-node dataset, or more clusters than nodes
-        raise DataError(f"{_dataset_dir(cfg)}: {exc}") from None
+    directory = _dataset_dir(cfg)
+    results = sweep(cfg, lambda: load_dataset(directory), directory)
     rows = _format_rows(
         "{},{},{:.9g},{:.9g}\n",
         np.repeat([res.method.value for res in results], [res.v_measures.size for res in results]),
@@ -223,11 +207,7 @@ _HPO_PARAMS = "k d aggregator learning_rate max_depth reg_lambda subsample n_rou
 
 
 def cmd_hpo(cfg: RunConfig) -> None:
-    _check_counts(cfg, "hpo_runs")
-    ds = _load_split_dataset(cfg)
-    space = _params(SearchSpace, cfg)
-    method = _choice(Method, cfg.method)
-    records = random_search(space, cfg.hpo_runs, cfg.seed, ds, method=method)
+    records = search(cfg, lambda: _load_split_dataset(cfg))
     rows = _format_rows(
         "{},{},{},{},{:.9g},{},{:.9g},{:.9g},{},{},{},{:.9g},{:.9g}\n",
         np.arange(len(records)),
@@ -245,13 +225,6 @@ def cmd_hpo(cfg: RunConfig) -> None:
     _write_json(Path(cfg.out) / "hpo_summary.json", hpo_summary(records))
 
 
-def _split_tokens(raw: str) -> list[str]:
-    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not tokens:
-        raise ConfigError(f"empty list value {raw!r}")
-    return tokens
-
-
 _COMMANDS = {
     "gen": (cmd_gen, "generate a synthetic dataset directory"),
     "embed": (cmd_embed, "compute node embeddings for a dataset"),
@@ -259,6 +232,16 @@ _COMMANDS = {
     "eval": (cmd_eval, "evaluate an existing model on embeddings"),
     "sweep": (cmd_sweep, "run the over-smoothing hop sweep"),
     "hpo": (cmd_hpo, "run the random-search generalization study"),
+}
+
+
+# Every command's flags as `add_argument` keywords; each but --config
+# overrides the config key of its name. The scripts take the first two.
+_FLAGS = {
+    "config": dict(metavar="PATH", help="flat key = value config file"),
+    "seed": dict(type=int, metavar="N", help="override the seed key"),
+    "threads": dict(type=int, metavar="N", help="override the threads key"),
+    "out": dict(metavar="DIR", help="override the out key"),
 }
 
 
@@ -272,34 +255,46 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (run, help_text) in _COMMANDS.items():
         sub = subparsers.add_parser(
             name, help=help_text, epilog=parser.epilog, formatter_class=parser.formatter_class
         )
-        sub.add_argument("--config", metavar="PATH", help="flat key = value config file")
-        sub.add_argument("--seed", type=int, metavar="N", help="override the seed key")
-        sub.add_argument(
-            "--threads", type=int, metavar="N", help="override the threads key"
-        )
-        sub.add_argument("--out", metavar="DIR", help="override the out key")
+        for flag, kwargs in _FLAGS.items():
+            sub.add_argument(f"--{flag}", **kwargs)
+        sub.set_defaults(run=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    return _run(build_parser(), argv)
+
+
+def run_script(run: Callable[[RunConfig], None], description: str, argv=None) -> int:
+    """The entry of an experiment script: `run` on the RunConfig of its
+    `--config` and `--seed`, with the exit codes and error line of `main`."""
+    parser = argparse.ArgumentParser(description=description)
+    for flag in ("config", "seed"):
+        parser.add_argument(f"--{flag}", **_FLAGS[flag])
+    parser.set_defaults(run=run)
+    return _run(parser, argv)
+
+
+def _run(parser: argparse.ArgumentParser, argv) -> int:
+    """Parse `argv` and call its `run` on the RunConfig it names; an error
+    becomes one `error: <kind>: <message>` line on stderr and its exit code."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     overrides = {
         key: value
-        for key, value in (("seed", args.seed), ("threads", args.threads), ("out", args.out))
-        if value is not None
+        for key, value in vars(args).items()
+        if key in _FLAGS and key != "config" and value is not None
     }
     try:
         cfg = build_config(args.config, overrides)
         _check_counts(cfg, "threads")
-        _COMMANDS[args.command][0](cfg)
+        args.run(cfg)
     except ConfigError as exc:
         _report("config", exc)
         return EXIT_CONFIG

@@ -67,6 +67,40 @@ def _config_keys(section):
             yield names[0], f.type, f.default, text
 
 
+def from_config(cls, cfg):
+    """Settings class `cls` built from `cfg`'s keys for its fields, the
+    inverse of `_config_keys`: a range from its two bounds, an enum from its
+    value, a tuple of strings from its commas."""
+    values = {}
+    for f in fields(cls):
+        raw = [getattr(cfg, name) for name in field_keys(f)]
+        if isinstance(f.default, Enum):
+            values[f.name] = _choice(type(f.default), *raw)
+        elif isinstance(f.default, tuple):  # a (low, high) range or a comma list
+            values[f.name] = tuple(raw if len(raw) == 2 else _split_tokens(*raw))
+        else:
+            values[f.name] = raw[0]
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _choice(enum, value: str):
+    """The member of `enum` named by a config value."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(f"unknown {enum.__name__.lower()} {value!r}") from None
+
+
+def _split_tokens(raw: str) -> list[str]:
+    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
+    if not tokens:
+        raise ConfigError(f"empty list value {raw!r}")
+    return tokens
+
+
 RunConfig = make_dataclass(
     "RunConfig",
     [

@@ -17,11 +17,10 @@ import numpy as np
 from .errors import DataError
 from .fileio import _format_rows, _parse_table, _read_text, write_text_atomic
 from .graph import CsrGraph, EdgeList, edge_list_of, load_edge_list, prepare
-from .schema import setting
+from .schema import check_finite, setting
 
 TRAIN, VALID, TEST = 0, 1, 2
-_SPLIT_TOKENS = {"train": TRAIN, "valid": VALID, "test": TEST}
-_SPLIT_NAMES = np.array(["train", "valid", "test"])  # indexed by TRAIN, VALID, TEST
+SPLITS = ("train", "valid", "test")  # the split names, indexed by TRAIN, VALID, TEST
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,7 @@ class SbmParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.n_nodes < 1 or self.n_classes < 1 or self.n_features < 1:
             raise ValueError("n_nodes, n_classes and n_features must be >= 1")
         if not (0.0 <= self.p_out <= self.p_in <= 1.0):
@@ -51,7 +51,7 @@ class SbmParams:
         if min(fracs) <= 0.0 or abs(sum(fracs) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must be positive and sum to 1, got {fracs}")
         smallest = self.n_nodes // self.n_classes  # generate_sbm's smallest class
-        for name, frac, count in zip(_SPLIT_NAMES, fracs, self._split_sizes(smallest)):
+        for name, frac, count in zip(SPLITS, fracs, self._split_sizes(smallest)):
             if count < 1:
                 raise ValueError(
                     f"{name}_frac = {frac} gives the smallest class "
@@ -83,10 +83,6 @@ class Dataset:
     @property
     def n_nodes(self) -> int:
         return self.y.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.y.max()) + 1
 
     def indices(self, which: int) -> np.ndarray:
         return np.flatnonzero(self.split == which)
@@ -159,7 +155,7 @@ def save_dataset(ds: Dataset, directory) -> None:
     ids = np.arange(ds.n_nodes)
     labels = _format_rows("{},{}\n", ids, ds.y)
     write_text_atomic(directory / "labels.csv", "node_id,label\n" + labels)
-    splits = _format_rows("{},{}\n", ids, _SPLIT_NAMES[ds.split])
+    splits = _format_rows("{},{}\n", ids, np.array(SPLITS)[ds.split])
     write_text_atomic(directory / "splits.csv", "node_id,split\n" + splits)
 
 
@@ -234,11 +230,11 @@ def load_dataset(directory) -> Dataset:
     split_tokens = _read_id_column(directory / "splits.csv", "node_id,split", n)
     split = np.empty(n, dtype=np.int8)
     for i, tok in enumerate(split_tokens):
-        if tok not in _SPLIT_TOKENS:
+        if tok not in SPLITS:
             raise DataError(
                 f"{directory / 'splits.csv'}: unknown split token {tok!r}"
             )
-        split[i] = _SPLIT_TOKENS[tok]
+        split[i] = SPLITS.index(tok)
 
     graph = prepare(load_edge_list(directory / "edges.tsv", n))
     return Dataset(graph=graph, X=X, y=y, split=split)

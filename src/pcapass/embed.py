@@ -26,7 +26,7 @@ from .aggregate import Aggregator, aggregate
 from .fileio import _format_rows
 from .graph import CsrGraph
 from .pca import PcaModel, pca_fit, pca_transform
-from .schema import setting
+from .schema import check_finite, setting
 
 
 class Method(Enum):
@@ -46,6 +46,7 @@ class EmbedConfig:
     d: int = setting(16, "embedding dimension (pcapass only)")
 
     def __post_init__(self):
+        check_finite(self)
         if self.k < 0:
             raise ValueError(f"hop count must be >= 0, got {self.k}")
         if self.d < 1:

@@ -16,14 +16,13 @@ depth-first grower would build, byte for byte.
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .metrics import cross_entropy
-from .schema import setting
+from .schema import check_finite, setting
 
 MODEL_MAGIC = b"PGBM"
 FORMAT_VERSION = 1
@@ -45,9 +44,7 @@ class GbdtParams:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        check_finite(self)
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.max_depth < 1:

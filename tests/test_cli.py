@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcapass import (
+    ConfigError,
     DataError,
     SbmParams,
     gbdt_from_bytes,
@@ -22,7 +23,7 @@ from pcapass import (
     load_dataset,
     save_dataset,
 )
-from pcapass.cli import main
+from pcapass.cli import main, run_script
 from pcapass.config import RunConfig
 from pcapass.datasets import TEST, TRAIN, VALID
 from pcapass.embed import embeddings_from_csv
@@ -482,6 +483,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err == f"error: data: {out / 'dataset'}: class 1 missing from training labels\n"
 
+    @pytest.mark.parametrize(
+        "command, keys, message",
+        [
+            ("sweep", dict(sweep_methods="pcapass,nope"), "unknown method 'nope'"),
+            ("hpo", dict(hpo_k_min=5, hpo_k_max=3), "k range is inverted"),
+            ("hpo", dict(method="nope"), "unknown method 'nope'"),
+        ],
+    )
+    def test_analysis_keys_are_checked_before_the_dataset_loads(
+        self, command, keys, message, tmp_path, capsys
+    ):
+        # there is no dataset: hpo once loaded it first and exited 3
+        config = write_config(tmp_path / "a.cfg", **keys)
+        assert main([command, "--config", config, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: ") and message in err
+
     @pytest.mark.parametrize("runs", [0, -1])
     def test_hpo_runs_below_one_exits_2(self, runs, tmp_path, capsys):
         # hpo_runs = 0 once exited 4 with random_search's "n_runs must be >= 1"
@@ -668,6 +686,36 @@ class TestHelp:
         text = capsys.readouterr().out
         for command in ("gen", "embed", "train", "eval", "sweep", "hpo"):
             assert command in text
+
+
+@pytest.mark.parametrize(
+    "exc, code, kind",
+    [
+        (ConfigError("bad\nkey"), 2, "config"),
+        (DataError("bad file"), 3, "data"),
+        (ZeroDivisionError("division by zero"), 4, "runtime"),
+    ],
+)
+def test_script_entry_maps_errors_like_main(exc, code, kind, capsys):
+    def run(cfg):
+        raise exc
+
+    assert run_script(run, "a script", []) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1
+
+
+def test_script_entry_passes_the_seed_flag(tmp_path):
+    config = write_config(tmp_path / "c.cfg", seed=3, n_nodes=50)
+    seen = []
+
+    def run(cfg):
+        seen.append((cfg.seed, cfg.n_nodes))
+
+    assert run_script(run, "a script", ["--config", config]) == 0
+    assert run_script(run, "a script", ["--config", config, "--seed", "8"]) == 0
+    assert seen == [(3, 50), (8, 50)]
 
 
 def test_console_entrypoint_runs():

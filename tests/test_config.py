@@ -4,13 +4,15 @@ CLI-only key in config.py. The config keys, their help text, the CLI's
 dataclass construction and the PGBM header derive from those fields; the
 literal key table below pins what the derivation produces."""
 
+import math
 import struct
 from dataclasses import fields
 from enum import Enum
 
+import pytest
+
 from pcapass.analysis import SearchSpace
-from pcapass.cli import _params
-from pcapass.config import RunConfig, config_help_text
+from pcapass.config import RunConfig, config_help_text, from_config
 from pcapass.datasets import SbmParams
 from pcapass.embed import EmbedConfig
 from pcapass.gbdt import PARAMS_FORMAT, GbdtParams
@@ -149,8 +151,8 @@ def test_every_config_key_has_help_text():
 
 
 def test_default_hpo_keys_build_the_default_search_space():
-    assert _params(SearchSpace, RunConfig()) == SearchSpace()
-    assert _params(EmbedConfig, RunConfig()) == EmbedConfig()
+    assert from_config(SearchSpace, RunConfig()) == SearchSpace()
+    assert from_config(EmbedConfig, RunConfig()) == EmbedConfig()
 
 
 def test_help_text_of_every_key_starts_at_one_column():
@@ -165,3 +167,29 @@ def test_help_text_of_every_key_starts_at_one_column():
         columns.add(line.index(f.metadata["help"]))
     assert not lines
     assert len(columns) == 1
+
+
+def _non_finite_cases():
+    """Each float field of the four settings classes, and each bound of a
+    float range, set to nan, inf and -inf; EmbedConfig has no float field."""
+    for cls in (SbmParams, EmbedConfig, GbdtParams, SearchSpace):
+        for f in fields(cls):
+            if "float" not in f.type:
+                continue
+            for bad in (math.nan, math.inf, -math.inf):
+                if isinstance(f.default, tuple):
+                    lo, hi = f.default
+                    values = [("_min", (bad, hi)), ("_max", (lo, bad))]
+                else:
+                    values = [("", bad)]
+                for bound, value in values:
+                    yield pytest.param(cls, f.name, value, id=f"{cls.__name__}.{f.name}{bound}-{bad}")
+
+
+@pytest.mark.parametrize("cls, name, value", _non_finite_cases())
+def test_every_settings_class_rejects_a_non_finite_float(cls, name, value):
+    # SbmParams(feature_signal=nan) once dropped the class signal,
+    # SbmParams(train_frac=nan) failed converting nan to an int, and a nan or
+    # infinite SearchSpace bound recorded every search run as failed.
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        cls(**{name: value})

@@ -1,6 +1,7 @@
 """Smoke test: each experiment script runs at a tiny size and prints its
 final summary line."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -53,6 +54,28 @@ def test_bad_config_exits_2_with_one_error_line(script, keys, message, tmp_path)
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: config: ") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def test_sweep_that_cannot_cluster_exits_3_with_one_error_line(tmp_path):
+    # 100 clusters of 40 nodes once died with a kmeans traceback
+    proc = run_script("run_oversmoothing.py", write_config(tmp_path, n_nodes=40, k_clusters=100))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: data: generated dataset: cluster count 100 exceeds 40 points\n"
+    )
+
+
+def test_scripts_define_no_main_and_import_no_private_name():
+    # each script is its `run(cfg)` and its printing; pcapass.cli.run_script
+    # is the entry, so every script fails with the CLI's exit codes
+    for script in SCRIPTS:
+        tree = ast.parse((ROOT / "scripts" / script).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            assert getattr(node, "name", None) != "main", script
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("pcapass"):
+                private = [a.name for a in node.names if a.name.startswith("_")]
+                assert not private, f"{script} imports {private} from {node.module}"
 
 
 def write_config(directory, **keys):
