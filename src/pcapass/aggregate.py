@@ -12,7 +12,6 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-from scipy import sparse
 
 from .graph import CsrGraph
 
@@ -22,15 +21,21 @@ class Aggregator(Enum):
     SYM_NORM = "symnorm"
 
 
-def _operator(g: CsrGraph, aggregator: Aggregator) -> sparse.csr_matrix:
+def _operator(g: CsrGraph, aggregator: Aggregator):
+    """The operator as a scipy CSR matrix. scipy.sparse is imported here, so
+    the commands that never aggregate do not pay for its import."""
+    from scipy import sparse
+
+    # The weights are built in one nnz-length buffer: each entry's row
+    # degree (times its column degree, square-rooted, for symnorm), inverted.
     deg = g.degree.astype(np.float64)
-    row_deg = np.repeat(deg, g.degree)
-    if aggregator is Aggregator.MEAN:
-        weights = 1.0 / row_deg
-    elif aggregator is Aggregator.SYM_NORM:
-        weights = 1.0 / np.sqrt(row_deg * deg[g.col_idx])
-    else:
+    weights = np.repeat(deg, g.degree)
+    if aggregator is Aggregator.SYM_NORM:
+        weights *= deg[g.col_idx]
+        np.sqrt(weights, out=weights)
+    elif aggregator is not Aggregator.MEAN:
         raise ValueError(f"unknown aggregator {aggregator!r}")
+    np.divide(1.0, weights, out=weights)
     return sparse.csr_matrix(
         (weights, g.col_idx, g.row_ptr), shape=(g.n_nodes, g.n_nodes)
     )

@@ -67,9 +67,14 @@ def _check_counts(cfg: RunConfig, *keys: str) -> None:
 
 
 def _load_split_dataset(cfg: RunConfig) -> Dataset:
-    """The dataset, which must hold a node of every split: loaded data skips
-    the split checks of `gen`."""
+    """The dataset, which must hold two classes and a node of every split:
+    loaded data skips the class and split checks of `gen`."""
     ds = load_dataset(_dataset_dir(cfg))
+    n_classes = np.unique(ds.y).size
+    if n_classes < 2:
+        raise DataError(
+            f"{_dataset_dir(cfg) / 'labels.csv'}: need at least 2 classes, got {n_classes}"
+        )
     for which, name in enumerate(SPLITS):
         if not (ds.split == which).any():
             raise DataError(f"{_dataset_dir(cfg) / 'splits.csv'}: no {name} node")

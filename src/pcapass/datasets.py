@@ -41,8 +41,10 @@ class SbmParams:
 
     def __post_init__(self):
         check_finite(self)
-        if self.n_nodes < 1 or self.n_classes < 1 or self.n_features < 1:
-            raise ValueError("n_nodes, n_classes and n_features must be >= 1")
+        if self.n_nodes < 1 or self.n_features < 1:
+            raise ValueError("n_nodes and n_features must be >= 1")
+        if self.n_classes < 2:
+            raise ValueError(f"n_classes must be >= 2 to train a classifier, got {self.n_classes}")
         if not (0.0 <= self.p_out <= self.p_in <= 1.0):
             raise ValueError(
                 f"need 0 <= p_out <= p_in <= 1, got p_in={self.p_in} p_out={self.p_out}"

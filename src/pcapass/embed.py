@@ -5,7 +5,9 @@ Three embedders share one hop loop:
 * pcapass: aggregate the neighborhood, concatenate with the previous state
   (a skip connection that doubles the width), then fit-and-apply PCA to pull
   the width back to at most d. Memory per node stays O(d) no matter how many
-  hops run.
+  hops run: a hop peaks at about 6 n x d float64 arrays, namely the previous
+  state, the 2d-wide concatenation, the centered copy `pca_transform` makes
+  of it, and the new state.
 * message_passing: plain repeated aggregation, the baseline most exposed to
   over-smoothing.
 * skip_connections: average the aggregated state with the previous one,
@@ -72,8 +74,7 @@ def hop_states(
     warned = False
     for _ in range(cfg.k):
         if cfg.method is Method.PCAPASS:
-            agg = aggregate(g, h, cfg.aggregator)
-            combined = np.hstack((agg, h))
+            combined = np.hstack((aggregate(g, h, cfg.aggregator), h))
             model = pca_fit(combined, cfg.d)
             if model.n_components < cfg.d and not warned:
                 warnings.warn(
@@ -95,11 +96,13 @@ def hop_states(
 
 def embed(g: CsrGraph, X, cfg: EmbedConfig) -> EmbedResult:
     """Run the configured embedder for cfg.k hops."""
-    h = np.array(X, dtype=np.float64, copy=True)
+    h = None
     models: list[PcaModel] = []
     for h, model in hop_states(g, X, cfg):
         if model is not None:
             models.append(model)
+    if h is None:  # no hop ran: the result is a copy of the input
+        h = np.array(X, dtype=np.float64, copy=True)
     return EmbedResult(embeddings=h, per_hop_models=models)
 
 

@@ -96,9 +96,10 @@ def pca_fit(X, d: int) -> PcaModel:
         raise ValueError(f"target dimension must be >= 1, got {d}")
 
     # Canonical row order: permuting input rows cannot change the model.
-    Xs = X[_canonical_order(X)]
-    mean = Xs.sum(axis=0) / n
-    Xc = Xs - mean
+    # The sorted rows are a fresh copy, so they are centered in place.
+    Xc = X[_canonical_order(X)]
+    mean = Xc.sum(axis=0) / n
+    Xc -= mean
     cov = (Xc.T @ Xc) / (n - 1.0)
 
     evals, evecs = np.linalg.eigh(cov)

@@ -3,8 +3,9 @@
 Everything here is deliberately written the slow, obvious way and shares no
 code with the package: dense adjacency matrices, an explicit cyclic Jacobi
 eigensolver, SVD-based PCA, contingency-table entropies computed with
-plain loops, a dataset reader and writer that handle one line at a time, and
-a boosting loop that grows each tree depth-first, one node at a time.
+plain loops, a dataset reader and writer that handle one line at a time, a
+boosting loop that grows each tree depth-first, one node at a time, and the
+hop loop as it was before it reused its buffers.
 """
 
 import math
@@ -514,3 +515,67 @@ def gbdt_train_reference(X_tr, y_tr, X_val, y_val, params):
             if stall >= params.patience:
                 break
     return base, rounds, best_round, best_ce, prior_ce, history
+
+
+def operator_reference(g, aggregator):
+    """The CSR operator as the hop loop once built it, with the row degrees
+    and the weights in two nnz-length arrays."""
+    from scipy import sparse
+
+    deg = g.degree.astype(np.float64)
+    row_deg = np.repeat(deg, g.degree)
+    if aggregator == "mean":
+        weights = 1.0 / row_deg
+    elif aggregator == "symnorm":
+        weights = 1.0 / np.sqrt(row_deg * deg[g.col_idx])
+    else:
+        raise ValueError(aggregator)
+    return sparse.csr_matrix(
+        (weights, g.col_idx, g.row_ptr), shape=(g.n_nodes, g.n_nodes)
+    )
+
+
+def pca_fit_reference(X, d):
+    """`pca_fit` as it once was: the sorted rows are centered into a second
+    copy. The canonical order is the full lexsort it is defined as. Returns
+    (mean, components, eigenvalues, total_variance)."""
+    n, f = X.shape
+    Xs = X[np.lexsort(X.T[::-1])]
+    mean = Xs.sum(axis=0) / n
+    Xc = Xs - mean
+    cov = (Xc.T @ Xc) / (n - 1.0)
+
+    evals, evecs = np.linalg.eigh(cov)
+    evals = evals[::-1]
+    components = evecs[:, ::-1].T.copy()
+
+    n_components = min(d, f, n)
+    evals = np.maximum(evals[:n_components], 0.0)
+    if evals.size and evals[0] > 0.0:
+        evals[evals < 1e-12 * evals[0]] = 0.0
+    components = components[:n_components]
+    pivot = np.argmax(np.abs(components), axis=1)
+    flip = components[np.arange(n_components), pivot] < 0.0
+    components[flip] *= -1.0
+    return mean, components, evals, float(np.trace(cov))
+
+
+def hop_states_reference(g, X, method, aggregator, k, d):
+    """The hop loop as it once was, with the aggregate kept alive through the
+    PCA fit. Returns (states after hops 1..k, pcapass models)."""
+    h = np.ascontiguousarray(X, dtype=np.float64)
+    states, models = [], []
+    for _ in range(k):
+        if method == "pcapass":
+            agg = operator_reference(g, aggregator) @ h
+            combined = np.hstack((agg, h))
+            model = pca_fit_reference(combined, d)
+            mean, components = model[:2]
+            h = (combined - mean) @ components.T
+            models.append(model)
+        elif method == "skip_connections":
+            h = (operator_reference(g, aggregator) @ h + h) / 2.0
+        else:
+            h = operator_reference(g, aggregator) @ h
+        states.append(h)
+    return states, models

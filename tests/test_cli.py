@@ -438,6 +438,34 @@ class TestErrors:
         assert err.startswith(f"error: config: {key} = ")
         assert not out.exists()
 
+    def test_gen_with_one_class_exits_2(self, tmp_path, capsys):
+        # gen once wrote a one-class dataset: train then exited 3, and hpo
+        # exited 0 with every run failed
+        config = write_config(tmp_path / "gen.cfg", n_nodes=60, n_classes=1, n_features=4)
+        out = tmp_path / "run"
+        assert main(["gen", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: n_classes must be >= 2 to train a classifier, got 1\n"
+        )
+        assert not out.exists()
+
+    def test_loaded_dataset_with_one_class_exits_3(self, tiny_config, tmp_path, capsys):
+        # eval once scored a two-class model on it and exited 0
+        out = tmp_path / "run"
+        for command in ("gen", "embed", "train"):
+            assert run_cmd(command, tiny_config, out) == 0
+        (out / "metrics.json").unlink()
+        labels = out / "dataset" / "labels.csv"
+        labels.write_text(labels.read_text().replace(",1\n", ",0\n"))
+        for command in ("train", "eval", "hpo"):
+            capsys.readouterr()
+            assert run_cmd(command, tiny_config, out) == 3
+            assert capsys.readouterr().err == (
+                f"error: data: {labels}: need at least 2 classes, got 1\n"
+            )
+        assert not (out / "metrics.json").exists()
+        assert not (out / "hpo.csv").exists()
+
     @pytest.mark.parametrize("split", ["valid", "test"])
     def test_loaded_dataset_with_an_empty_split_exits_3(
         self, split, tiny_config, tmp_path, capsys
@@ -726,3 +754,34 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "configuration keys" in proc.stdout
+
+
+SCIPY_SPARSE_PROBE = """
+import sys
+import pcapass.cli
+config, out, *commands = sys.argv[1:]
+loaded = {"import": "scipy.sparse" in sys.modules}
+for command in commands:
+    assert pcapass.cli.main([command, "--config", config, "--out", out]) == 0
+    loaded[command] = "scipy.sparse" in sys.modules
+print(loaded)
+"""
+
+
+def test_scipy_sparse_loads_only_when_a_hop_aggregates(tiny_config, tmp_path):
+    # Only aggregation uses scipy.sparse, and its import once cost every
+    # command about 0.3 s of start-up. A fresh interpreter runs the commands
+    # in-process and records after each whether the module is loaded.
+    out = tmp_path / "run"
+    for command in ("gen", "embed"):
+        assert run_cmd(command, tiny_config, out) == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_SPARSE_PROBE, tiny_config, str(out),
+         "gen", "train", "eval", "embed"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(
+        {"import": False, "gen": False, "train": False, "eval": False, "embed": True}
+    )

@@ -26,6 +26,7 @@ class TestParams:
             dict(train_frac=0.5, valid_frac=0.5, test_frac=0.5),
             dict(n_classes=0),
             dict(feature_signal=1.0, n_classes=5, n_features=3),
+            dict(n_classes=1),
         ],
     )
     def test_invalid_params_rejected(self, kw):
@@ -147,7 +148,7 @@ class TestSaveLoad:
         "params",
         [
             *(SbmParams(n_nodes=90, n_classes=3, n_features=4, seed=s) for s in (0, 1, 2)),
-            SbmParams(n_nodes=40, n_classes=1, n_features=1, seed=3),
+            SbmParams(n_nodes=40, n_classes=2, n_features=1, feature_signal=0.0, seed=3),
             SbmParams(n_nodes=40, n_classes=2, n_features=3, p_in=0.0, p_out=0.0, seed=4),
         ],
         ids=["seed0", "seed1", "seed2", "one_feature", "no_edges"],

@@ -1,8 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import path_edges, random_edge_pairs
-from oracles import dense_operator, dense_prepared_adjacency, embed_reference
+from oracles import (
+    dense_operator,
+    dense_prepared_adjacency,
+    embed_reference,
+    hop_states_reference,
+)
 from pcapass import (
     Aggregator,
     EdgeList,
@@ -11,6 +18,7 @@ from pcapass import (
     aggregate,
     embed,
     hop_states,
+    pca_fit,
     prepare,
 )
 from pcapass.embed import embeddings_from_csv, embeddings_to_csv
@@ -147,6 +155,80 @@ def test_embed_deterministic_bitwise(rng):
     assert a.embeddings.tobytes() == b.embeddings.tobytes()
     for ma, mb in zip(a.per_hop_models, b.per_hop_models):
         assert ma.components.tobytes() == mb.components.tobytes()
+
+
+class TestHopLoopBuffers:
+    """The hop loop builds the operator weights in one buffer, centers the
+    sorted PCA rows in place and drops each aggregate once it is
+    concatenated. None of that may change a byte of a result or an input."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    @pytest.mark.parametrize("method", list(Method))
+    def test_same_bytes_as_the_two_copy_hop_loop(self, method, aggregator, k, dtype, rng):
+        n, f, d = 120, 5, 4
+        g = prepare(EdgeList(n, random_edge_pairs(rng, n, 3 * n)))
+        X = rng.standard_normal((n, f)).astype(dtype)
+        cfg = cfg_for(method, k=k, d=d, aggregator=aggregator)
+        result = embed(g, X, cfg)
+        states, models = hop_states_reference(g, X, method.value, aggregator.value, k, d)
+
+        for mine, theirs in zip([h for h, _ in hop_states(g, X, cfg)], states, strict=True):
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+        expected = states[-1] if states else X.astype(np.float64)
+        assert result.embeddings.shape == expected.shape
+        assert result.embeddings.tobytes() == expected.tobytes()
+        assert len(result.per_hop_models) == len(models)
+        for model, (mean, components, eigenvalues, total) in zip(result.per_hop_models, models):
+            assert model.mean.tobytes() == mean.tobytes()
+            assert model.components.shape == components.shape
+            assert model.components.tobytes() == components.tobytes()
+            assert model.eigenvalues.tobytes() == eigenvalues.tobytes()
+            assert model.total_variance == total
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_inputs_are_left_unchanged(self, dtype, rng):
+        n = 60
+        g = prepare(EdgeList(n, random_edge_pairs(rng, n, 150)))
+        X = rng.standard_normal((n, 4)).astype(dtype)
+        before = X.tobytes()
+        for method in Method:
+            for aggregator in Aggregator:
+                for k in (0, 2):
+                    result = embed(g, X, cfg_for(method, k=k, d=3, aggregator=aggregator))
+                    assert not np.shares_memory(result.embeddings, X)
+        for aggregator in Aggregator:
+            aggregate(g, X, aggregator)
+        pca_fit(X, 3)
+        assert X.tobytes() == before
+
+    def test_hop_peak_memory_is_a_few_states(self, rng):
+        # 20k nodes of mean degree about 21, with float32 features as
+        # `load_dataset` returns them. A unit is one n x f float64 array, the
+        # size of a hop state. pcapass once peaked at 9.0 units and the other
+        # two methods at 5.4-6.0: a float64 copy of the input that nothing
+        # read, the aggregate held through the PCA fit, the sorted rows kept
+        # beside their centered copy, and the operator's row degrees kept
+        # beside its weights.
+        n, f = 20_000, 16
+        g = prepare(EdgeList(n, random_edge_pairs(rng, n, 10 * n)))
+        X = rng.standard_normal((n, f)).astype(np.float32)
+        aggregate(g, X[:, :1], Aggregator.MEAN)  # import scipy.sparse untraced
+        bound = {Method.PCAPASS: 7.0, Method.MESSAGE_PASSING: 4.5, Method.SKIP_CONNECTIONS: 4.5}
+        peaks, over = {}, []
+        for method in Method:
+            for aggregator in Aggregator:
+                tracemalloc.start()
+                try:
+                    embed(g, X, cfg_for(method, k=2, d=f, aggregator=aggregator))
+                    peak = tracemalloc.get_traced_memory()[1] / (n * f * 8)
+                finally:
+                    tracemalloc.stop()
+                peaks[method.value, aggregator.value] = round(peak, 2)
+                if peak > bound[method]:
+                    over.append((method.value, aggregator.value))
+        assert not over, peaks
 
 
 class TestEmbeddingFiles:

@@ -45,8 +45,11 @@ def test_generalization_without_a_correlation_prints_n_a(tmp_path):
     [
         (dict(not_a_key=5), "unknown config key 'not_a_key'"),
         (dict(p_in=0.001, p_out=0.5), "need 0 <= p_out <= p_in <= 1"),
+        # run_pipeline.py once exited 4 from gbdt_train, and
+        # run_generalization.py exited 0 with every run failed
+        (dict(n_nodes=60, n_classes=1), "n_classes must be >= 2"),
     ],
-    ids=["unknown_key", "rejected_value"],
+    ids=["unknown_key", "rejected_value", "one_class"],
 )
 def test_bad_config_exits_2_with_one_error_line(script, keys, message, tmp_path):
     proc = run_script(script, write_config(tmp_path, **keys))
