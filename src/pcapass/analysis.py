@@ -115,15 +115,19 @@ def oversmoothing_sweep(
     as soon as `hop_states` yields it, so memory holds one hop state, not
     `len(methods) * max_hops` of them. Cell (mi, ki) seeds its k-means with
     `seed ^ (mi * max_hops + ki)`. A `k_clusters` of 0 means the distinct
-    label count.
+    label count. Labels of one class would score every cell a trivial 1, so
+    they raise ValueError.
     """
     y = np.asarray(y)
     if max_hops < 1:
         raise ValueError(f"max_hops must be >= 1, got {max_hops}")
     if k_clusters < 0:
         raise ValueError(f"k_clusters must be >= 0, got {k_clusters}")
+    n_classes = int(np.unique(y).size)
+    if n_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {n_classes}")
     if k_clusters == 0:
-        k_clusters = int(np.unique(y).size)
+        k_clusters = n_classes
     width = np.asarray(X).shape[1]
 
     results = []

@@ -12,6 +12,14 @@ Three embedders share one hop loop:
   over-smoothing.
 * skip_connections: average the aggregated state with the previous one,
   keeping the input width.
+
+Each hop's aggregation builds its sparse operator, about 12 bytes per CSR
+entry. On a graph under about a million entries the operator is built
+whole, and message_passing and skip_connections peak at about 4 n x f
+float64 arrays at f = 16 and 21 CSR entries per node. A larger graph is
+aggregated in row blocks on every core (see `aggregate`), which holds one
+block's operator per thread, so those two methods peak at about 3 such
+arrays.
 """
 
 from __future__ import annotations

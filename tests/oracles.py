@@ -4,8 +4,9 @@ Everything here is deliberately written the slow, obvious way and shares no
 code with the package: dense adjacency matrices, an explicit cyclic Jacobi
 eigensolver, SVD-based PCA, contingency-table entropies computed with
 plain loops, a dataset reader and writer that handle one line at a time, a
-boosting loop that grows each tree depth-first, one node at a time, and the
-hop loop as it was before it reused its buffers.
+boosting loop that grows each tree depth-first, one node at a time, the
+hop loop as it was before it reused its buffers, and aggregation through
+one whole operator, as it was before large graphs were cut into row blocks.
 """
 
 import math
@@ -533,6 +534,37 @@ def operator_reference(g, aggregator):
     return sparse.csr_matrix(
         (weights, g.col_idx, g.row_ptr), shape=(g.n_nodes, g.n_nodes)
     )
+
+
+def _whole_operator_reference(g, aggregator):
+    """The operator as a scipy CSR matrix. scipy.sparse is imported here, so
+    the commands that never aggregate do not pay for its import."""
+    from scipy import sparse
+
+    # The weights are built in one nnz-length buffer: each entry's row
+    # degree (times its column degree, square-rooted, for symnorm), inverted.
+    deg = g.degree.astype(np.float64)
+    weights = np.repeat(deg, g.degree)
+    if aggregator == "symnorm":
+        weights *= deg[g.col_idx]
+        np.sqrt(weights, out=weights)
+    elif aggregator != "mean":
+        raise ValueError(f"unknown aggregator {aggregator!r}")
+    np.divide(1.0, weights, out=weights)
+    return sparse.csr_matrix(
+        (weights, g.col_idx, g.row_ptr), shape=(g.n_nodes, g.n_nodes)
+    )
+
+
+def aggregate_reference(g, H, aggregator):
+    """`aggregate` as it was before row blocks: one whole nnz-length
+    operator on one thread. The aggregator is its value string."""
+    H = np.ascontiguousarray(H, dtype=np.float64)
+    if H.ndim != 2 or H.shape[0] != g.n_nodes:
+        raise ValueError(
+            f"feature matrix must have {g.n_nodes} rows, got shape {H.shape}"
+        )
+    return _whole_operator_reference(g, aggregator) @ H
 
 
 def pca_fit_reference(X, d):

@@ -1,10 +1,13 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import prepared_path, random_edge_pairs
-from oracles import dense_operator, dense_prepared_adjacency
+from conftest import force_row_blocks, prepared_path, random_edge_pairs
+from oracles import aggregate_reference, dense_operator, dense_prepared_adjacency
 from pcapass import Aggregator, EdgeList, EmbedConfig, Method, aggregate, embed, prepare
 
 
@@ -48,6 +51,81 @@ class TestAggregate:
         g = prepared_path(3)
         with pytest.raises(ValueError, match="rows"):
             aggregate(g, np.ones((4, 2)), Aggregator.MEAN)
+
+
+def star_graph(n):
+    """Node 0 joined to every other node: its row holds all n entries."""
+    return prepare(EdgeList(n, np.array([[0, v] for v in range(1, n)]).reshape(-1, 2)))
+
+
+class TestRowBlocks:
+    """Large graphs are aggregated in row blocks, on threads. Forced onto
+    small graphs by shrinking the block size and the threshold, the blocks
+    must give the whole operator's bytes and start no thread that outlives
+    the call."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    @pytest.mark.parametrize("block_entries", [1, 7, 64])
+    def test_same_bytes_as_the_whole_operator(
+        self, block_entries, aggregator, dtype, rng, monkeypatch
+    ):
+        graphs = [
+            prepare(EdgeList(1, np.empty((0, 2)))),
+            prepare(EdgeList(120, random_edge_pairs(rng, 120, 360))),
+            star_graph(100),  # a hub row longer than every block
+        ]
+        inputs = [rng.standard_normal((g.n_nodes, 5)).astype(dtype) for g in graphs]
+        expected = [aggregate_reference(g, X, aggregator.value) for g, X in zip(graphs, inputs)]
+        force_row_blocks(monkeypatch, block_entries)
+        for g, X, whole in zip(graphs, inputs, expected):
+            out = aggregate(g, X, aggregator)
+            assert out.shape == whole.shape and out.dtype == whole.dtype
+            assert out.tobytes() == whole.tobytes()
+
+    def test_cuts_follow_rows_and_threads_follow_cores(self, rng, monkeypatch):
+        agg_module = force_row_blocks(monkeypatch, 64)
+        g = prepare(EdgeList(300, random_edge_pairs(rng, 300, 1500)))
+        hub = star_graph(200)
+        for graph in (g, hub):
+            cuts, workers = agg_module._row_blocks(graph)
+            assert cuts[0] == 0 and cuts[-1] == graph.n_nodes and (np.diff(cuts) > 0).all()
+            assert cuts.size - 1 <= math.ceil(graph.n_entries / 64)
+            assert 1 <= workers <= min(cuts.size - 1, len(agg_module.os.sched_getaffinity(0)))
+        assert agg_module._row_blocks(hub)[0][1] == 1  # the hub row is one block
+
+        monkeypatch.setattr(agg_module.os, "sched_getaffinity", lambda pid: {0})
+        assert agg_module._row_blocks(g)[1] == 1
+        monkeypatch.setattr(agg_module.os, "sched_getaffinity", lambda pid: set(range(64)))
+        cuts, workers = agg_module._row_blocks(g)
+        assert workers == cuts.size - 1 < 64
+        monkeypatch.delattr(agg_module.os, "sched_getaffinity")
+        monkeypatch.setattr(agg_module.os, "cpu_count", lambda: 3)
+        assert agg_module._row_blocks(g)[1] == 3
+
+        monkeypatch.undo()  # the module's own sizes: this graph is below the threshold
+        cuts, workers = agg_module._row_blocks(g)
+        assert cuts.tolist() == [0, g.n_nodes] and workers == 1
+
+    def test_a_failing_block_raises_and_no_thread_outlives_the_call(self, rng, monkeypatch):
+        agg_module = force_row_blocks(monkeypatch, 16)
+        g = prepare(EdgeList(200, random_edge_pairs(rng, 200, 600)))
+        X = rng.standard_normal((200, 3))
+        before = threading.active_count()
+        aggregate(g, X, Aggregator.MEAN)
+        assert threading.active_count() == before
+
+        operator = agg_module._operator
+
+        def fail_late_blocks(g, deg, aggregator, r0, r1):
+            if r0 > 100:
+                raise RuntimeError(f"block at row {r0} failed")
+            return operator(g, deg, aggregator, r0, r1)
+
+        monkeypatch.setattr(agg_module, "_operator", fail_late_blocks)
+        with pytest.raises(RuntimeError, match="block at row .* failed"):
+            aggregate(g, X, Aggregator.SYM_NORM)
+        assert threading.active_count() == before
 
 
 class TestAggregateK:

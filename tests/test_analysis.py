@@ -137,6 +137,16 @@ class TestOversmoothingSweep:
                 ds.graph, ds.X, ds.y, [Method.PCAPASS], max_hops=1, k_clusters=-3
             )
 
+    @pytest.mark.parametrize("k_clusters", [0, 1, 2])
+    def test_rejects_labels_of_one_class(self, k_clusters):
+        # one cluster against one class once scored every cell a v-measure of 1
+        ds = small_sbm(seed=4, n=60)
+        with pytest.raises(ValueError, match="need at least 2 classes, got 1"):
+            oversmoothing_sweep(
+                ds.graph, ds.X, np.zeros_like(ds.y), [Method.MESSAGE_PASSING],
+                max_hops=2, k_clusters=k_clusters,
+            )
+
     def test_rejects_zero_hops(self):
         ds = small_sbm(seed=4, n=60)
         with pytest.raises(ValueError):

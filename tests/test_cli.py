@@ -378,8 +378,8 @@ class TestErrors:
         "command, methods, message",
         [
             ("embed", "pcapass", "pca_fit needs at least 2 rows, got 1"),
-            ("sweep", "pcapass", "pca_fit needs at least 2 rows, got 1"),
-            ("sweep", "message_passing", "standardize needs a 2-D matrix with >= 2 rows"),
+            ("sweep", "pcapass", "need at least 2 classes, got 1"),
+            ("sweep", "message_passing", "need at least 2 classes, got 1"),
         ],
     )
     def test_one_node_dataset_exits_3_naming_the_directory(
@@ -465,6 +465,21 @@ class TestErrors:
             )
         assert not (out / "metrics.json").exists()
         assert not (out / "hpo.csv").exists()
+
+    def test_sweep_of_a_one_label_dataset_exits_3(self, tiny_config, tmp_path, capsys):
+        # it once wrote a sweep.csv whose every v-measure read 1
+        out = tmp_path / "run"
+        assert run_cmd("gen", tiny_config, out) == 0
+        labels = out / "dataset" / "labels.csv"
+        labels.write_text(labels.read_text().replace(",1\n", ",0\n"))
+        for k_clusters in (0, 2):
+            config = write_config(tmp_path / "one.cfg", sweep_hops=2, k_clusters=k_clusters)
+            capsys.readouterr()
+            assert run_cmd("sweep", config, out) == 3
+            assert capsys.readouterr().err == (
+                f"error: data: {out / 'dataset'}: need at least 2 classes, got 1\n"
+            )
+        assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("split", ["valid", "test"])
     def test_loaded_dataset_with_an_empty_split_exits_3(

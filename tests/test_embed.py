@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import path_edges, random_edge_pairs
+from conftest import force_row_blocks, path_edges, random_edge_pairs
 from oracles import (
     dense_operator,
     dense_prepared_adjacency,
@@ -188,6 +188,14 @@ class TestHopLoopBuffers:
             assert model.total_variance == total
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    @pytest.mark.parametrize("method", list(Method))
+    def test_same_bytes_in_row_blocks(self, method, aggregator, k, dtype, rng, monkeypatch):
+        force_row_blocks(monkeypatch, 7)
+        self.test_same_bytes_as_the_two_copy_hop_loop(method, aggregator, k, dtype, rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_inputs_are_left_unchanged(self, dtype, rng):
         n = 60
         g = prepare(EdgeList(n, random_edge_pairs(rng, n, 150)))
@@ -203,31 +211,38 @@ class TestHopLoopBuffers:
         pca_fit(X, 3)
         assert X.tobytes() == before
 
-    def test_hop_peak_memory_is_a_few_states(self, rng):
+    def test_hop_peak_memory_is_a_few_states(self, rng, monkeypatch):
         # 20k nodes of mean degree about 21, with float32 features as
         # `load_dataset` returns them. A unit is one n x f float64 array, the
         # size of a hop state. pcapass once peaked at 9.0 units and the other
         # two methods at 5.4-6.0: a float64 copy of the input that nothing
         # read, the aggregate held through the PCA fit, the sorted rows kept
         # beside their centered copy, and the operator's row degrees kept
-        # beside its weights.
+        # beside its weights. This graph is under the row-block threshold; in
+        # row blocks, which hold one block's operator per thread instead of
+        # the whole nnz-length one, the two plain methods peak lower.
         n, f = 20_000, 16
         g = prepare(EdgeList(n, random_edge_pairs(rng, n, 10 * n)))
         X = rng.standard_normal((n, f)).astype(np.float32)
-        aggregate(g, X[:, :1], Aggregator.MEAN)  # import scipy.sparse untraced
-        bound = {Method.PCAPASS: 7.0, Method.MESSAGE_PASSING: 4.5, Method.SKIP_CONNECTIONS: 4.5}
+        whole = {Method.PCAPASS: 7.0, Method.MESSAGE_PASSING: 4.5, Method.SKIP_CONNECTIONS: 4.5}
+        blocked = {Method.PCAPASS: 7.0, Method.MESSAGE_PASSING: 3.5, Method.SKIP_CONNECTIONS: 3.5}
         peaks, over = {}, []
-        for method in Method:
-            for aggregator in Aggregator:
-                tracemalloc.start()
-                try:
-                    embed(g, X, cfg_for(method, k=2, d=f, aggregator=aggregator))
-                    peak = tracemalloc.get_traced_memory()[1] / (n * f * 8)
-                finally:
-                    tracemalloc.stop()
-                peaks[method.value, aggregator.value] = round(peak, 2)
-                if peak > bound[method]:
-                    over.append((method.value, aggregator.value))
+        for path, bound in (("whole", whole), ("blocks", blocked)):
+            if path == "blocks":
+                force_row_blocks(monkeypatch)
+            # import scipy.sparse (and the thread pool) untraced
+            aggregate(g, X[:, :1], Aggregator.MEAN)
+            for method in Method:
+                for aggregator in Aggregator:
+                    tracemalloc.start()
+                    try:
+                        embed(g, X, cfg_for(method, k=2, d=f, aggregator=aggregator))
+                        peak = tracemalloc.get_traced_memory()[1] / (n * f * 8)
+                    finally:
+                        tracemalloc.stop()
+                    peaks[path, method.value, aggregator.value] = round(peak, 2)
+                    if peak > bound[method]:
+                        over.append((path, method.value, aggregator.value))
         assert not over, peaks
 
 
