@@ -6,35 +6,31 @@ of its own neighborhood and degrees are >= 1; the operators never
 special-case the diagonal. Accumulation runs in 64-bit floats in ascending
 neighbor-id order per row, so results are bitwise reproducible.
 
-A graph with fewer than `_BLOCKED_MIN_ENTRIES` CSR entries is multiplied by
-one whole operator. A larger one is cut into row blocks of about
-`_BLOCK_ENTRIES` entries, never splitting a row; each block's operator is
-built and multiplied on its own, on one thread per core of the process's CPU
-affinity, into its rows of one output array. The nnz-length operator is
-never held whole, only one block's per thread. A row's weights and its
-accumulation order do not depend on the blocking, so every output byte is
-the same on either path and at any thread count.
+A graph is cut into row blocks of about `_BLOCK_ENTRIES` CSR entries, never
+splitting a row. Each block's operator is built and multiplied in turn into
+its rows of one output array, so the nnz-length operator is never held
+whole, only one block's. A graph of one block is multiplied by its whole
+operator with no output copy. A row's weights and its accumulation order do
+not depend on the blocking, so every output byte is the same at any block
+size.
 """
 
 from __future__ import annotations
 
-import os
 from enum import Enum
 
 import numpy as np
 
 from .graph import CsrGraph
 
-# Below this many CSR entries one whole operator is faster. On a 2-core VM
-# at f = 16, the blocks took a 150k-entry graph from 2.6 to 3.9 ms per
-# aggregate and a 412k-entry one from 7.4 to 8.3 ms, while a 2.1M-entry one
-# went from 150 to 88 ms.
-_BLOCKED_MIN_ENTRIES = 1 << 20
-# Entries per row block. Larger blocks hold more operator bytes per thread:
-# after prepare and 2 embeds (k = 8, d = 16) of a 100k-node, 2.1M-entry
-# graph on 2 threads, peak RSS read 182 MB at 2^16 entries, 189 at 2^18, 198
-# at 2^19 and 217-220 at 2^20, against 206 for one whole operator.
-_BLOCK_ENTRIES = 1 << 16
+# Entries per row block. On a 2-core VM after prepare and 2 embeds (k = 8,
+# d = 16) of a 100k-node, 2.1M-entry graph, peak RSS read 188 MB at every
+# size from 2^16 to 2^19, against 216 MB for one whole operator. Smaller
+# blocks cost time: one aggregate (f = 16) took 95-137 ms whole, 131-171 ms
+# at 2^16, 110-146 ms at 2^18 and 108-138 ms at 2^19 (medians of 20), and a
+# 412k-entry graph took 7.0-7.4 ms whole and 7.7-8.3 ms in 2 blocks. At 2^19
+# the benchmark's smaller graphs (150k and 412k entries) are one block.
+_BLOCK_ENTRIES = 1 << 19
 
 
 class Aggregator(Enum):
@@ -65,19 +61,11 @@ def _operator(g: CsrGraph, deg: np.ndarray, aggregator: Aggregator, r0: int, r1:
     )
 
 
-def _row_blocks(g: CsrGraph) -> tuple[np.ndarray, int]:
-    """The row cuts of `aggregate`'s blocks (0, ..., n) and its thread count:
-    one block on one thread below `_BLOCKED_MIN_ENTRIES` entries, else one
-    thread per block up to the cores the process may run on."""
-    if g.n_entries < _BLOCKED_MIN_ENTRIES:
-        return np.array([0, g.n_nodes]), 1
+def _row_blocks(g: CsrGraph) -> np.ndarray:
+    """The row cuts (0, ..., n) of `aggregate`'s blocks of about
+    `_BLOCK_ENTRIES` entries; a row longer than that is one block."""
     targets = np.arange(_BLOCK_ENTRIES, g.n_entries, _BLOCK_ENTRIES)
-    cuts = np.unique(np.concatenate(([0], np.searchsorted(g.row_ptr, targets), [g.n_nodes])))
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return cuts, min(cores, cuts.size - 1)
+    return np.unique(np.concatenate(([0], np.searchsorted(g.row_ptr, targets), [g.n_nodes])))
 
 
 def aggregate(g: CsrGraph, H, aggregator: Aggregator) -> np.ndarray:
@@ -91,22 +79,11 @@ def aggregate(g: CsrGraph, H, aggregator: Aggregator) -> np.ndarray:
         raise ValueError(
             f"feature matrix must have {g.n_nodes} rows, got shape {H.shape}"
         )
-    cuts, workers = _row_blocks(g)
-    if cuts.size <= 2:  # the degrees are freed before the product
+    cuts = _row_blocks(g)
+    if cuts.size <= 2:  # one block; the degrees are freed before the product
         return _operator(g, g.degree.astype(np.float64), aggregator, 0, g.n_nodes) @ H
-    # scipy releases the GIL inside `csr @ dense`, so the blocks run in
-    # parallel. `map` re-raises a worker's exception here, and leaving the
-    # `with` joins every thread, so neither an unwritten row nor a thread
-    # outlives the call.
-    from concurrent.futures import ThreadPoolExecutor
-
     deg = g.degree.astype(np.float64)
     out = np.empty((g.n_nodes, H.shape[1]))
-
-    def multiply(r0: int, r1: int) -> None:
+    for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         out[r0:r1] = _operator(g, deg, aggregator, r0, r1) @ H
-
-    with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(multiply, cuts[:-1].tolist(), cuts[1:].tolist()):
-            pass
     return out

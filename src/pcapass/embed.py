@@ -14,12 +14,10 @@ Three embedders share one hop loop:
   keeping the input width.
 
 Each hop's aggregation builds its sparse operator, about 12 bytes per CSR
-entry. On a graph under about a million entries the operator is built
-whole, and message_passing and skip_connections peak at about 4 n x f
-float64 arrays at f = 16 and 21 CSR entries per node. A larger graph is
-aggregated in row blocks on every core (see `aggregate`), which holds one
-block's operator per thread, so those two methods peak at about 3 such
-arrays.
+entry, one row block of about half a million entries at a time (see
+`aggregate`). At f = 16 and 21 CSR entries per node, message_passing and
+skip_connections peak at about 4 n x f float64 arrays on a graph of one
+block, and at about 2.5 such arrays on a graph of many blocks.
 """
 
 from __future__ import annotations

@@ -18,13 +18,11 @@ def random_edge_pairs(rng, n, m):
     return rng.integers(0, n, size=(m, 2)).astype(np.int64)
 
 
-def force_row_blocks(monkeypatch, block_entries=None):
+def force_row_blocks(monkeypatch, block_entries):
     """Make `aggregate` cut every graph into row blocks of `block_entries`
-    CSR entries (the module's own size if None), however small the graph."""
+    CSR entries, however small the graph."""
     module = importlib.import_module("pcapass.aggregate")
-    monkeypatch.setattr(module, "_BLOCKED_MIN_ENTRIES", 0)
-    if block_entries is not None:
-        monkeypatch.setattr(module, "_BLOCK_ENTRIES", block_entries)
+    monkeypatch.setattr(module, "_BLOCK_ENTRIES", block_entries)
     return module
 
 

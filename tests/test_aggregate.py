@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -59,10 +58,9 @@ def star_graph(n):
 
 
 class TestRowBlocks:
-    """Large graphs are aggregated in row blocks, on threads. Forced onto
-    small graphs by shrinking the block size and the threshold, the blocks
-    must give the whole operator's bytes and start no thread that outlives
-    the call."""
+    """Large graphs are aggregated in row blocks. Forced onto small graphs by
+    shrinking the block size, the blocks must give the whole operator's
+    bytes."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("aggregator", list(Aggregator))
@@ -83,38 +81,22 @@ class TestRowBlocks:
             assert out.shape == whole.shape and out.dtype == whole.dtype
             assert out.tobytes() == whole.tobytes()
 
-    def test_cuts_follow_rows_and_threads_follow_cores(self, rng, monkeypatch):
+    def test_cuts_follow_rows(self, rng, monkeypatch):
         agg_module = force_row_blocks(monkeypatch, 64)
         g = prepare(EdgeList(300, random_edge_pairs(rng, 300, 1500)))
         hub = star_graph(200)
         for graph in (g, hub):
-            cuts, workers = agg_module._row_blocks(graph)
+            cuts = agg_module._row_blocks(graph)
             assert cuts[0] == 0 and cuts[-1] == graph.n_nodes and (np.diff(cuts) > 0).all()
             assert cuts.size - 1 <= math.ceil(graph.n_entries / 64)
-            assert 1 <= workers <= min(cuts.size - 1, len(agg_module.os.sched_getaffinity(0)))
-        assert agg_module._row_blocks(hub)[0][1] == 1  # the hub row is one block
+        assert agg_module._row_blocks(hub)[1] == 1  # the hub row is one block
 
-        monkeypatch.setattr(agg_module.os, "sched_getaffinity", lambda pid: {0})
-        assert agg_module._row_blocks(g)[1] == 1
-        monkeypatch.setattr(agg_module.os, "sched_getaffinity", lambda pid: set(range(64)))
-        cuts, workers = agg_module._row_blocks(g)
-        assert workers == cuts.size - 1 < 64
-        monkeypatch.delattr(agg_module.os, "sched_getaffinity")
-        monkeypatch.setattr(agg_module.os, "cpu_count", lambda: 3)
-        assert agg_module._row_blocks(g)[1] == 3
+        monkeypatch.undo()  # the module's own size: this graph is one block
+        assert agg_module._row_blocks(g).tolist() == [0, g.n_nodes]
 
-        monkeypatch.undo()  # the module's own sizes: this graph is below the threshold
-        cuts, workers = agg_module._row_blocks(g)
-        assert cuts.tolist() == [0, g.n_nodes] and workers == 1
-
-    def test_a_failing_block_raises_and_no_thread_outlives_the_call(self, rng, monkeypatch):
+    def test_a_failing_block_raises(self, rng, monkeypatch):
         agg_module = force_row_blocks(monkeypatch, 16)
         g = prepare(EdgeList(200, random_edge_pairs(rng, 200, 600)))
-        X = rng.standard_normal((200, 3))
-        before = threading.active_count()
-        aggregate(g, X, Aggregator.MEAN)
-        assert threading.active_count() == before
-
         operator = agg_module._operator
 
         def fail_late_blocks(g, deg, aggregator, r0, r1):
@@ -124,8 +106,7 @@ class TestRowBlocks:
 
         monkeypatch.setattr(agg_module, "_operator", fail_late_blocks)
         with pytest.raises(RuntimeError, match="block at row .* failed"):
-            aggregate(g, X, Aggregator.SYM_NORM)
-        assert threading.active_count() == before
+            aggregate(g, rng.standard_normal((200, 3)), Aggregator.SYM_NORM)
 
 
 class TestAggregateK:

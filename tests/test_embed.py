@@ -218,20 +218,19 @@ class TestHopLoopBuffers:
         # two methods at 5.4-6.0: a float64 copy of the input that nothing
         # read, the aggregate held through the PCA fit, the sorted rows kept
         # beside their centered copy, and the operator's row degrees kept
-        # beside its weights. This graph is under the row-block threshold; in
-        # row blocks, which hold one block's operator per thread instead of
-        # the whole nnz-length one, the two plain methods peak lower.
+        # beside its weights. This graph is one row block of the module's
+        # size; in blocks of 2^16 entries, which hold one block's operator
+        # instead of the whole nnz-length one, the two plain methods peak lower.
         n, f = 20_000, 16
         g = prepare(EdgeList(n, random_edge_pairs(rng, n, 10 * n)))
         X = rng.standard_normal((n, f)).astype(np.float32)
         whole = {Method.PCAPASS: 7.0, Method.MESSAGE_PASSING: 4.5, Method.SKIP_CONNECTIONS: 4.5}
         blocked = {Method.PCAPASS: 7.0, Method.MESSAGE_PASSING: 3.5, Method.SKIP_CONNECTIONS: 3.5}
+        aggregate(g, X[:, :1], Aggregator.MEAN)  # import scipy.sparse untraced
         peaks, over = {}, []
         for path, bound in (("whole", whole), ("blocks", blocked)):
             if path == "blocks":
-                force_row_blocks(monkeypatch)
-            # import scipy.sparse (and the thread pool) untraced
-            aggregate(g, X[:, :1], Aggregator.MEAN)
+                force_row_blocks(monkeypatch, 1 << 16)
             for method in Method:
                 for aggregator in Aggregator:
                     tracemalloc.start()
