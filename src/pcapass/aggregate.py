@@ -10,9 +10,10 @@ A graph is cut into row blocks of about `_BLOCK_ENTRIES` CSR entries, never
 splitting a row. Each block's operator is built and multiplied in turn into
 its rows of one output array, so the nnz-length operator is never held
 whole, only one block's. A graph of one block is multiplied by its whole
-operator with no output copy. A row's weights and its accumulation order do
-not depend on the blocking, so every output byte is the same at any block
-size.
+operator with no output copy: copying the product into a preallocated
+output would add one hop state to the peak of `embed`. A row's weights and
+its accumulation order do not depend on the blocking, so every output byte
+is the same at any block size.
 """
 
 from __future__ import annotations
@@ -55,10 +56,8 @@ def _operator(g: CsrGraph, deg: np.ndarray, aggregator: Aggregator, r0: int, r1:
     elif aggregator is not Aggregator.MEAN:
         raise ValueError(f"unknown aggregator {aggregator!r}")
     np.divide(1.0, weights, out=weights)
-    indptr = g.row_ptr[r0 : r1 + 1]  # rebased only for a block: no copy when whole
-    return sparse.csr_matrix(
-        (weights, cols, indptr - start if start else indptr), shape=(r1 - r0, g.n_nodes)
-    )
+    indptr = g.row_ptr[r0 : r1 + 1] - start
+    return sparse.csr_matrix((weights, cols, indptr), shape=(r1 - r0, g.n_nodes))
 
 
 def _row_blocks(g: CsrGraph) -> np.ndarray:

@@ -24,7 +24,7 @@ from .datasets import TEST, TRAIN, VALID, Dataset
 from .embed import EmbedConfig, Method, embed, hop_states
 from .gbdt import GbdtParams, gbdt_predict, gbdt_train
 from .metrics import accuracy, kmeans, pearson_correlation, standardize, v_measure
-from .schema import check_finite, setting
+from .schema import check_settings, setting
 
 
 @dataclass
@@ -65,7 +65,7 @@ class SearchSpace:
     patience: int = GbdtParams.patience
 
     def __post_init__(self):
-        check_finite(self)
+        check_settings(self)
         for name in self.aggregators:
             if name not in {a.value for a in Aggregator}:
                 raise ValueError(f"unknown aggregator {name!r}")

@@ -60,12 +60,6 @@ def _model_path(cfg: RunConfig) -> Path:
     return Path(cfg.model_path) if cfg.model_path else Path(cfg.out) / "model.bin"
 
 
-def _check_counts(cfg: RunConfig, *keys: str) -> None:
-    for key in keys:
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {getattr(cfg, key)}")
-
-
 def _load_split_dataset(cfg: RunConfig) -> Dataset:
     """The dataset, which must hold two classes and a node of every split:
     loaded data skips the class and split checks of `gen`."""
@@ -170,9 +164,6 @@ def sweep(cfg: RunConfig, load: Callable[[], Dataset], where: str | Path) -> lis
     `load()` gives once those keys are checked. A dataset the sweep cannot
     score, such as a 1-node one or one with fewer nodes than clusters, is a
     data error at `where`."""
-    _check_counts(cfg, "sweep_hops", "kmeans_restarts")
-    if cfg.k_clusters < 0:
-        raise ConfigError(f"k_clusters must be >= 0, got {cfg.k_clusters}")
     methods = [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
     ds = load()
     try:
@@ -187,7 +178,6 @@ def sweep(cfg: RunConfig, load: Callable[[], Dataset], where: str | Path) -> lis
 def search(cfg: RunConfig, load: Callable[[], Dataset]) -> list[HpoRecord]:
     """The random search of `cfg`'s `hpo_*` keys and `method` on the dataset
     that `load()` gives once those keys are checked."""
-    _check_counts(cfg, "hpo_runs")
     space, method = from_config(SearchSpace, cfg), _choice(Method, cfg.method)
     return random_search(space, cfg.hpo_runs, cfg.seed, load(), method)
 
@@ -298,7 +288,6 @@ def _run(parser: argparse.ArgumentParser, argv) -> int:
     }
     try:
         cfg = build_config(args.config, overrides)
-        _check_counts(cfg, "threads")
         args.run(cfg)
     except ConfigError as exc:
         _report("config", exc)

@@ -16,13 +16,13 @@ from .datasets import SbmParams
 from .embed import EmbedConfig
 from .errors import ConfigError
 from .gbdt import GbdtParams
-from .schema import field_keys, setting
+from .schema import check_settings, field_keys, setting
 
 
 @dataclass
 class _Global:
-    seed: int = setting(0, "global RNG seed; feeds data generation, training and analyses")
-    threads: int = setting(1, "accepted and has no effect; analyses run in order")
+    seed: int = setting(0, "global RNG seed; feeds data generation, training and analyses", low=0)
+    threads: int = setting(1, "accepted and has no effect; analyses run in order", low=1)
     out: str = setting("run_out", "output directory for the command's files")
     dataset_dir: str = setting("", "dataset directory (default: <out>/dataset)")
     embeddings_path: str = setting("", "embeddings CSV path (default: <out>/embeddings.csv)")
@@ -33,38 +33,38 @@ class _Global:
 class _Analyses:
     """Arguments of oversmoothing_sweep and random_search, not dataclass fields."""
 
-    sweep_hops: int = setting(30, "maximum hop count scanned by the over-smoothing sweep")
+    sweep_hops: int = setting(30, "maximum hop count scanned by the over-smoothing sweep", low=1)
     sweep_methods: str = setting(
         "pcapass,message_passing,skip_connections", "comma-separated methods to sweep"
     )
     k_clusters: int = setting(
-        0, "clusters for the sweep's k-means (0: distinct label count)"
+        0, "clusters for the sweep's k-means (0: distinct label count)", low=0
     )
-    kmeans_restarts: int = setting(1, "k-means seeding restarts per sweep cell")
-    hpo_runs: int = setting(50, "number of random-search runs")
+    kmeans_restarts: int = setting(1, "k-means seeding restarts per sweep cell", low=1)
+    hpo_runs: int = setting(50, "number of random-search runs", low=1)
 
 
 def _config_keys(section):
-    """(name, type, default, help) of each config key of `section`'s fields.
-    A field without help text has none; the key of its name serves it, as the
-    global seed serves SbmParams.seed. An enum's key holds its member's value
-    and a tuple of strings is a comma list."""
+    """(name, type, default, help, low) of each config key of `section`'s
+    fields. A field without help text has none; the key of its name serves
+    it, as the global seed serves SbmParams.seed. An enum's key holds its
+    member's value and a tuple of strings is a comma list."""
     for f in fields(section):
-        text = f.metadata.get("help")
+        text, low = f.metadata.get("help"), f.metadata.get("low")
         if not text:
             continue
         names = field_keys(f)
         if len(names) == 2:
             typ = f.type[len("tuple[") :].split(",")[0]
-            yield names[0], typ, f.default[0], f"{text}, lower bound"
-            yield names[1], typ, f.default[1], f"{text}, upper bound"
+            yield names[0], typ, f.default[0], f"{text}, lower bound", low
+            yield names[1], typ, f.default[1], f"{text}, upper bound", low
         elif isinstance(f.default, Enum):
             choices = " | ".join(member.value for member in type(f.default))
-            yield names[0], "str", f.default.value, f"{text}: {choices}"
+            yield names[0], "str", f.default.value, f"{text}: {choices}", low
         elif isinstance(f.default, tuple):
-            yield names[0], "str", ",".join(f.default), text
+            yield names[0], "str", ",".join(f.default), text, low
         else:
-            yield names[0], f.type, f.default, text
+            yield names[0], f.type, f.default, text, low
 
 
 def from_config(cls, cfg):
@@ -104,9 +104,9 @@ def _split_tokens(raw: str) -> list[str]:
 RunConfig = make_dataclass(
     "RunConfig",
     [
-        (name, typ, setting(default, text))
+        (name, typ, setting(default, text, low=low))
         for section in (_Global, SbmParams, EmbedConfig, GbdtParams, _Analyses, SearchSpace)
-        for name, typ, default, text in _config_keys(section)
+        for name, typ, default, text, low in _config_keys(section)
     ],
     namespace={"__module__": __name__},
 )
@@ -155,6 +155,8 @@ def parse_config_file(path) -> dict:
 
 
 def build_config(config_path=None, overrides: dict | None = None) -> RunConfig:
+    """The defaults, then the file's keys, then `overrides`, each key checked
+    against its declared least value."""
     cfg = RunConfig()
     if config_path:
         for key, value in parse_config_file(config_path).items():
@@ -163,6 +165,10 @@ def build_config(config_path=None, overrides: dict | None = None) -> RunConfig:
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
         setattr(cfg, key, value)
+    try:
+        check_settings(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DataError
 from .fileio import _format_rows, _parse_table, _read_text, write_text_atomic
 from .graph import CsrGraph, EdgeList, edge_list_of, load_edge_list, prepare
-from .schema import check_finite, setting
+from .schema import check_settings, setting
 
 TRAIN, VALID, TEST = 0, 1, 2
 SPLITS = ("train", "valid", "test")  # the split names, indexed by TRAIN, VALID, TEST
@@ -28,21 +28,21 @@ class SbmParams:
     """Generator settings. Each field's help text is its `help` metadata; the
     CLI's config keys of the same names are derived from these fields."""
 
-    n_nodes: int = setting(2000, "synthetic graph size")
+    n_nodes: int = setting(2000, "synthetic graph size", low=1)
     n_classes: int = setting(4, "number of block classes")
     p_in: float = setting(0.05, "within-block edge probability")
     p_out: float = setting(0.005, "cross-block edge probability")
-    n_features: int = setting(16, "node feature dimension")
-    feature_signal: float = setting(1.0, "distance between class feature centroids (unit noise)")
+    n_features: int = setting(16, "node feature dimension", low=1)
+    feature_signal: float = setting(
+        1.0, "distance between class feature centroids (unit noise)", low=0
+    )
     train_frac: float = setting(0.6, "train split fraction (stratified by class)")
     valid_frac: float = setting(0.2, "validation split fraction")
     test_frac: float = setting(0.2, "test split fraction")
-    seed: int = 0
+    seed: int = setting(0, low=0)
 
     def __post_init__(self):
-        check_finite(self)
-        if self.n_nodes < 1 or self.n_features < 1:
-            raise ValueError("n_nodes and n_features must be >= 1")
+        check_settings(self)
         if self.n_classes < 2:
             raise ValueError(f"n_classes must be >= 2 to train a classifier, got {self.n_classes}")
         if not (0.0 <= self.p_out <= self.p_in <= 1.0):
@@ -60,8 +60,11 @@ class SbmParams:
                     f"({smallest} of {self.n_nodes} nodes in {self.n_classes} classes) "
                     f"no {name} node"
                 )
-        if self.feature_signal < 0.0:
-            raise ValueError(f"feature_signal must be >= 0, got {self.feature_signal}")
+        if self.feature_signal / np.sqrt(2.0) > np.finfo(np.float32).max:  # see generate_sbm
+            raise ValueError(
+                f"feature_signal = {self.feature_signal} puts the class centroids "
+                "beyond float32 range"
+            )
         if self.feature_signal > 0.0 and self.n_classes > self.n_features:
             raise ValueError(
                 "equidistant class centroids need n_classes <= n_features "

@@ -34,7 +34,7 @@ from .aggregate import Aggregator, aggregate
 from .fileio import _format_rows
 from .graph import CsrGraph
 from .pca import PcaModel, pca_fit, pca_transform
-from .schema import check_finite, setting
+from .schema import check_settings, setting
 
 
 class Method(Enum):
@@ -50,15 +50,11 @@ class EmbedConfig:
 
     method: Method = setting(Method.PCAPASS, "embedder")
     aggregator: Aggregator = setting(Aggregator.MEAN, "neighborhood aggregation")
-    k: int = setting(8, "number of aggregation hops")
-    d: int = setting(16, "embedding dimension (pcapass only)")
+    k: int = setting(8, "number of aggregation hops", low=0)
+    d: int = setting(16, "embedding dimension (pcapass only)", low=1)
 
     def __post_init__(self):
-        check_finite(self)
-        if self.k < 0:
-            raise ValueError(f"hop count must be >= 0, got {self.k}")
-        if self.d < 1:
-            raise ValueError(f"embedding dimension must be >= 1, got {self.d}")
+        check_settings(self)
 
 
 @dataclass

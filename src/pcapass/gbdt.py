@@ -17,12 +17,12 @@ depth-first grower would build, byte for byte.
 from __future__ import annotations
 
 import struct
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from .metrics import cross_entropy
-from .schema import check_finite, setting
+from .schema import check_settings, setting
 
 MODEL_MAGIC = b"PGBM"
 FORMAT_VERSION = 1
@@ -34,35 +34,25 @@ class GbdtParams:
     CLI's config keys of the same names are derived from these fields."""
 
     learning_rate: float = setting(0.1, "boosting shrinkage per round")
-    max_depth: int = setting(6, "maximum tree depth")
-    n_rounds: int = setting(500, "maximum boosting rounds")
-    reg_lambda: float = setting(1.0, "L2 leaf weight regularizer")
-    min_child_hessian: float = setting(1.0, "minimum hessian sum per child to allow a split")
-    patience: int = setting(10, "rounds without validation improvement before stopping")
-    n_bins: int = setting(256, "histogram bins per feature")
+    max_depth: int = setting(6, "maximum tree depth", low=1)
+    n_rounds: int = setting(500, "maximum boosting rounds", low=0)
+    reg_lambda: float = setting(1.0, "L2 leaf weight regularizer", low=0)
+    min_child_hessian: float = setting(1.0, "minimum hessian sum per child to allow a split", low=0)
+    patience: int = setting(10, "rounds without validation improvement before stopping", low=1)
+    n_bins: int = setting(256, "histogram bins per feature", low=2)
     subsample: float = setting(1.0, "row fraction sampled per boosting round")
-    seed: int = 0
+    seed: int = setting(0, low=0)
 
     def __post_init__(self):
-        check_finite(self)
+        check_settings(self)
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.n_rounds < 0:
-            raise ValueError(f"n_rounds must be >= 0, got {self.n_rounds}")
-        if self.reg_lambda < 0:
-            raise ValueError(f"reg_lambda must be >= 0, got {self.reg_lambda}")
-        if self.min_child_hessian < 0:
-            raise ValueError(
-                f"min_child_hessian must be >= 0, got {self.min_child_hessian}"
-            )
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.n_bins < 2:
-            raise ValueError(f"n_bins must be >= 2, got {self.n_bins}")
         if not (0.0 < self.subsample <= 1.0):
             raise ValueError(f"subsample must be in (0, 1], got {self.subsample}")
+        for f, code in zip(fields(self), PARAMS_FORMAT):  # the model file's integer codes
+            value = getattr(self, f.name)
+            if code != "d" and value > np.iinfo(code).max:
+                raise ValueError(f"{f.name} must be <= {np.iinfo(code).max}, got {value}")
 
 
 @dataclass(eq=False)
@@ -287,7 +277,8 @@ def _walk(tree: Tree, X: np.ndarray) -> np.ndarray:
 
 
 def _softmax(margins: np.ndarray) -> np.ndarray:
-    shifted = margins - margins.max(axis=1, keepdims=True)
+    with np.errstate(over="ignore"):  # a shift past -max is -inf, whose exp is 0
+        shifted = margins - margins.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -356,6 +347,8 @@ def gbdt_train(X_tr, y_tr, X_val, y_val, params: GbdtParams) -> GbdtModel:
         trees = []
         for c in range(n_classes):
             tree, leaf = _grow(bins, grads[:, c], hesses[:, c], rows, params)
+            if not np.isfinite(tree.value).all():
+                raise ValueError(f"round {r} grew a non-finite leaf; lower learning_rate")
             leaf[rest] = _walk(tree, X_rest)
             trees.append(tree)
             margins_tr[:, c] += tree.value[leaf]

@@ -1,5 +1,6 @@
-"""How a run setting is declared: one dataclass field with its default and
-its `--help` text, from which config.py derives the setting's config keys."""
+"""How a run setting is declared: one dataclass field with its default, its
+`--help` text and its least value, from which config.py derives the
+setting's config keys."""
 
 from __future__ import annotations
 
@@ -7,9 +8,10 @@ import math
 from dataclasses import field, fields
 
 
-def setting(default, text: str, key: str | None = None):
-    """A field with `--help` text `text`; `key` overrides its key stem."""
-    return field(default=default, metadata={"help": text, "key": key})
+def setting(default, text: str = "", key: str | None = None, low=None):
+    """A field with `--help` text `text` and least value `low`; `key`
+    overrides its key stem. A field without help text has no config key."""
+    return field(default=default, metadata={"help": text, "key": key, "low": low})
 
 
 def field_keys(f) -> tuple[str, ...]:
@@ -21,12 +23,16 @@ def field_keys(f) -> tuple[str, ...]:
     return (stem,)
 
 
-def check_finite(settings) -> None:
+def check_settings(settings) -> None:
     """Reject a float field of dataclass `settings`, or either bound of a
-    float range, that is nan or infinite; the settings classes' other
-    checks compare floats, and a comparison with nan is always false."""
+    float range, that is nan or infinite, and a field below its declared
+    `low`; the settings classes' other checks compare floats, and a
+    comparison with nan is always false."""
     for f in fields(settings):
         value = getattr(settings, f.name)
         bounds = value if isinstance(value, tuple) else (value,)
         if "float" in f.type and not all(math.isfinite(v) for v in bounds):
             raise ValueError(f"{f.name} must be finite, got {value}")
+        low = f.metadata.get("low")
+        if low is not None and value < low:
+            raise ValueError(f"{f.name} must be >= {low}, got {value}")

@@ -171,6 +171,75 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and "not_a_key" in err
 
+    @pytest.mark.parametrize("command", ["gen", "train", "sweep", "hpo"])
+    def test_a_negative_seed_exits_2(self, command, tiny_config, tmp_path, capsys):
+        # gen and hpo once exited 4, and train and sweep 3 naming the dataset
+        assert run_cmd(command, tiny_config, tmp_path / "run", seed=-1) == 2
+        assert capsys.readouterr().err == "error: config: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["gen", "embed", "train", "eval", "sweep", "hpo"])
+    def test_every_command_checks_every_key_bound(self, command, tmp_path, capsys):
+        # gen once wrote a dataset with n_bins = 1, which only train checked
+        config = write_config(tmp_path / "bins.cfg", n_bins=1)
+        assert main([command, "--config", config, "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == "error: config: n_bins must be >= 2, got 1\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, top",
+        [
+            ("n_bins", 2**32, 2**32 - 1),
+            ("max_depth", 2**32, 2**32 - 1),
+            ("seed", 2**63, 2**63 - 1),
+        ],
+    )
+    def test_a_value_the_model_file_cannot_store_exits_2_before_training(
+        self, key, value, top, tiny_config, tmp_path, capsys
+    ):
+        # each once trained in full, then exited 4 packing the model header
+        out = tmp_path / "run"
+        assert run_cmd("gen", tiny_config, out) == 0
+        assert run_cmd("embed", tiny_config, out) == 0
+        config = write_config(tmp_path / "big.cfg", **{key: value})
+        capsys.readouterr()
+        assert main(["train", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: config: {key} must be <= {top}, got {value}\n"
+        assert not (out / "model.bin").exists()
+
+    def test_a_learning_rate_that_overflows_a_leaf_exits_3(self, tiny_config, tmp_path, capsys):
+        # learning_rate = 1e308 once warned of overflow and wrote a model.bin
+        # that eval rejected; 1e200 trains a model that eval reads
+        out = tmp_path / "run"
+        assert run_cmd("gen", tiny_config, out) == 0
+        assert run_cmd("embed", tiny_config, out) == 0
+        Path(tiny_config).write_text(Path(tiny_config).read_text() + "learning_rate = 1e308\n")
+        capsys.readouterr()
+        assert run_cmd("train", tiny_config, out) == 3
+        err = capsys.readouterr().err
+        leaf = "round 1 grew a non-finite leaf; lower learning_rate"
+        assert err == f"error: data: {out / 'dataset'}: {leaf}\n"
+        assert not (out / "model.bin").exists()
+        Path(tiny_config).write_text(Path(tiny_config).read_text() + "learning_rate = 1e200\n")
+        assert run_cmd("train", tiny_config, out) == 0
+        assert run_cmd("eval", tiny_config, out) == 0
+
+    @pytest.mark.parametrize("signal", ["1e39", "1e300"])
+    def test_a_feature_signal_beyond_float32_exits_2(self, signal, tmp_path, capsys):
+        # gen once warned of overflow and wrote inf into features.csv
+        config = write_config(tmp_path / "fs.cfg", feature_signal=signal)
+        assert main(["gen", "--config", config, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: config: feature_signal = {float(signal)} "
+            "puts the class centroids beyond float32 range\n"
+        )
+        assert not (tmp_path / "run").exists()
+
+    def test_a_feature_signal_near_the_float32_limit_runs(self, tiny_config, tmp_path):
+        Path(tiny_config).write_text(Path(tiny_config).read_text() + "feature_signal = 3e38\n")
+        for command in ("gen", "embed", "train", "eval"):
+            assert run_cmd(command, tiny_config, tmp_path / "run") == 0
+
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
         config.write_text("k = banana\n")

@@ -1,6 +1,6 @@
 """The parameter schema: each knob is a field of SbmParams, EmbedConfig,
-GbdtParams or SearchSpace, defined once with its default and help text, or a
-CLI-only key in config.py. The config keys, their help text, the CLI's
+GbdtParams or SearchSpace, defined once with its default, help text and
+least value, or a CLI-only key in config.py. The config keys, their help text, the CLI's
 dataclass construction and the PGBM header derive from those fields; the
 literal key table below pins what the derivation produces."""
 
@@ -12,9 +12,10 @@ from enum import Enum
 import pytest
 
 from pcapass.analysis import SearchSpace
-from pcapass.config import RunConfig, config_help_text, from_config
+from pcapass.config import RunConfig, build_config, config_help_text, from_config
 from pcapass.datasets import SbmParams
 from pcapass.embed import EmbedConfig
+from pcapass.errors import ConfigError
 from pcapass.gbdt import PARAMS_FORMAT, GbdtParams
 
 # Every config key as (name, type, default), in `--help` order.
@@ -193,3 +194,51 @@ def test_every_settings_class_rejects_a_non_finite_float(cls, name, value):
     # infinite SearchSpace bound recorded every search run as failed.
     with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
         cls(**{name: value})
+
+
+# Each config key that declares a least value, and that value.
+BOUNDED_KEYS = {
+    "seed": 0,
+    "threads": 1,
+    "n_nodes": 1,
+    "n_features": 1,
+    "feature_signal": 0,
+    "k": 0,
+    "d": 1,
+    "max_depth": 1,
+    "n_rounds": 0,
+    "reg_lambda": 0,
+    "min_child_hessian": 0,
+    "patience": 1,
+    "n_bins": 2,
+    "sweep_hops": 1,
+    "k_clusters": 0,
+    "kmeans_restarts": 1,
+    "hpo_runs": 1,
+}
+
+
+def _declared_lows() -> dict:
+    """Each RunConfig key's `low`, for the keys that declare one."""
+    lows = {f.name: f.metadata.get("low") for f in fields(RunConfig)}
+    return {key: low for key, low in lows.items() if low is not None}
+
+
+def test_the_bounded_keys_are_the_literal_table():
+    # a dropped `low` declaration fails here
+    assert _declared_lows() == BOUNDED_KEYS
+
+
+@pytest.mark.parametrize("key, low", _declared_lows().items())
+def test_build_config_checks_every_declared_low(key, low):
+    with pytest.raises(ConfigError) as info:
+        build_config(None, {key: low - 1})
+    assert str(info.value) == f"{key} must be >= {low}, got {low - 1}"
+    assert getattr(build_config(None, {key: low}), key) == low
+
+
+@pytest.mark.parametrize("cls", [SbmParams, GbdtParams])
+def test_the_library_seed_without_a_key_is_bounded_too(cls):
+    assert cls(seed=0).seed == 0
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        cls(seed=-1)

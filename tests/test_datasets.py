@@ -27,6 +27,7 @@ class TestParams:
             dict(n_classes=0),
             dict(feature_signal=1.0, n_classes=5, n_features=3),
             dict(n_classes=1),
+            dict(feature_signal=1e39),  # centroids beyond float32; once wrote inf
         ],
     )
     def test_invalid_params_rejected(self, kw):

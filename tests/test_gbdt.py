@@ -1,5 +1,6 @@
 import struct
 import warnings
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from pcapass import (
     gbdt_to_bytes,
     gbdt_train,
 )
-from pcapass.gbdt import _HEADER, Tree, _best_splits, _Bins, gbdt_dump_text
+from pcapass.gbdt import PARAMS_FORMAT, _HEADER, Tree, _best_splits, _Bins, gbdt_dump_text
 from pcapass.metrics import cross_entropy
 
 
@@ -53,6 +54,14 @@ class TestTrainContracts:
         X = np.ones((10, 2))
         with pytest.raises(ValueError, match="label count"):
             gbdt_train(X, np.zeros(9, int), X, np.zeros(10, int), quick_params())
+
+    def test_a_non_finite_leaf_is_rejected(self):
+        # learning_rate = 1e308 once trained a model whose leaves were inf or
+        # nan, warned of overflow in the softmax, and `eval` rejected it
+        (X_tr, y_tr), (X_va, y_va), _ = blob_data()
+        leaf = "^round 0 grew a non-finite leaf; lower learning_rate$"
+        with pytest.raises(ValueError, match=leaf):
+            gbdt_train(X_tr, y_tr, X_va, y_va, quick_params(learning_rate=1e308))
 
     def test_constant_features_fall_back_to_prior(self):
         X = np.full((40, 3), 1.5)
@@ -352,6 +361,20 @@ class TestParams:
     def test_invalid_params_rejected(self, kw):
         with pytest.raises(ValueError):
             GbdtParams(**kw)
+
+    @pytest.mark.parametrize(
+        "name, code",
+        [(f.name, code) for f, code in zip(fields(GbdtParams), PARAMS_FORMAT) if code != "d"],
+    )
+    def test_a_value_the_model_file_cannot_store_is_rejected(self, name, code):
+        # max_depth = 2**32 or seed = 2**63 once trained in full, then failed
+        # to pack the model header
+        assert name in ("max_depth", "n_rounds", "patience", "n_bins", "seed")
+        top = 2**32 - 1 if code == "I" else 2**63 - 1
+        params = GbdtParams(**{name: top})
+        struct.pack("<" + PARAMS_FORMAT, *astuple(params))
+        with pytest.raises(ValueError, match=rf"^{name} must be <= {top}, got {top + 1}$"):
+            GbdtParams(**{name: top + 1})
 
     @pytest.mark.parametrize(
         "key", ["learning_rate", "reg_lambda", "min_child_hessian", "subsample"]
