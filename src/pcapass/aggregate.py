@@ -7,13 +7,12 @@ special-case the diagonal. Accumulation runs in 64-bit floats in ascending
 neighbor-id order per row, so results are bitwise reproducible.
 
 A graph is cut into row blocks of about `_BLOCK_ENTRIES` CSR entries, never
-splitting a row. Each block's operator is built and multiplied in turn into
-its rows of one output array, so the nnz-length operator is never held
-whole, only one block's. A graph of one block is multiplied by its whole
-operator with no output copy: copying the product into a preallocated
-output would add one hop state to the peak of `embed`. A row's weights and
-its accumulation order do not depend on the blocking, so every output byte
-is the same at any block size.
+splitting a row. Each block's weights are built in turn, and the kernel of
+scipy's CSR matrix-times-dense product adds the block's product straight
+into its rows of one zeroed output, so the nnz-length weights are never held
+whole, only one block's, and no product is copied. A row's weights and its
+accumulation order do not depend on the blocking, so every output byte is
+the same at any block size.
 """
 
 from __future__ import annotations
@@ -25,12 +24,11 @@ import numpy as np
 from .graph import CsrGraph
 
 # Entries per row block. On a 2-core VM after prepare and 2 embeds (k = 8,
-# d = 16) of a 100k-node, 2.1M-entry graph, peak RSS read 188 MB at every
-# size from 2^16 to 2^19, against 216 MB for one whole operator. Smaller
-# blocks cost time: one aggregate (f = 16) took 95-137 ms whole, 131-171 ms
-# at 2^16, 110-146 ms at 2^18 and 108-138 ms at 2^19 (medians of 20), and a
-# 412k-entry graph took 7.0-7.4 ms whole and 7.7-8.3 ms in 2 blocks. At 2^19
-# the benchmark's smaller graphs (150k and 412k entries) are one block.
+# d = 16) of a 100k-node, 2.1M-entry graph, peak RSS read 181 MB at 2^16,
+# 2^18 and 2^19, against 206 MB with the graph in one block. Smaller blocks
+# cost time: one aggregate (f = 16) took 144-147 ms at 2^16, 144-146 ms at
+# 2^18 and 137-138 ms at 2^19 (medians of 20, two runs each). At 2^19 the
+# benchmark's smaller graphs (150k and 412k entries) are one block.
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -39,16 +37,11 @@ class Aggregator(Enum):
     SYM_NORM = "symnorm"
 
 
-def _operator(g: CsrGraph, deg: np.ndarray, aggregator: Aggregator, r0: int, r1: int):
-    """Rows r0..r1-1 of the operator as a scipy CSR matrix; `deg` is the
-    float64 degree. scipy.sparse is imported here, so the commands that never
-    aggregate do not pay for its import."""
-    from scipy import sparse
-
-    # The weights are built in one buffer: each entry's row degree (times
-    # its column degree, square-rooted, for symnorm), inverted.
-    start, stop = g.row_ptr[r0], g.row_ptr[r1]
-    cols = g.col_idx[start:stop]
+def _weights(g: CsrGraph, deg: np.ndarray, aggregator: Aggregator, r0: int, r1: int):
+    """The weights of rows r0..r1-1 in one buffer, in CSR entry order: each
+    entry's row degree (times its column degree, square-rooted, for symnorm),
+    inverted. `deg` is the float64 degree."""
+    cols = g.col_idx[g.row_ptr[r0] : g.row_ptr[r1]]
     weights = np.repeat(deg[r0:r1], g.degree[r0:r1])
     if aggregator is Aggregator.SYM_NORM:
         weights *= deg[cols]
@@ -56,8 +49,7 @@ def _operator(g: CsrGraph, deg: np.ndarray, aggregator: Aggregator, r0: int, r1:
     elif aggregator is not Aggregator.MEAN:
         raise ValueError(f"unknown aggregator {aggregator!r}")
     np.divide(1.0, weights, out=weights)
-    indptr = g.row_ptr[r0 : r1 + 1] - start
-    return sparse.csr_matrix((weights, cols, indptr), shape=(r1 - r0, g.n_nodes))
+    return weights
 
 
 def _row_blocks(g: CsrGraph) -> np.ndarray:
@@ -78,11 +70,20 @@ def aggregate(g: CsrGraph, H, aggregator: Aggregator) -> np.ndarray:
         raise ValueError(
             f"feature matrix must have {g.n_nodes} rows, got shape {H.shape}"
         )
-    cuts = _row_blocks(g)
-    if cuts.size <= 2:  # one block; the degrees are freed before the product
-        return _operator(g, g.degree.astype(np.float64), aggregator, 0, g.n_nodes) @ H
+    # scipy.sparse is imported here, so the commands that never aggregate do
+    # not pay for its import.
+    from scipy.sparse._sparsetools import csr_matvecs
+
     deg = g.degree.astype(np.float64)
-    out = np.empty((g.n_nodes, H.shape[1]))
-    for r0, r1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        out[r0:r1] = _operator(g, deg, aggregator, r0, r1) @ H
-    return out
+    cuts = _row_blocks(g).tolist()
+    out = None
+    for r0, r1 in zip(cuts[:-1], cuts[1:]):
+        weights = _weights(g, deg, aggregator, r0, r1)
+        if out is None:  # allocated once the first block's gather is freed
+            out = np.zeros(H.shape)
+        start, stop = g.row_ptr[r0], g.row_ptr[r1]
+        indptr = g.row_ptr[r0 : r1 + 1] - start
+        csr_matvecs(r1 - r0, g.n_nodes, H.shape[1], indptr, g.col_idx[start:stop], weights,
+                    H.ravel(), out[r0:r1].ravel())
+        del weights  # before the next block's are built
+    return np.zeros(H.shape) if out is None else out  # a 0-node graph has no block

@@ -48,12 +48,12 @@ class SearchSpace:
     reg_lambda are sampled log-uniformly. The CLI's `hpo_*` config keys are
     derived from these fields; the GBDT `patience` key serves `patience`."""
 
-    k: tuple[int, int] = setting((1, 10), "search range for hops", "hpo_k")
-    d: tuple[int, int] = setting((4, 32), "search range for embedding dimension", "hpo_d")
+    k: tuple[int, int] = setting((1, 10), "search range for hops", "hpo_k", low=0)
+    d: tuple[int, int] = setting((4, 32), "search range for embedding dimension", "hpo_d", low=1)
     learning_rate: tuple[float, float] = setting(
         (0.03, 0.3), "learning-rate range (log-uniform)", "hpo_lr"
     )
-    max_depth: tuple[int, int] = setting((3, 8), "tree-depth range", "hpo_depth")
+    max_depth: tuple[int, int] = setting((3, 8), "tree-depth range", "hpo_depth", low=1)
     reg_lambda: tuple[float, float] = setting(
         (0.1, 10.0), "reg_lambda range (log-uniform)", "hpo_lambda"
     )
@@ -73,10 +73,6 @@ class SearchSpace:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"{name} range is inverted: {lo} > {hi}")
-        for name, floor in (("k", 0), ("d", 1), ("max_depth", 1)):
-            lo = getattr(self, name)[0]
-            if lo < floor:
-                raise ValueError(f"{name} lower bound must be >= {floor}, got {lo}")
         for name in ("learning_rate", "reg_lambda"):  # sampled log-uniformly
             lo = getattr(self, name)[0]
             if lo <= 0:

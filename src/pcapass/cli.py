@@ -132,6 +132,8 @@ def cmd_train(cfg: RunConfig) -> None:
     tr, va = ds.indices(TRAIN), ds.indices(VALID)
     try:
         model = gbdt_train(H[tr], ds.y[tr], H[va], ds.y[va], params)
+    except ConfigError:  # a setting that overflows a leaf
+        raise
     except ValueError as exc:  # such as a class with no train node
         raise DataError(f"{_dataset_dir(cfg)}: {exc}") from None
     model_file = _model_path(cfg)

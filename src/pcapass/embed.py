@@ -13,11 +13,11 @@ Three embedders share one hop loop:
 * skip_connections: average the aggregated state with the previous one,
   keeping the input width.
 
-Each hop's aggregation builds its sparse operator, about 12 bytes per CSR
+Each hop's aggregation builds its operator's weights, 8 bytes per CSR
 entry, one row block of about half a million entries at a time (see
 `aggregate`). At f = 16 and 21 CSR entries per node, message_passing and
-skip_connections peak at about 4 n x f float64 arrays on a graph of one
-block, and at about 2.5 such arrays on a graph of many blocks.
+skip_connections peak at about 3.5-3.7 n x f float64 arrays on a graph of
+one block, and at about 2.3-2.5 such arrays on a graph of many blocks.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
+from .errors import ConfigError
 from .metrics import cross_entropy
 from .schema import check_settings, setting
 
@@ -348,7 +349,7 @@ def gbdt_train(X_tr, y_tr, X_val, y_val, params: GbdtParams) -> GbdtModel:
         for c in range(n_classes):
             tree, leaf = _grow(bins, grads[:, c], hesses[:, c], rows, params)
             if not np.isfinite(tree.value).all():
-                raise ValueError(f"round {r} grew a non-finite leaf; lower learning_rate")
+                raise ConfigError(f"round {r} grew a non-finite leaf; lower learning_rate")
             leaf[rest] = _walk(tree, X_rest)
             trees.append(tree)
             margins_tr[:, c] += tree.value[leaf]

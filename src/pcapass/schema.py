@@ -25,14 +25,14 @@ def field_keys(f) -> tuple[str, ...]:
 
 def check_settings(settings) -> None:
     """Reject a float field of dataclass `settings`, or either bound of a
-    float range, that is nan or infinite, and a field below its declared
-    `low`; the settings classes' other checks compare floats, and a
-    comparison with nan is always false."""
+    float range, that is nan or infinite, and a field, or either bound of a
+    range, below its declared `low`; the settings classes' other checks
+    compare floats, and a comparison with nan is always false."""
     for f in fields(settings):
         value = getattr(settings, f.name)
         bounds = value if isinstance(value, tuple) else (value,)
         if "float" in f.type and not all(math.isfinite(v) for v in bounds):
             raise ValueError(f"{f.name} must be finite, got {value}")
         low = f.metadata.get("low")
-        if low is not None and value < low:
+        if low is not None and min(bounds) < low:
             raise ValueError(f"{f.name} must be >= {low}, got {value}")

@@ -536,35 +536,15 @@ def operator_reference(g, aggregator):
     )
 
 
-def _whole_operator_reference(g, aggregator):
-    """The operator as a scipy CSR matrix. scipy.sparse is imported here, so
-    the commands that never aggregate do not pay for its import."""
-    from scipy import sparse
-
-    # The weights are built in one nnz-length buffer: each entry's row
-    # degree (times its column degree, square-rooted, for symnorm), inverted.
-    deg = g.degree.astype(np.float64)
-    weights = np.repeat(deg, g.degree)
-    if aggregator == "symnorm":
-        weights *= deg[g.col_idx]
-        np.sqrt(weights, out=weights)
-    elif aggregator != "mean":
-        raise ValueError(f"unknown aggregator {aggregator!r}")
-    np.divide(1.0, weights, out=weights)
-    return sparse.csr_matrix(
-        (weights, g.col_idx, g.row_ptr), shape=(g.n_nodes, g.n_nodes)
-    )
-
-
 def aggregate_reference(g, H, aggregator):
-    """`aggregate` as it was before row blocks: one whole nnz-length
-    operator on one thread. The aggregator is its value string."""
+    """`aggregate` as it was before row blocks: one whole nnz-length scipy
+    operator times `H`. The aggregator is its value string."""
     H = np.ascontiguousarray(H, dtype=np.float64)
     if H.ndim != 2 or H.shape[0] != g.n_nodes:
         raise ValueError(
             f"feature matrix must have {g.n_nodes} rows, got shape {H.shape}"
         )
-    return _whole_operator_reference(g, aggregator) @ H
+    return operator_reference(g, aggregator) @ H
 
 
 def pca_fit_reference(X, d):

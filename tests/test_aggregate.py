@@ -58,24 +58,30 @@ def star_graph(n):
 
 
 class TestRowBlocks:
-    """Large graphs are aggregated in row blocks. Forced onto small graphs by
-    shrinking the block size, the blocks must give the whole operator's
-    bytes."""
+    """Every graph is aggregated in row blocks, each multiplied by scipy's CSR
+    kernel straight into its rows of the output. At any block size, the
+    blocks must give the bytes of `csr_matrix @ H`, which also pins the
+    private kernel: a scipy change that alters it fails here."""
 
+    @pytest.mark.parametrize("width", [1, 5, 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("aggregator", list(Aggregator))
-    @pytest.mark.parametrize("block_entries", [1, 7, 64])
+    @pytest.mark.parametrize("block_entries", [1, 7, 64, None])
     def test_same_bytes_as_the_whole_operator(
-        self, block_entries, aggregator, dtype, rng, monkeypatch
+        self, block_entries, aggregator, dtype, width, rng, monkeypatch
     ):
+        # width 1 is the case where `csr_matrix @ H` runs `csr_matvec`, not
+        # `csr_matvecs`; None is the module's own block size
         graphs = [
+            prepare(EdgeList(0, np.empty((0, 2)))),
             prepare(EdgeList(1, np.empty((0, 2)))),
             prepare(EdgeList(120, random_edge_pairs(rng, 120, 360))),
             star_graph(100),  # a hub row longer than every block
         ]
-        inputs = [rng.standard_normal((g.n_nodes, 5)).astype(dtype) for g in graphs]
+        inputs = [rng.standard_normal((g.n_nodes, width)).astype(dtype) for g in graphs]
         expected = [aggregate_reference(g, X, aggregator.value) for g, X in zip(graphs, inputs)]
-        force_row_blocks(monkeypatch, block_entries)
+        if block_entries is not None:
+            force_row_blocks(monkeypatch, block_entries)
         for g, X, whole in zip(graphs, inputs, expected):
             out = aggregate(g, X, aggregator)
             assert out.shape == whole.shape and out.dtype == whole.dtype
@@ -97,14 +103,14 @@ class TestRowBlocks:
     def test_a_failing_block_raises(self, rng, monkeypatch):
         agg_module = force_row_blocks(monkeypatch, 16)
         g = prepare(EdgeList(200, random_edge_pairs(rng, 200, 600)))
-        operator = agg_module._operator
+        weights = agg_module._weights
 
         def fail_late_blocks(g, deg, aggregator, r0, r1):
             if r0 > 100:
                 raise RuntimeError(f"block at row {r0} failed")
-            return operator(g, deg, aggregator, r0, r1)
+            return weights(g, deg, aggregator, r0, r1)
 
-        monkeypatch.setattr(agg_module, "_operator", fail_late_blocks)
+        monkeypatch.setattr(agg_module, "_weights", fail_late_blocks)
         with pytest.raises(RuntimeError, match="block at row .* failed"):
             aggregate(g, rng.standard_normal((200, 3)), Aggregator.SYM_NORM)
 

@@ -206,18 +206,18 @@ class TestErrors:
         assert capsys.readouterr().err == f"error: config: {key} must be <= {top}, got {value}\n"
         assert not (out / "model.bin").exists()
 
-    def test_a_learning_rate_that_overflows_a_leaf_exits_3(self, tiny_config, tmp_path, capsys):
+    def test_a_learning_rate_that_overflows_a_leaf_exits_2(self, tiny_config, tmp_path, capsys):
         # learning_rate = 1e308 once warned of overflow and wrote a model.bin
-        # that eval rejected; 1e200 trains a model that eval reads
+        # that eval rejected, then was a data error naming the dataset (exit
+        # 3), though no dataset causes it; 1e200 trains a model that eval reads
         out = tmp_path / "run"
         assert run_cmd("gen", tiny_config, out) == 0
         assert run_cmd("embed", tiny_config, out) == 0
         Path(tiny_config).write_text(Path(tiny_config).read_text() + "learning_rate = 1e308\n")
         capsys.readouterr()
-        assert run_cmd("train", tiny_config, out) == 3
+        assert run_cmd("train", tiny_config, out) == 2
         err = capsys.readouterr().err
-        leaf = "round 1 grew a non-finite leaf; lower learning_rate"
-        assert err == f"error: data: {out / 'dataset'}: {leaf}\n"
+        assert err == "error: config: round 1 grew a non-finite leaf; lower learning_rate\n"
         assert not (out / "model.bin").exists()
         Path(tiny_config).write_text(Path(tiny_config).read_text() + "learning_rate = 1e200\n")
         assert run_cmd("train", tiny_config, out) == 0
@@ -350,6 +350,7 @@ class TestErrors:
         "keys, message",
         [
             ({"hpo_k_min": 5, "hpo_k_max": 3}, "k range is inverted"),
+            ({"hpo_k_min": -1}, "hpo_k_min must be >= 0, got -1"),
             ({"hpo_lr_min": 0}, "learning_rate lower bound must be > 0"),
             ({"hpo_aggregators": "mean,max"}, "unknown aggregator 'max'"),
             # once every run failed and hpo exited 0; GbdtParams' own messages

@@ -215,6 +215,12 @@ BOUNDED_KEYS = {
     "k_clusters": 0,
     "kmeans_restarts": 1,
     "hpo_runs": 1,
+    "hpo_k_min": 0,
+    "hpo_k_max": 0,
+    "hpo_d_min": 1,
+    "hpo_d_max": 1,
+    "hpo_depth_min": 1,
+    "hpo_depth_max": 1,
 }
 
 
@@ -235,6 +241,16 @@ def test_build_config_checks_every_declared_low(key, low):
         build_config(None, {key: low - 1})
     assert str(info.value) == f"{key} must be >= {low}, got {low - 1}"
     assert getattr(build_config(None, {key: low}), key) == low
+
+
+@pytest.mark.parametrize("name, low", [("k", 0), ("d", 1), ("max_depth", 1)])
+def test_either_bound_of_a_search_range_below_its_low_is_rejected(name, low):
+    # either bound below the field's low is rejected, before the range's order
+    assert getattr(SearchSpace(**{name: (low, low)}), name) == (low, low)
+    for value in ((low - 1, low + 1), (low + 1, low - 1), (low - 1, low - 2)):
+        with pytest.raises(ValueError) as info:
+            SearchSpace(**{name: value})
+        assert str(info.value) == f"{name} must be >= {low}, got {value}"
 
 
 @pytest.mark.parametrize("cls", [SbmParams, GbdtParams])

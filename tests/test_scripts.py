@@ -59,6 +59,15 @@ def test_bad_config_exits_2_with_one_error_line(script, keys, message, tmp_path)
     assert proc.stderr.count("\n") == 1
 
 
+def test_a_learning_rate_that_overflows_a_leaf_exits_2_from_the_pipeline(tmp_path):
+    # it once exited 4 here and 3 from `pcapass train`
+    config = write_config(tmp_path, n_nodes=200, learning_rate=1e308, k=1, n_rounds=3)
+    proc = run_script("run_pipeline.py", config)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: config: round 0 grew a non-finite leaf; lower learning_rate\n"
+
+
 def test_sweep_that_cannot_cluster_exits_3_with_one_error_line(tmp_path):
     # 100 clusters of 40 nodes once died with a kmeans traceback
     proc = run_script("run_oversmoothing.py", write_config(tmp_path, n_nodes=40, k_clusters=100))
