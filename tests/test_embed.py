@@ -218,14 +218,10 @@ class TestHopLoopBuffers:
         # two methods at 5.4-6.0: a float64 copy of the input that nothing
         # read, the aggregate held through the PCA fit, the sorted rows kept
         # beside their centered copy, and the operator's row degrees kept
-        # beside its weights. The plain methods then read 4.0 on this graph of
-        # one row block of the module's size, where a scipy operator held
-        # int32 copies of the block's indices beside its weights. No operator
-        # is built any more: the output is allocated once the first block's
-        # weights are built (before them, their symnorm gather would sit
-        # beside it), and scipy's kernel adds into its rows. In blocks of 2^16
-        # entries, which hold one block's weights instead of the nnz-length
-        # ones, the plain methods peak lower.
+        # beside its weights. The one-block bound of the plain methods holds
+        # only while `aggregate` allocates its output after the first block's
+        # weights. In blocks of 2^16 entries, which hold one block's weights
+        # instead of the nnz-length ones, the plain methods peak lower.
         n, f = 20_000, 16
         g = prepare(EdgeList(n, random_edge_pairs(rng, n, 10 * n)))
         X = rng.standard_normal((n, f)).astype(np.float32)
