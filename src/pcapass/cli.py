@@ -187,37 +187,33 @@ def search(cfg: RunConfig, load: Callable[[], Dataset]) -> list[HpoRecord]:
 def cmd_sweep(cfg: RunConfig) -> None:
     directory = _dataset_dir(cfg)
     results = sweep(cfg, lambda: load_dataset(directory), directory)
-    rows = _format_rows(
-        "{},{},{:.9g},{:.9g}\n",
+    text = _format_rows(
+        "method,k,v_measure,normalized_v_measure",
         np.repeat([res.method.value for res in results], [res.v_measures.size for res in results]),
         np.concatenate([np.arange(1, res.v_measures.size + 1) for res in results]),
         np.concatenate([res.v_measures for res in results]),
         np.concatenate([res.normalized for res in results]),
     )
     path = Path(cfg.out) / "sweep.csv"
-    write_text_atomic(path, "method,k,v_measure,normalized_v_measure\n" + rows)
+    write_text_atomic(path, text)
     print(f"wrote {path}")
 
 
-# hpo.csv: the run index, these `HpoRecord.params` entries, the loss and the accuracy.
-_HPO_PARAMS = "k d aggregator learning_rate max_depth reg_lambda subsample n_rounds patience seed"
+# hpo.csv's columns between the run index and the scores: `HpoRecord.params` entries.
+_HPO_PARAMS = (
+    "k d aggregator learning_rate max_depth reg_lambda subsample n_rounds patience gbdt_seed"
+)
 
 
 def cmd_hpo(cfg: RunConfig) -> None:
     records = search(cfg, lambda: _load_split_dataset(cfg))
-    rows = _format_rows(
-        "{},{},{},{},{:.9g},{},{:.9g},{:.9g},{},{},{},{:.9g},{:.9g}\n",
-        np.arange(len(records)),
-        *(np.array([rec.params[name] for rec in records]) for name in _HPO_PARAMS.split()),
-        np.array([rec.valid_ce for rec in records]),
-        np.array([rec.test_accuracy for rec in records]),
-    )
-    header = (
-        "run,k,d,aggregator,learning_rate,max_depth,reg_lambda,subsample,"
-        "n_rounds,patience,gbdt_seed,valid_ce,test_accuracy\n"
-    )
+    columns = {"run": np.arange(len(records))}
+    for name in _HPO_PARAMS.split():
+        columns[name] = np.array([rec.params[name.removeprefix("gbdt_")] for rec in records])
+    columns["valid_ce"] = np.array([rec.valid_ce for rec in records])
+    columns["test_accuracy"] = np.array([rec.test_accuracy for rec in records])
     path = Path(cfg.out) / "hpo.csv"
-    write_text_atomic(path, header + rows)
+    write_text_atomic(path, _format_rows(",".join(columns), *columns.values()))
     print(f"wrote {path}")
     _write_json(Path(cfg.out) / "hpo_summary.json", hpo_summary(records))
 

@@ -15,6 +15,7 @@ from .analysis import SearchSpace
 from .datasets import SbmParams
 from .embed import EmbedConfig
 from .errors import ConfigError
+from .fileio import _lines
 from .gbdt import GbdtParams
 from .schema import check_settings, field_keys, setting
 
@@ -140,13 +141,12 @@ def parse_config_file(path) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for lineno, line in _lines(text):
+        if line.lstrip().startswith("#"):
             continue
-        if "=" not in stripped:
+        key, sep, raw = line.partition("=")
+        if not sep:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"{path}: line {lineno}: unknown config key {key!r}")

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fileio import _format_rows, _parse_table, _read_text, write_text_atomic
+from .fileio import _format_rows, _lines, _parse_table, _read_text, write_text_atomic
 from .graph import CsrGraph, EdgeList, edge_list_of, load_edge_list, prepare
 from .schema import check_settings, setting
 
@@ -146,45 +146,56 @@ def generate_sbm(p: SbmParams) -> Dataset:
         split[order[:n_tr]] = TRAIN
         split[order[n_tr : n_tr + n_va]] = VALID
         split[order[n_tr + n_va :]] = TEST
-    return Dataset(graph=graph, X=X, y=y, split=split)
+    return Dataset(graph=graph, X=X, y=y, split=np.array(split, dtype=np.int8))
 
 
 def save_dataset(ds: Dataset, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     pairs = edge_list_of(ds.graph).pairs
-    edges = _format_rows("{}\t{}\n", pairs[:, 0], pairs[:, 1])
-    write_text_atomic(directory / "edges.tsv", edges or "\n")
-    row = ",".join(["{:.9g}"] * ds.X.shape[1]) + "\n"
-    write_text_atomic(directory / "features.csv", _format_rows(row, *ds.X.T) or "\n")
+    write_text_atomic(directory / "edges.tsv", _format_rows("", *pairs.T, delimiter="\t"))
+    write_text_atomic(directory / "features.csv", _format_rows("", *ds.X.T))
     ids = np.arange(ds.n_nodes)
-    labels = _format_rows("{},{}\n", ids, ds.y)
-    write_text_atomic(directory / "labels.csv", "node_id,label\n" + labels)
-    splits = _format_rows("{},{}\n", ids, np.array(SPLITS)[ds.split])
-    write_text_atomic(directory / "splits.csv", "node_id,split\n" + splits)
+    write_text_atomic(directory / "labels.csv", _format_rows("node_id,label", ids, ds.y))
+    splits = _format_rows("node_id,split", ids, np.array(SPLITS)[ds.split])
+    write_text_atomic(directory / "splits.csv", splits)
 
 
-def _read_id_column(path: Path, header: str, n: int) -> list[str]:
-    lines = _read_text(path).splitlines()
-    if not lines or lines[0] != header:
+def _label(token: str) -> int:
+    label = int(token)
+    if label < 0:
+        raise ValueError(f"negative label {label}")
+    return label
+
+
+def _split_index(token: str) -> int:
+    if token not in SPLITS:
+        raise ValueError(f"unknown split token {token!r}")
+    return SPLITS.index(token)
+
+
+def _read_id_column(path: Path, header: str, n: int, convert) -> list:
+    """The `convert`ed values of a `node_id,<column>` file by node id; rows are counted first."""
+    lines = list(_lines(_read_text(path)))
+    if not lines or lines[0] != (1, header):
         raise DataError(f"{path}: expected header line '{header}'")
-    rows = [ln for ln in lines[1:] if ln.strip()]
-    if len(rows) != n:
-        raise DataError(f"{path}: expected {n} rows, found {len(rows)}")
-    values = [""] * n
-    seen = np.zeros(n, dtype=bool)
-    for ln in rows:
+    if len(lines) - 1 != n:
+        raise DataError(f"{path}: expected {n} rows, found {len(lines) - 1}")
+    values = [None] * n
+    for number, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 2:
-            raise DataError(f"{path}: malformed row {ln!r}")
+            raise DataError(f"{path}: line {number}: malformed row {ln!r}")
         try:
             node = int(parts[0])
         except ValueError:
-            raise DataError(f"{path}: non-integer node id in {ln!r}") from None
-        if not (0 <= node < n) or seen[node]:
-            raise DataError(f"{path}: node id {node} out of range or duplicated")
-        seen[node] = True
-        values[node] = parts[1]
+            raise DataError(f"{path}: line {number}: non-integer node id in {ln!r}") from None
+        if not (0 <= node < n) or values[node] is not None:
+            raise DataError(f"{path}: line {number}: node id {node} out of range or duplicated")
+        try:
+            values[node] = convert(parts[1])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {number}: {exc}") from None
     return values
 
 
@@ -211,13 +222,7 @@ def load_dataset(directory) -> Dataset:
     n = X.shape[0]
 
     labels_path = directory / "labels.csv"
-    label_tokens = _read_id_column(labels_path, "node_id,label", n)
-    try:
-        labels = [int(tok) for tok in label_tokens]
-    except ValueError:
-        raise DataError(f"{labels_path}: non-integer label") from None
-    if min(labels) < 0:
-        raise DataError(f"{labels_path}: negative label")
+    labels = _read_id_column(labels_path, "node_id,label", n, _label)
     # checked on Python ints: an int64 array could overflow, and bincount
     # would allocate one count per class up to the largest label
     top = max(labels)
@@ -232,14 +237,7 @@ def load_dataset(directory) -> Dataset:
         gap = int(np.flatnonzero(present == 0)[0])
         raise DataError(f"{labels_path}: label gap, class {gap} unused")
 
-    split_tokens = _read_id_column(directory / "splits.csv", "node_id,split", n)
-    split = np.empty(n, dtype=np.int8)
-    for i, tok in enumerate(split_tokens):
-        if tok not in SPLITS:
-            raise DataError(
-                f"{directory / 'splits.csv'}: unknown split token {tok!r}"
-            )
-        split[i] = SPLITS.index(tok)
+    split = _read_id_column(directory / "splits.csv", "node_id,split", n, _split_index)
 
     graph = prepare(load_edge_list(directory / "edges.tsv", n))
-    return Dataset(graph=graph, X=X, y=y, split=split)
+    return Dataset(graph=graph, X=X, y=y, split=np.array(split, dtype=np.int8))

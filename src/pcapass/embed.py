@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .aggregate import Aggregator, aggregate
-from .fileio import _format_rows
+from .fileio import _format_rows, _lines
 from .graph import CsrGraph
 from .pca import PcaModel, pca_fit, pca_transform
 from .schema import check_settings, setting
@@ -109,17 +109,14 @@ def embed(g: CsrGraph, X, cfg: EmbedConfig) -> EmbedResult:
 
 
 def embeddings_to_csv(H: np.ndarray) -> str:
-    H = np.asarray(H)
-    return _format_rows(",".join(["{:.9g}"] * H.shape[1]) + "\n", *H.T) or "\n"
+    return _format_rows("", *np.asarray(H, dtype=np.float64).T)
 
 
 def embeddings_from_csv(text: str) -> np.ndarray:
     """Parse `embeddings_to_csv` output. A bad token, a non-finite value or a
     row whose width differs from the first raises ValueError naming the line."""
     rows = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for number, line in _lines(text):
         try:
             row = [float(tok) for tok in line.split(",")]
         except ValueError as exc:

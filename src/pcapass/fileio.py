@@ -1,6 +1,6 @@
 """Atomic file writes, and the private text helpers: the UTF-8 decode that
-every text input goes through, the one `np.loadtxt` call, and the row
-formatter that writes every CSV/TSV file."""
+every text input goes through, the line rule every line parse follows, the one
+`np.loadtxt` call, and the table writer of every CSV/TSV file."""
 
 from __future__ import annotations
 
@@ -42,6 +42,12 @@ def _read_text(path) -> str:
         raise DataError(f"{path}: {exc}") from None
 
 
+def _lines(text: str):
+    """(number from 1, line) for each non-blank line of `text`. A line ends at
+    a newline alone, as in `np.loadtxt`, not at every `str.splitlines` break."""
+    return ((number, line) for number, line in enumerate(text.split("\n"), 1) if line.strip())
+
+
 def _parse_table(fh, dtype, delimiter: str, *, comments=None, name="text") -> np.ndarray:
     """`np.loadtxt` of the text stream `fh`, at least 2-d. What it refuses or
     warns about (empty input), and a decode error, raise ValueError, naming
@@ -59,15 +65,16 @@ def _parse_table(fh, dtype, delimiter: str, *, comments=None, name="text") -> np
 _CHUNK = 1 << 14
 
 
-def _format_rows(template: str, *columns: np.ndarray) -> str:
-    """`template` formatted with each row of the equal-length `columns`.
+def _format_rows(header: str, *columns: np.ndarray, delimiter: str = ",") -> str:
+    """The line `header`, if any, then the rows of `columns`: floats `{:.9g}`, the rest `str`.
 
-    _CHUNK rows at a time are turned into Python scalars and formatted by one
-    call on the template repeated once per row, so the temporary objects do
-    not grow with the number of rows.
+    _CHUNK rows at a time become Python scalars, formatted by one call on the
+    row template repeated once per row, so the temporary objects do not grow
+    with the number of rows. A table without header or rows is one newline.
     """
-    chunks = []
+    row = delimiter.join("{:.9g}" if col.dtype.kind == "f" else "{}" for col in columns)
+    chunks = [header + "\n"] if header else []
     for lo in range(0, len(columns[0]), _CHUNK):
         block = np.stack([col[lo : lo + _CHUNK].astype(object) for col in columns], axis=1)
-        chunks.append((template * len(block)).format(*block.ravel().tolist()))
-    return "".join(chunks)
+        chunks.append(((row + "\n") * len(block)).format(*block.ravel().tolist()))
+    return "".join(chunks) or "\n"

@@ -308,6 +308,8 @@ def gbdt_train(X_tr, y_tr, X_val, y_val, params: GbdtParams) -> GbdtModel:
         raise ValueError("label count does not match row count")
     if X_val.shape[1] != X_tr.shape[1]:
         raise ValueError("train and validation feature widths differ")
+    if not (y_tr.size and y_val.size):
+        raise ValueError(f"the {'validation' if y_tr.size else 'training'} set is empty")
     if y_tr.min(initial=0) < 0 or y_val.min(initial=0) < 0:
         raise ValueError("labels must be non-negative class indices")
     n_classes = int(max(y_tr.max(), y_val.max())) + 1

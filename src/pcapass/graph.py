@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .fileio import _parse_table, _read_text
+from .fileio import _lines, _parse_table, _read_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +89,10 @@ def load_edge_list(path, n_nodes: int) -> EdgeList:
 def _load_edge_list_lines(path, text: str, n_nodes: int) -> EdgeList:
     """`load_edge_list` one line at a time, with an error naming the line."""
     src, dst = [], []
-    for lineno, line in enumerate(io.StringIO(text), start=1):
-        if line.startswith("#") or not line.strip():
+    for lineno, line in _lines(text):
+        if line.startswith("#"):
             continue
-        parts = line.rstrip("\n").split("\t")
+        parts = line.split("\t")
         if len(parts) != 2:
             raise DataError(f"{path}: line {lineno}: expected 'src<TAB>dst'")
         try:

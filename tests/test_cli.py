@@ -381,9 +381,18 @@ class TestErrors:
         assert err.startswith("error: data:") and "features.csv" in err
         assert "row 6, column 1" in err
 
-    @pytest.mark.parametrize("label", [10**15, 2**63])
-    def test_oversized_label_exits_3_naming_the_file(
-        self, label, tiny_config, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            (10**15, f"labels.csv: label {10**15} is not below the node count 200"),
+            (2**63, f"labels.csv: label {2**63} is not below the node count 200"),
+            ("one", "labels.csv: line 6: invalid literal for int() with base 10: 'one'"),
+            ("-1", "labels.csv: line 6: negative label -1"),
+        ],
+        ids=["oversized", "past_int64", "non_integer", "negative"],
+    )
+    def test_bad_label_exits_3_naming_the_file(
+        self, label, message, tiny_config, tmp_path, capsys
     ):
         out = tmp_path / "run"
         assert run_cmd("gen", tiny_config, out) == 0
@@ -394,8 +403,7 @@ class TestErrors:
         capsys.readouterr()
         assert run_cmd("embed", tiny_config, out) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: data:") and "labels.csv" in err
-        assert f"label {label} is not below the node count 200" in err
+        assert err.startswith("error: data:") and message in err
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -622,6 +630,46 @@ class TestErrors:
         capsys.readouterr()
         assert main(["hpo", "--config", config, "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: config: hpo_runs must be >= 1, got {runs}\n"
+
+
+    def test_config_line_without_equals_exits_2_naming_the_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("seed 3\n")
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config: {config}: line 1: expected 'key = value'\n"
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "absent.cfg"
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: config: config file not found: {config}\n"
+
+    def test_train_without_embeddings_exits_3_naming_the_file(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cmd("gen", tiny_config, out) == 0
+        capsys.readouterr()
+        assert run_cmd("train", tiny_config, out) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: data: missing embeddings file: {out / 'embeddings.csv'}\n"
+
+    def test_embeddings_a_row_short_exit_3_naming_the_file(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        for command in ("gen", "embed"):
+            assert run_cmd(command, tiny_config, out) == 0
+        embeddings = out / "embeddings.csv"
+        embeddings.write_text("".join(embeddings.read_text().splitlines(keepends=True)[:-1]))
+        capsys.readouterr()
+        assert run_cmd("train", tiny_config, out) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: data: {embeddings}: 199 rows but the dataset has 200 nodes\n"
+
+    def test_eval_without_a_model_exits_3_naming_the_file(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        for command in ("gen", "embed"):
+            assert run_cmd(command, tiny_config, out) == 0
+        capsys.readouterr()
+        assert run_cmd("eval", tiny_config, out) == 3
+        assert capsys.readouterr().err == f"error: data: missing model file: {out / 'model.bin'}\n"
 
 
 @pytest.fixture(scope="module")

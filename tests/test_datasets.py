@@ -198,7 +198,19 @@ class TestSaveLoad:
         save_dataset(ds, tmp_path / "data")
         text = (tmp_path / "data" / "splits.csv").read_text().replace("test", "holdout")
         (tmp_path / "data" / "splits.csv").write_text(text)
-        with pytest.raises(DataError, match="unknown split token"):
+        first = next(i for i, ln in enumerate(text.splitlines(), 1) if "holdout" in ln)
+        with pytest.raises(DataError, match=f"splits.csv: line {first}: unknown split token"):
+            load_dataset(tmp_path / "data")
+
+    def test_the_first_bad_row_is_reported(self, tmp_path):
+        # a bad label on line 3 comes before a bad node id on line 6
+        ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, seed=0, n_features=3))
+        save_dataset(ds, tmp_path / "data")
+        path = tmp_path / "data" / "labels.csv"
+        lines = path.read_text().splitlines()
+        lines[2], lines[5] = "1,x", "x,0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"labels\.csv: line 3: invalid literal for int\(\)"):
             load_dataset(tmp_path / "data")
 
     def test_empty_features_file_names_the_file(self, tmp_path):
@@ -210,11 +222,14 @@ class TestSaveLoad:
             load_dataset(tmp_path / "data")
         assert str(info.value) == f'{path}: loadtxt: input contained no data: "{path}"'
 
-    def test_missing_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit", [lambda lines: lines[1:], lambda lines: ["", *lines]], ids=["dropped", "blank"]
+    )
+    def test_missing_header_rejected(self, edit, tmp_path):
         ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, seed=0, n_features=3))
         save_dataset(ds, tmp_path / "data")
         lines = (tmp_path / "data" / "labels.csv").read_text().splitlines()
-        (tmp_path / "data" / "labels.csv").write_text("\n".join(lines[1:]) + "\n")
+        (tmp_path / "data" / "labels.csv").write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(DataError, match="header"):
             load_dataset(tmp_path / "data")
 

@@ -214,11 +214,7 @@ class TestHopLoopBuffers:
     def test_hop_peak_memory_is_a_few_states(self, rng, monkeypatch):
         # 20k nodes of mean degree about 21, with float32 features as
         # `load_dataset` returns them. A unit is one n x f float64 array, the
-        # size of a hop state. pcapass once peaked at 9.0 units and the other
-        # two methods at 5.4-6.0: a float64 copy of the input that nothing
-        # read, the aggregate held through the PCA fit, the sorted rows kept
-        # beside their centered copy, and the operator's row degrees kept
-        # beside its weights. The one-block bound of the plain methods holds
+        # size of a hop state. The one-block bound of the plain methods holds
         # only while `aggregate` allocates its output after the first block's
         # weights. In blocks of 2^16 entries, which hold one block's weights
         # instead of the nnz-length ones, the plain methods peak lower.

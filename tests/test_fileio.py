@@ -1,9 +1,12 @@
-"""The text-table writer in `pcapass.fileio`, checked against the f-string
-writers it replaced (tests/oracles.py), and the layout that keeps every
-CSV/TSV decision in that one module."""
+"""The text helpers in `pcapass.fileio`: the table writer, checked against
+the f-string writers it replaced (tests/oracles.py), the line rule that every
+text input follows, the atomic writes, and the layout that keeps every CSV/TSV
+decision in that one module."""
 
 import ast
 import inspect
+import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +21,11 @@ from oracles import (
 )
 
 import pcapass
-from pcapass import cli, fileio
+from pcapass import ConfigError, DataError, SbmParams, cli, fileio, generate_sbm, load_dataset
+from pcapass import save_dataset
 from pcapass.analysis import HpoRecord, SweepResult
-from pcapass.embed import Method, embeddings_to_csv
+from pcapass.config import parse_config_file
+from pcapass.embed import Method, embeddings_from_csv, embeddings_to_csv
 
 
 def test_public_functions_are_the_two_atomic_writers():
@@ -42,6 +47,60 @@ def test_only_fileio_calls_loadtxt():
                 if name == "loadtxt":
                     callers.add(path.name)
     assert callers == {"fileio.py"}
+
+
+def test_no_text_input_splits_lines_itself():
+    splitters = set()
+    for path in Path(pcapass.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "splitlines":
+                splitters.add(path.name)
+    assert splitters == set()
+
+
+# The characters at which `str.splitlines` ends a line and `np.loadtxt` does not.
+_NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _join_first_rows(path, char, skip):
+    """Rewrite `path` with its first two rows after `skip` lines joined by `char`."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[skip : skip + 2] = [char.join(lines[skip : skip + 2])]
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("char", _NOT_LINE_ENDS, ids=lambda char: f"U+{ord(char):04X}")
+def test_only_a_newline_ends_a_line(char, tmp_path):
+    # Two rows joined by `char` are one line to every text input: its one
+    # line fails to parse, or the file comes up a row short.
+    with pytest.raises(ValueError, match="at row 0, column 2"):
+        fileio._parse_table(io.StringIO(f"1,2{char}3,4\n"), np.float64, ",")
+    with pytest.raises(ValueError, match="^line 1: could not convert"):
+        embeddings_from_csv(f"1,2{char}3,4\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"seed = 1{char}threads = 2\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="bad value for 'seed'"):
+        parse_config_file(config)
+    ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, n_features=3, seed=0))
+    for name, skip, message in [
+        ("edges.tsv", 0, "edges.tsv: line 1: expected 'src<TAB>dst'"),
+        ("labels.csv", 1, "labels.csv: expected 30 rows, found 29"),
+        ("splits.csv", 1, "splits.csv: expected 30 rows, found 29"),
+    ]:
+        save_dataset(ds, tmp_path / name)
+        _join_first_rows(tmp_path / name / name, char, skip)
+        with pytest.raises(DataError, match=message):
+            load_dataset(tmp_path / name)
+
+
+def test_a_failed_atomic_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        fileio.write_bytes_atomic(tmp_path / "out.bin", b"data")
+    assert list(tmp_path.iterdir()) == []
 
 
 _cells = st.one_of(

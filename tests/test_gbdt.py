@@ -55,6 +55,14 @@ class TestTrainContracts:
         with pytest.raises(ValueError, match="label count"):
             gbdt_train(X, np.zeros(9, int), X, np.zeros(10, int), quick_params())
 
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_an_empty_set_is_rejected_by_name(self, empty):
+        X, y = np.ones((4, 2)), np.arange(4) % 2
+        sets = {"training": (X, y), "validation": (X, y)}
+        sets[empty] = (X[:0], y[:0])
+        with pytest.raises(ValueError, match=f"^the {empty} set is empty$"):
+            gbdt_train(*sets["training"], *sets["validation"], quick_params())
+
     def test_a_non_finite_leaf_is_rejected(self):
         # learning_rate = 1e308 once trained a model whose leaves were inf or
         # nan, warned of overflow in the softmax, and `eval` rejected it

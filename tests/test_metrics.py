@@ -166,6 +166,13 @@ class TestKmeans:
         assert sorted(assign.tolist()) == list(range(6))
         assert inertia(X, assign) == pytest.approx(0.0, abs=1e-20)
 
+    def test_constant_data_gets_a_full_assignment(self):
+        # Every point is the same, so the seeding's remaining mass is 0 after
+        # the first center and the second cluster starts empty: it is picked
+        # uniformly, then revived, and ties go to the lowest cluster id.
+        assign = kmeans(np.full((10, 3), 2.5), 2, seed=0)
+        assert assign.tolist() == [0] * 10
+
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             kmeans(np.ones((3, 2)), 4, seed=0)
