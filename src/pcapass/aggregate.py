@@ -42,7 +42,7 @@ def _weights(g: CsrGraph, deg: np.ndarray, aggregator: Aggregator, r0: int, r1: 
     entry's row degree (times its column degree, square-rooted, for symnorm),
     inverted. `deg` is the float64 degree."""
     cols = g.col_idx[g.row_ptr[r0] : g.row_ptr[r1]]
-    weights = np.repeat(deg[r0:r1], g.degree[r0:r1])
+    weights = np.repeat(deg[r0:r1], np.diff(g.row_ptr[r0 : r1 + 1]))
     if aggregator is Aggregator.SYM_NORM:
         weights *= deg[cols]
         np.sqrt(weights, out=weights)

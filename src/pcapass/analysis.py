@@ -46,7 +46,8 @@ class HpoRecord:
 class SearchSpace:
     """Uniform sampling ranges, inclusive for integers; learning_rate and
     reg_lambda are sampled log-uniformly. The CLI's `hpo_*` config keys are
-    derived from these fields; the GBDT `patience` key serves `patience`."""
+    derived from these fields; the GBDT keys `patience`, `n_bins` and
+    `min_child_hessian` serve the fields of those names."""
 
     k: tuple[int, int] = setting((1, 10), "search range for hops", "hpo_k", low=0)
     d: tuple[int, int] = setting((4, 32), "search range for embedding dimension", "hpo_d", low=1)
@@ -63,16 +64,14 @@ class SearchSpace:
         ("mean", "symnorm"), "comma-separated aggregators sampled during search", "hpo_aggregators"
     )
     patience: int = GbdtParams.patience
+    n_bins: int = GbdtParams.n_bins
+    min_child_hessian: float = GbdtParams.min_child_hessian
 
     def __post_init__(self):
         check_settings(self)
         for name in self.aggregators:
             if name not in {a.value for a in Aggregator}:
                 raise ValueError(f"unknown aggregator {name!r}")
-        for name in ("k", "d", "learning_rate", "max_depth", "reg_lambda", "subsample"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} range is inverted: {lo} > {hi}")
         for name in ("learning_rate", "reg_lambda"):  # sampled log-uniformly
             lo = getattr(self, name)[0]
             if lo <= 0:
@@ -81,7 +80,8 @@ class SearchSpace:
             raise ValueError(f"subsample range must lie in (0, 1], got {self.subsample}")
         if not self.aggregators:
             raise ValueError("at least one aggregator is needed")
-        GbdtParams(n_rounds=self.n_rounds, patience=self.patience)  # their own checks
+        GbdtParams(n_rounds=self.n_rounds, patience=self.patience, n_bins=self.n_bins,
+                   min_child_hessian=self.min_child_hessian)  # their own checks
 
 
 def normalize_scores(raw) -> np.ndarray:
@@ -159,6 +159,8 @@ def _sample_params(space: SearchSpace, rng: np.random.Generator) -> dict:
         "subsample": float(rng.uniform(*space.subsample)),
         "n_rounds": space.n_rounds,
         "patience": space.patience,
+        "n_bins": space.n_bins,
+        "min_child_hessian": space.min_child_hessian,
         "seed": int(rng.integers(2**31)),
     }
 

@@ -114,23 +114,16 @@ def generate_sbm(p: SbmParams) -> Dataset:
             if a == b:
                 ia = members[a]
                 iu, ju = np.triu_indices(ia.size, k=1)
-                if iu.size == 0:
-                    continue
                 hit = rng.random(iu.size) < prob
                 srcs.append(ia[iu[hit]])
                 dsts.append(ia[ju[hit]])
             else:
                 ia, ib = members[a], members[b]
-                if ia.size == 0 or ib.size == 0:
-                    continue
                 hit = rng.random(ia.size * ib.size) < prob
                 gi, gj = np.divmod(np.flatnonzero(hit), ib.size)
                 srcs.append(ia[gi])
                 dsts.append(ib[gj])
-    if srcs:
-        pairs = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
+    pairs = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
     graph = prepare(EdgeList(n_nodes=n, pairs=pairs))
 
     centroids = np.zeros((n_cls, p.n_features))
@@ -209,8 +202,9 @@ def load_dataset(directory) -> Dataset:
 
     feats_path = directory / "features.csv"
     try:
-        with open(feats_path, encoding="utf-8") as fh:  # streamed by loadtxt
-            X = _parse_table(fh, np.float32, ",", comments="#", name=feats_path)
+        with open(feats_path, encoding="utf-8") as fh:  # streamed, blank lines skipped
+            lines = (line for line in fh if line.strip())
+            X = _parse_table(lines, np.float32, ",", comments="#", name=feats_path)
     except ValueError as exc:
         raise DataError(f"{feats_path}: {exc}") from None
     if not np.isfinite(X).all():

@@ -46,22 +46,41 @@ class CsrGraph:
     After `prepare` the adjacency is symmetric, reflexive (every node has a
     self-loop), deduplicated, and each row's neighbor ids are strictly
     increasing. `degree[v]` counts neighbors including the self-loop.
+
+    `aggregate` hands these arrays to a kernel that checks no index, so the
+    constructor checks them: a row pointer that does not rise from 0 to the
+    entry count, or a column id outside [0, n_nodes), raises ValueError.
     """
 
-    n_nodes: int
-    row_ptr: np.ndarray  # (n+1,) int64, non-decreasing
-    col_idx: np.ndarray  # (nnz,) int64, strictly increasing within each row
-    degree: np.ndarray  # (n,) int64
+    row_ptr: np.ndarray  # (n+1,) int64, non-decreasing from 0 to nnz
+    col_idx: np.ndarray  # (nnz,) int64 in [0, n), strictly increasing within each row
 
     def __post_init__(self):
-        for name in ("row_ptr", "col_idx", "degree"):
+        for name in ("row_ptr", "col_idx"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        row_ptr, col_idx = self.row_ptr, self.col_idx
+        if row_ptr.ndim != 1 or col_idx.ndim != 1 or row_ptr.size == 0 or row_ptr[0] != 0:
+            raise ValueError("row_ptr and col_idx must be 1-D, and row_ptr must start at 0")
+        if (row_ptr[1:] < row_ptr[:-1]).any():
+            raise ValueError("row_ptr must never fall")
+        if row_ptr[-1] != col_idx.size:
+            raise ValueError(f"row_ptr ends at {row_ptr[-1]}, not at the {col_idx.size} entries")
+        if col_idx.size and (col_idx.min() < 0 or col_idx.max() >= self.n_nodes):
+            raise ValueError(f"a column id lies outside [0, {self.n_nodes})")
+
+    @property
+    def n_nodes(self) -> int:
+        return self.row_ptr.shape[0] - 1
 
     @property
     def n_entries(self) -> int:
         return self.col_idx.shape[0]
+
+    @property
+    def degree(self) -> np.ndarray:
+        return np.diff(self.row_ptr)
 
 
 def load_edge_list(path, n_nodes: int) -> EdgeList:
@@ -79,7 +98,7 @@ def load_edge_list(path, n_nodes: int) -> EdgeList:
     data = re.sub(r"(?m)^#.*\n?", "", text) if "#" in text else text
     try:
         pairs = _parse_table(io.StringIO(data), np.int64, "\t")
-        if pairs.shape[1] == 2 and pairs.min() >= 0 and pairs.max() < n_nodes:
+        if pairs.shape[1] == 2:  # EdgeList's id check is a ValueError too
             return EdgeList(n_nodes=n_nodes, pairs=pairs)
     except ValueError:
         pass
@@ -132,15 +151,14 @@ def prepare(edges: EdgeList) -> CsrGraph:
         np.not_equal(key[1:], key[:-1], out=keep[1:])
         key = key[keep]
     u, v = np.divmod(key, n)
-    counts = np.bincount(u, minlength=n)
     row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_ptr[1:])
-    return CsrGraph(n_nodes=n, row_ptr=row_ptr, col_idx=v, degree=counts)
+    np.cumsum(np.bincount(u, minlength=n), out=row_ptr[1:])
+    return CsrGraph(row_ptr=row_ptr, col_idx=v)
 
 
 def edge_list_of(g: CsrGraph) -> EdgeList:
     """Unique undirected edges (u < v) of a prepared graph, self-loops dropped."""
-    rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), np.diff(g.row_ptr))
+    rows = np.repeat(np.arange(g.n_nodes, dtype=np.int64), g.degree)
     mask = rows < g.col_idx
     pairs = np.stack([rows[mask], g.col_idx[mask]], axis=1)
     return EdgeList(n_nodes=g.n_nodes, pairs=pairs)

@@ -66,6 +66,13 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _conditional_entropy(contingency: np.ndarray, axis: int) -> float:
+    """H(C|K) at axis 0, H(K|C) at 1: -sum (n_ck / n) log(n_ck / total of its line on `axis`)."""
+    mask = contingency > 0
+    ratios = contingency / contingency.sum(axis=axis, keepdims=True)
+    return float(-(contingency[mask] / contingency.sum() * np.log(ratios[mask])).sum())
+
+
 def v_measure(truth, pred) -> float:
     """Harmonic mean of clustering homogeneity and completeness.
 
@@ -86,17 +93,10 @@ def v_measure(truth, pred) -> float:
     contingency = np.zeros((n_c, n_k), dtype=np.float64)
     np.add.at(contingency, (t_codes, p_codes), 1.0)
 
-    n = truth.size
     h_c = _entropy_from_counts(contingency.sum(axis=1))
     h_k = _entropy_from_counts(contingency.sum(axis=0))
-    # H(C|K) = -sum_ck (n_ck / n) log(n_ck / n_k)
-    col_tot = contingency.sum(axis=0, keepdims=True)
-    mask = contingency > 0
-    ratios = np.where(mask, contingency / np.where(col_tot > 0, col_tot, 1.0), 1.0)
-    h_c_given_k = float(-(contingency[mask] / n * np.log(ratios[mask])).sum())
-    row_tot = contingency.sum(axis=1, keepdims=True)
-    ratios_t = np.where(mask, contingency / np.where(row_tot > 0, row_tot, 1.0), 1.0)
-    h_k_given_c = float(-(contingency[mask] / n * np.log(ratios_t[mask])).sum())
+    h_c_given_k = _conditional_entropy(contingency, 0)
+    h_k_given_c = _conditional_entropy(contingency, 1)
 
     homogeneity = 1.0 if h_c == 0.0 else 1.0 - h_c_given_k / h_c
     completeness = 1.0 if h_k == 0.0 else 1.0 - h_k_given_c / h_k

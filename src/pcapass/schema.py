@@ -25,9 +25,10 @@ def field_keys(f) -> tuple[str, ...]:
 
 def check_settings(settings) -> None:
     """Reject a float field of dataclass `settings`, or either bound of a
-    float range, that is nan or infinite, and a field, or either bound of a
-    range, below its declared `low`; the settings classes' other checks
-    compare floats, and a comparison with nan is always false."""
+    float range, that is nan or infinite, a field, or either bound of a
+    range, below its declared `low`, and a range whose lower bound passes its
+    upper; the settings classes' other checks compare floats, and a
+    comparison with nan is always false."""
     for f in fields(settings):
         value = getattr(settings, f.name)
         bounds = value if isinstance(value, tuple) else (value,)
@@ -36,3 +37,5 @@ def check_settings(settings) -> None:
         low = f.metadata.get("low")
         if low is not None and min(bounds) < low:
             raise ValueError(f"{f.name} must be >= {low}, got {value}")
+        if len(field_keys(f)) == 2 and value[0] > value[1]:
+            raise ValueError(f"{f.name} range is inverted: {value[0]} > {value[1]}")

@@ -162,6 +162,18 @@ class TestPipelineSmoke:
         summary = json.loads((out / "hpo_summary.json").read_text())
         assert summary["n_runs"] == 2 and summary["n_failed"] == 0
 
+    def test_hpo_trains_with_the_n_bins_and_min_child_hessian_keys(self, tiny_config, tmp_path):
+        # hpo once trained every run with these keys' defaults, whatever the config said
+        out = tmp_path / "run"
+        run_cmd("gen", tiny_config, out)
+        tables = []
+        for extra in ("", "n_bins = 2\nmin_child_hessian = 50\n"):
+            config = tmp_path / "hpo.cfg"
+            config.write_text(Path(tiny_config).read_text() + extra)
+            assert run_cmd("hpo", str(config), out) == 0
+            tables.append((out / "hpo.csv").read_text())
+        assert tables[0] != tables[1]
+
 
 class TestErrors:
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
@@ -356,6 +368,8 @@ class TestErrors:
             # once every run failed and hpo exited 0; GbdtParams' own messages
             ({"hpo_rounds": -1}, "n_rounds must be >= 0, got -1"),
             ({"patience": 0}, "patience must be >= 1, got 0"),
+            # once ignored by hpo
+            ({"n_bins": 2**32}, "n_bins must be <= 4294967295, got 4294967296"),
         ],
     )
     def test_bad_hpo_range_exits_2(self, keys, message, tmp_path, capsys):

@@ -110,9 +110,10 @@ def test_library_params_are_run_config_keys_with_the_same_defaults():
     for cls in (SbmParams, EmbedConfig, GbdtParams, SearchSpace):
         for f in fields(cls):
             if not f.metadata.get("help"):
-                # served by the key of its name: the global seed, or the
-                # GBDT patience for SearchSpace.patience
-                assert f.name in ("seed", "patience"), f"{cls.__name__}.{f.name}"
+                # served by the key of its name: the global seed, or the GBDT
+                # key of SearchSpace.patience, .n_bins and .min_child_hessian
+                keyless = ("seed", "patience", "n_bins", "min_child_hessian")
+                assert f.name in keyless, f"{cls.__name__}.{f.name}"
                 assert run[f.name].default == f.default
                 continue
             for name, typ, default, text in _expected_keys(f):

@@ -93,6 +93,36 @@ def test_only_a_newline_ends_a_line(char, tmp_path):
             load_dataset(tmp_path / name)
 
 
+@pytest.mark.parametrize(
+    "name", ["edges.tsv", "features.csv", "labels.csv", "splits.csv", "embeddings.csv", "run.cfg"]
+)
+def test_every_text_input_skips_a_whitespace_only_line(name, tmp_path):
+    # features.csv once failed on one: "the number of columns changed from 3 to 1"
+    ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, n_features=3, seed=0))
+    save_dataset(ds, tmp_path)
+    (tmp_path / "embeddings.csv").write_text(embeddings_to_csv(ds.X), encoding="utf-8")
+    (tmp_path / "run.cfg").write_text("seed = 1\nthreads = 2\nk = 3\n", encoding="utf-8")
+
+    def read():
+        loaded = load_dataset(tmp_path)
+        return (
+            [loaded.graph.row_ptr, loaded.graph.col_idx, loaded.X, loaded.y, loaded.split],
+            embeddings_from_csv((tmp_path / "embeddings.csv").read_text(encoding="utf-8")),
+            parse_config_file(tmp_path / "run.cfg"),
+        )
+
+    arrays_before, embeddings_before, config_before = read()
+    path = tmp_path / name
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines.insert(2, " \t ")  # after the header of labels.csv and splits.csv
+    path.write_text("\n".join(lines), encoding="utf-8")
+    arrays_after, embeddings_after, config_after = read()
+    for before, after in zip(arrays_before, arrays_after):
+        assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
+    assert embeddings_before.tobytes() == embeddings_after.tobytes()
+    assert config_before == config_after
+
+
 def test_a_failed_atomic_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("replace refused")

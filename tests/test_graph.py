@@ -1,10 +1,13 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import dense_prepared_adjacency, edge_file_reference, graphs_equal, neighbors
 
-from pcapass import DataError, EdgeList, graph, load_edge_list, prepare
+from pcapass import Aggregator, CsrGraph, DataError, EdgeList, aggregate, graph, load_edge_list
+from pcapass import prepare
 from pcapass.graph import edge_list_of
 
 
@@ -205,3 +208,44 @@ def test_arrays_immutable():
     g = prepare(EdgeList(2, np.array([[0, 1]])))
     with pytest.raises(ValueError):
         g.col_idx[0] = 5
+
+
+# The prepared 4-node path graph 0-1-2-3.
+_PATH_ROW_PTR = [0, 2, 5, 8, 10]
+_PATH_COL_IDX = [0, 1, 0, 1, 2, 1, 2, 3, 2, 3]
+
+
+class TestCsrArrays:
+    """`aggregate` hands a graph's arrays to scipy's CSR kernel, which checks
+    no index: an id past the output or input rows reads or writes out of
+    bounds, so the graph checks its two arrays when it is built."""
+
+    def test_a_graph_is_its_two_arrays(self):
+        g = CsrGraph(row_ptr=_PATH_ROW_PTR, col_idx=_PATH_COL_IDX)
+        assert [f.name for f in fields(CsrGraph)] == ["row_ptr", "col_idx"]
+        assert (g.n_nodes, g.n_entries, g.degree.tolist()) == (4, 10, [2, 3, 3, 2])
+        assert graphs_equal(g, prepare(EdgeList(4, np.array([[0, 1], [1, 2], [2, 3]]))))
+        X = np.arange(8.0).reshape(4, 2)
+        assert np.allclose(aggregate(g, X, Aggregator.MEAN), [[1, 2], [2, 3], [4, 5], [5, 6]])
+
+    @pytest.mark.parametrize(
+        "row_ptr, col_idx, message",
+        [
+            # a column id past the rows once segfaulted `aggregate`
+            (_PATH_ROW_PTR, _PATH_COL_IDX[:-1] + [10**6], r"column id lies outside \[0, 4\)"),
+            (_PATH_ROW_PTR, _PATH_COL_IDX[:-1] + [4], r"column id lies outside \[0, 4\)"),
+            (_PATH_ROW_PTR, [-1] + _PATH_COL_IDX[1:], r"column id lies outside \[0, 4\)"),
+            # a row pointer past the entries once read values out of bounds
+            (_PATH_ROW_PTR[:-1] + [13], _PATH_COL_IDX, "row_ptr ends at 13, not at the 10 entries"),
+            (_PATH_ROW_PTR[:-1] + [9], _PATH_COL_IDX, "row_ptr ends at 9, not at the 10 entries"),
+            ([0, 5, 2, 8, 10], _PATH_COL_IDX, "row_ptr must never fall"),
+            ([1, 2, 5, 8, 10], _PATH_COL_IDX, "row_ptr must start at 0"),
+            ([], [], "row_ptr must start at 0"),
+            ([_PATH_ROW_PTR], _PATH_COL_IDX, "must be 1-D"),
+        ],
+        ids=["col_far", "col_n", "col_negative", "ptr_past", "ptr_short", "ptr_falls",
+             "ptr_start", "ptr_empty", "ptr_2d"],
+    )
+    def test_bad_arrays_are_rejected(self, row_ptr, col_idx, message):
+        with pytest.raises(ValueError, match=message):
+            CsrGraph(row_ptr=row_ptr, col_idx=col_idx)
