@@ -2,19 +2,25 @@
 
 The sweep embeds each method once for the full hop budget and scores each
 hop's state as soon as it is produced, by clustering it and comparing
-against the true labels with v-measure, so it holds one hop state at a
-time. Scores are normalized per method by that method's own maximum so the
-hop trends are comparable across methods.
+against the true labels with v-measure, so each method holds one hop state
+at a time. Scores are normalized per method by that method's own maximum so
+the hop trends are comparable across methods.
 
 The generalization study samples embedding and classifier hyperparameters
 jointly, trains once per sample, and records (validation loss, test
 accuracy) pairs whose correlation summarizes how well model selection on
 validation loss transfers to unseen data.
+
+Sweep methods and search runs are independent jobs whose seeds do not
+depend on the schedule, so `workers` above 1 runs them in forked worker
+processes, at most one per usable core and per job, with the same results.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,6 +90,80 @@ class SearchSpace:
                    min_child_hessian=self.min_child_hessian)  # their own checks
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(workers: int, jobs: int) -> int:
+    """Processes `_run_jobs` starts: never more than the usable cores or the
+    jobs, however large `workers` is."""
+    return max(1, min(workers, _usable_cores(), jobs))
+
+
+# OpenBLAS's thread-count setters, by the symbol names of numpy's bundled
+# 64-bit build, a 64-bit system build and a 32-bit one.
+_OPENBLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"
+)
+
+
+def _openblas_function(names):
+    """The first of `names` that numpy's loaded BLAS exports, or None."""
+    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed `core`
+    lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    for name in names:
+        func = getattr(lib, name, None)
+        if func is not None:
+            return func
+    return None
+
+
+_job = None  # a worker's job, set once by `_start_worker`
+
+
+def _start_worker(job, blas_threads: int) -> None:
+    """Pool initializer: keep `job` and cap OpenBLAS at `blas_threads`, so
+    the workers together use no more threads than there are cores."""
+    global _job
+    _job = job
+    set_threads = _openblas_function(_OPENBLAS_SET_THREADS)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(blas_threads)
+
+
+def _call_job(i: int):
+    return _job(i)
+
+
+def _run_jobs(job, n_jobs: int, workers: int) -> list:
+    """`[job(i) for i in range(n_jobs)]`, in `_worker_count` processes.
+
+    One worker runs the jobs in this process. More use a fork-context pool:
+    forked workers inherit `job` (a closure over the caller's data) through
+    the initializer rather than by pickling, tasks carry only the index, and
+    results come back pickled, bit for bit, in job order. The first job to
+    raise, in job order, raises here. The pool forks its workers before it
+    starts its own threads; OpenBLAS's threads survive a fork through its
+    fork handlers (Python 3.12 warns about them with a DeprecationWarning).
+    """
+    count = _worker_count(workers, n_jobs)
+    if count == 1:
+        return [job(i) for i in range(n_jobs)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    blas_threads = max(1, _usable_cores() // count)
+    with ProcessPoolExecutor(
+        count, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(job, blas_threads),
+    ) as pool:
+        return list(pool.map(_call_job, range(n_jobs)))
+
+
 def normalize_scores(raw) -> np.ndarray:
     """Divide by the maximum; the best hop scores exactly 1.0. Constant
     (including all-zero) inputs normalize to all ones."""
@@ -103,16 +183,17 @@ def oversmoothing_sweep(
     k_clusters: int = 0,
     seed: int = 0,
     kmeans_restarts: int = 1,
+    workers: int = 1,
 ) -> list[SweepResult]:
     """Score every (method, hop) cell by standardize -> kmeans -> v-measure.
 
     Embedding dimension is pinned to the input feature width so no method
     gets to resize; mean aggregation is used throughout. Each hop is scored
-    as soon as `hop_states` yields it, so memory holds one hop state, not
-    `len(methods) * max_hops` of them. Cell (mi, ki) seeds its k-means with
+    as soon as `hop_states` yields it, so each method holds one hop state,
+    not `max_hops` of them. Cell (mi, ki) seeds its k-means with
     `seed ^ (mi * max_hops + ki)`. A `k_clusters` of 0 means the distinct
     label count. Labels of one class would score every cell a trivial 1, so
-    they raise ValueError.
+    they raise ValueError. Methods run in up to `workers` processes.
     """
     y = np.asarray(y)
     if max_hops < 1:
@@ -126,23 +207,22 @@ def oversmoothing_sweep(
         k_clusters = n_classes
     width = np.asarray(X).shape[1]
 
-    results = []
-    for mi, method in enumerate(methods):
+    def one(mi: int) -> SweepResult:
+        method = methods[mi]
         cfg = EmbedConfig(k=max_hops, d=width, aggregator=Aggregator.MEAN, method=method)
         raw = np.empty(max_hops)
         for ki, (h, _) in enumerate(hop_states(g, X, cfg)):
             cell_seed = seed ^ (mi * max_hops + ki)
             assign = kmeans(standardize(h), k_clusters, cell_seed, kmeans_restarts)
             raw[ki] = v_measure(y, assign)
-        results.append(
-            SweepResult(
-                method=method,
-                v_measures=raw,
-                normalized=normalize_scores(raw),
-                argmax_k=int(np.argmax(raw)) + 1,
-            )
+        return SweepResult(
+            method=method,
+            v_measures=raw,
+            normalized=normalize_scores(raw),
+            argmax_k=int(np.argmax(raw)) + 1,
         )
-    return results
+
+    return _run_jobs(one, len(methods), workers)
 
 
 def _sample_params(space: SearchSpace, rng: np.random.Generator) -> dict:
@@ -190,11 +270,12 @@ def random_search(
     seed: int,
     dataset: Dataset,
     method: Method = Method.PCAPASS,
+    workers: int = 1,
 ) -> list[HpoRecord]:
-    """Independent uniform samples over `space`, run one after another; each
-    run embeds, trains and records (validation loss, test accuracy). A
-    failed run is recorded with infinite loss instead of aborting the
-    search. Run i draws from an RNG seeded with `seed ^ i`."""
+    """Independent uniform samples over `space`, run in up to `workers`
+    processes; each run embeds, trains and records (validation loss, test
+    accuracy). A failed run is recorded with infinite loss instead of
+    aborting the search. Run i draws from an RNG seeded with `seed ^ i`."""
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
 
@@ -207,7 +288,7 @@ def random_search(
             return HpoRecord(params=sampled, valid_ce=math.inf, test_accuracy=0.0)
         return HpoRecord(params=sampled, valid_ce=valid_ce, test_accuracy=test_acc)
 
-    return [one(i) for i in range(n_runs)]
+    return _run_jobs(one, n_runs, workers)
 
 
 def hpo_summary(records: list[HpoRecord]) -> dict:

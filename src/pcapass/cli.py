@@ -163,15 +163,16 @@ def cmd_eval(cfg: RunConfig) -> None:
 
 def sweep(cfg: RunConfig, load: Callable[[], Dataset], where: str | Path) -> list[SweepResult]:
     """The over-smoothing sweep of `cfg`'s sweep keys on the dataset that
-    `load()` gives once those keys are checked. A dataset the sweep cannot
-    score, such as a 1-node one or one with fewer nodes than clusters, is a
-    data error at `where`."""
+    `load()` gives once those keys are checked, in up to `cfg.threads`
+    processes. A dataset the sweep cannot score, such as a 1-node one or one
+    with fewer nodes than clusters, is a data error at `where`."""
     methods = [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
     ds = load()
     try:
         return oversmoothing_sweep(
             ds.graph, ds.X, ds.y, methods, max_hops=cfg.sweep_hops,
             k_clusters=cfg.k_clusters, seed=cfg.seed, kmeans_restarts=cfg.kmeans_restarts,
+            workers=cfg.threads,
         )
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from None
@@ -179,9 +180,10 @@ def sweep(cfg: RunConfig, load: Callable[[], Dataset], where: str | Path) -> lis
 
 def search(cfg: RunConfig, load: Callable[[], Dataset]) -> list[HpoRecord]:
     """The random search of `cfg`'s `hpo_*` keys and `method` on the dataset
-    that `load()` gives once those keys are checked."""
+    that `load()` gives once those keys are checked, in up to `cfg.threads`
+    processes."""
     space, method = from_config(SearchSpace, cfg), _choice(Method, cfg.method)
-    return random_search(space, cfg.hpo_runs, cfg.seed, load(), method)
+    return random_search(space, cfg.hpo_runs, cfg.seed, load(), method, cfg.threads)
 
 
 def cmd_sweep(cfg: RunConfig) -> None:

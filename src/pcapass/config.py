@@ -23,7 +23,7 @@ from .schema import check_settings, field_keys, setting
 @dataclass
 class _Global:
     seed: int = setting(0, "global RNG seed; feeds data generation, training and analyses", low=0)
-    threads: int = setting(1, "accepted and has no effect; analyses run in order", low=1)
+    threads: int = setting(1, "worker processes for sweep methods and hpo runs; same output", low=1)
     out: str = setting("run_out", "output directory for the command's files")
     dataset_dir: str = setting("", "dataset directory (default: <out>/dataset)")
     embeddings_path: str = setting("", "embeddings CSV path (default: <out>/embeddings.csv)")

@@ -189,8 +189,10 @@ def test_criterion_05_oversmoothing_analog(fixture_seed7):
 
 @pytest.fixture(scope="module")
 def hpo_records(fixture_seed7):
+    # one worker process per core; the records are the same at any count
     return random_search(
-        SearchSpace(), n_runs=50, seed=7, dataset=fixture_seed7, method=Method.PCAPASS
+        SearchSpace(), n_runs=50, seed=7, dataset=fixture_seed7, method=Method.PCAPASS,
+        workers=os.cpu_count() or 1,
     )
 
 

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import tracemalloc
 
 import numpy as np
@@ -216,7 +218,87 @@ class TestHpoSummary:
         assert summary["pearson_valid_ce_vs_test_accuracy"] is None
 
 
+@pytest.fixture
+def two_cores(monkeypatch):
+    """Make the pool start two workers, whatever this machine's core count."""
+    monkeypatch.setattr(analysis_module, "_usable_cores", lambda: 2)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cores, expected", [(1, [1, 1, 1, 1]), (2, [1, 2, 2, 2]),
+                                                 (8, [1, 2, 3, 3])])
+    def test_worker_count_is_capped_by_cores_and_jobs(self, cores, expected, monkeypatch):
+        # the count is computed, and no process is started, even for 2**31
+        monkeypatch.setattr(analysis_module, "_usable_cores", lambda: cores)
+        counts = [analysis_module._worker_count(t, 3) for t in (1, 2, 4, 2**31)]
+        assert counts == expected
+        assert multiprocessing.active_children() == []
+
+    def test_usable_cores_bound_the_count(self):
+        assert analysis_module._worker_count(2**31, 2**31) == analysis_module._usable_cores()
+
+    def test_jobs_run_in_workers_and_return_in_job_order(self, two_cores):
+        results = analysis_module._run_jobs(lambda i: (i * i, os.getpid()), 7, workers=2)
+        assert [square for square, _ in results] == [i * i for i in range(7)]
+        pids = {pid for _, pid in results}
+        assert os.getpid() not in pids and len(pids) <= 2
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_runs_the_jobs_in_this_process(self):
+        results = analysis_module._run_jobs(lambda i: os.getpid(), 3, workers=1)
+        assert results == [os.getpid()] * 3
+
+    def test_pooled_sweep_equals_in_process(self, two_cores):
+        ds = small_sbm(seed=3, n=120, classes=3)
+        methods = [Method.PCAPASS, Method.MESSAGE_PASSING, Method.SKIP_CONNECTIONS]
+        serial, pooled = [
+            oversmoothing_sweep(ds.graph, ds.X, ds.y, methods, 5, seed=11, workers=w)
+            for w in (1, 2)
+        ]
+        assert [r.method for r in pooled] == methods
+        for a, b in zip(serial, pooled):
+            assert (a.method, a.argmax_k) == (b.method, b.argmax_k)
+            np.testing.assert_array_equal(a.v_measures, b.v_measures)
+            np.testing.assert_array_equal(a.normalized, b.normalized)
+
+    def test_pooled_search_equals_in_process_with_a_failed_run(self, two_cores, monkeypatch):
+        ds = small_sbm(seed=5, n=150)
+        rng = np.random.default_rng(9 ^ 2)  # run 2 of a search seeded 9
+        failing_seed = analysis_module._sample_params(tiny_space(), rng)["seed"]
+        train = analysis_module.gbdt_train
+
+        def fail_run_2(*args):
+            if args[4].seed == failing_seed:
+                raise RuntimeError("injected failure")
+            return train(*args)
+
+        monkeypatch.setattr(analysis_module, "gbdt_train", fail_run_2)
+        serial, pooled = [random_search(tiny_space(), 4, seed=9, dataset=ds, workers=w)
+                          for w in (1, 2)]
+        assert pooled == serial
+        assert [math.isinf(r.valid_ce) for r in pooled] == [False, False, True, False]
+
+    def test_a_worker_caps_openblas_threads(self, monkeypatch):
+        getters = [name.replace("_set_", "_get_")
+                   for name in analysis_module._OPENBLAS_SET_THREADS]
+        get_threads = analysis_module._openblas_function(getters)
+        if get_threads is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread-count call")
+        # 6 cores over 2 workers give each 3 BLAS threads, a count no
+        # process here starts with
+        monkeypatch.setattr(analysis_module, "_usable_cores", lambda: 6)
+        assert analysis_module._run_jobs(lambda i: get_threads(), 2, workers=2) == [3, 3]
+
+    def test_a_blas_without_the_symbols_is_left_alone(self, monkeypatch):
+        monkeypatch.setattr(analysis_module, "_OPENBLAS_SET_THREADS", ("no_such_symbol",))
+        monkeypatch.setattr(analysis_module, "_job", None)
+        assert analysis_module._openblas_function(("no_such_symbol",)) is None
+        analysis_module._start_worker(abs, 1)  # keeps the job, sets no thread count
+        assert analysis_module._call_job(-4) == 4
+
+
 def test_threads_below_one_still_exits_2(tmp_path, capsys):
-    # the threads key has no effect, but its range check is kept
+    # threads sets the sweep's and the search's worker processes; a value
+    # below 1 is a config error
     assert main(["sweep", "--threads", "0", "--out", str(tmp_path)]) == 2
     assert "threads must be >= 1" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import multiprocessing
 import struct
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pcapass.analysis as analysis_module
 from pcapass import (
     ConfigError,
     DataError,
@@ -161,6 +163,16 @@ class TestPipelineSmoke:
         assert len(hpo_lines) == 1 + 2
         summary = json.loads((out / "hpo_summary.json").read_text())
         assert summary["n_runs"] == 2 and summary["n_failed"] == 0
+
+    @pytest.mark.parametrize("command", ["sweep", "hpo"])
+    def test_no_worker_outlives_a_pooled_command(self, command, tiny_config, tmp_path,
+                                                 monkeypatch):
+        # three sweep methods and two hpo runs start two workers at --threads 2
+        monkeypatch.setattr(analysis_module, "_usable_cores", lambda: 2)
+        out = tmp_path / "run"
+        assert run_cmd("gen", tiny_config, out) == 0
+        assert run_cmd(command, tiny_config, out, extra=("--threads", "2")) == 0
+        assert multiprocessing.active_children() == []
 
     def test_hpo_trains_with_the_n_bins_and_min_child_hessian_keys(self, tiny_config, tmp_path):
         # hpo once trained every run with these keys' defaults, whatever the config said
@@ -492,6 +504,21 @@ class TestErrors:
         assert main([command, "--config", config, "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: data: {out / 'dataset'}: ") and message in err
+
+    def test_a_sweep_worker_error_exits_3_with_the_in_process_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(analysis_module, "_usable_cores", lambda: 2)
+        config = write_config(tmp_path / "c.cfg", n_nodes=60, k_clusters=100, sweep_hops=2)
+        out = tmp_path / "run"
+        assert run_cmd("gen", config, out) == 0
+        capsys.readouterr()
+        errors = []
+        for threads in ("1", "2"):
+            assert run_cmd("sweep", config, out, extra=("--threads", threads)) == 3
+            errors.append(capsys.readouterr().err)
+        expected = f"error: data: {out / 'dataset'}: cluster count 100 exceeds 60 points\n"
+        assert errors == [expected, expected]
 
     @pytest.mark.parametrize("key", ["sweep_hops", "kmeans_restarts"])
     def test_sweep_count_below_one_exits_2(self, key, tmp_path, capsys):
@@ -903,32 +930,58 @@ def test_console_entrypoint_runs():
     assert "configuration keys" in proc.stdout
 
 
-SCIPY_SPARSE_PROBE = """
+MODULE_PROBE = """
 import sys
 import pcapass.cli
-config, out, *commands = sys.argv[1:]
-loaded = {"import": "scipy.sparse" in sys.modules}
+modules, config, out, *commands = sys.argv[1:]
+def loaded():
+    return [name for name in modules.split(",") if name in sys.modules]
+seen = {"import": loaded()}
 for command in commands:
     assert pcapass.cli.main([command, "--config", config, "--out", out]) == 0
-    loaded[command] = "scipy.sparse" in sys.modules
-print(loaded)
+    seen[command] = loaded()
+print(seen)
 """
 
 
-def test_scipy_sparse_loads_only_when_a_hop_aggregates(tiny_config, tmp_path):
-    # Only aggregation uses scipy.sparse, and its import once cost every
-    # command about 0.3 s of start-up. A fresh interpreter runs the commands
-    # in-process and records after each whether the module is loaded.
-    out = tmp_path / "run"
-    for command in ("gen", "embed"):
-        assert run_cmd(command, tiny_config, out) == 0
+def modules_loaded(modules, config, out, commands):
+    """Which of `modules` a fresh interpreter holds after `import pcapass.cli`
+    and after each of `commands`, run in-process in order."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_SPARSE_PROBE, tiny_config, str(out),
-         "gen", "train", "eval", "embed"],
+        [sys.executable, "-c", MODULE_PROBE, ",".join(modules), config, str(out), *commands],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == str(
-        {"import": False, "gen": False, "train": False, "eval": False, "embed": True}
+    return proc.stdout.splitlines()[-1]
+
+
+def test_scipy_sparse_loads_only_when_a_hop_aggregates(tiny_config, tmp_path):
+    # Only aggregation uses scipy.sparse, and its import once cost every
+    # command about 0.3 s of start-up.
+    out = tmp_path / "run"
+    for command in ("gen", "embed"):
+        assert run_cmd(command, tiny_config, out) == 0
+    seen = modules_loaded(["scipy.sparse"], tiny_config, out, ["gen", "train", "eval", "embed"])
+    assert seen == str(
+        {"import": [], "gen": [], "train": [], "eval": [], "embed": ["scipy.sparse"]}
     )
+
+
+def test_process_modules_load_only_when_a_pool_starts(tmp_path):
+    # multiprocessing and concurrent.futures cost about 8-10 ms of import,
+    # so only a pool of more than one worker imports them, even at
+    # threads = 2. scipy.sparse imports concurrent.futures itself, so embed
+    # loads it through aggregation. hpo at the end shows the probe sees them.
+    config = write_config(tmp_path / "run.cfg", n_nodes=200, n_features=6, k=2, d=6,
+                          n_rounds=10, hpo_runs=2, hpo_rounds=5, threads=2)
+    out = tmp_path / "run"
+    for command in ("gen", "embed"):
+        assert run_cmd(command, config, out) == 0
+    pool = analysis_module._usable_cores() >= 2
+    seen = modules_loaded(["multiprocessing", "concurrent.futures"], config, out,
+                          ["gen", "train", "eval", "embed", "hpo"])
+    assert seen == str({
+        "import": [], "gen": [], "train": [], "eval": [], "embed": ["concurrent.futures"],
+        "hpo": ["multiprocessing", "concurrent.futures"] if pool else ["concurrent.futures"],
+    })
