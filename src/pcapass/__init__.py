@@ -6,6 +6,7 @@ from .aggregate import Aggregator, aggregate
 from .analysis import (
     HpoRecord,
     SearchSpace,
+    SweepConfig,
     SweepResult,
     hpo_summary,
     normalize_scores,
@@ -54,6 +55,7 @@ __all__ = [
     "PcaModel",
     "SbmParams",
     "SearchSpace",
+    "SweepConfig",
     "SweepResult",
     "Tree",
     "accuracy",

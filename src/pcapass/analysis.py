@@ -1,5 +1,8 @@
 """Over-smoothing sweep and random-search generalization study.
 
+The sweep reads its settings from a `SweepConfig` and the search from a
+`SearchSpace`, whose fields the CLI's sweep and `hpo_*` keys derive from.
+
 The sweep embeds each method once for the full hop budget and scores each
 hop's state as soon as it is produced, by clustering it and comparing
 against the true labels with v-measure, so each method holds one hop state
@@ -49,12 +52,37 @@ class HpoRecord:
 
 
 @dataclass(frozen=True)
-class SearchSpace:
-    """Uniform sampling ranges, inclusive for integers; learning_rate and
-    reg_lambda are sampled log-uniformly. The CLI's `hpo_*` config keys are
-    derived from these fields; the GBDT keys `patience`, `n_bins` and
-    `min_child_hessian` serve the fields of those names."""
+class SweepConfig:
+    """Over-smoothing sweep settings. The CLI's sweep keys are derived from these fields."""
 
+    max_hops: int = setting(
+        30, "maximum hop count scanned by the over-smoothing sweep", "sweep_hops", low=1
+    )
+    methods: tuple[str, ...] = setting(
+        ("pcapass", "message_passing", "skip_connections"), "comma-separated methods to sweep",
+        "sweep_methods",
+    )
+    k_clusters: int = setting(
+        0, "clusters for the sweep's k-means (0: distinct label count)", low=0
+    )
+    kmeans_restarts: int = setting(1, "k-means seeding restarts per sweep cell", low=1)
+
+    def __post_init__(self):
+        check_settings(self)
+        for name in self.methods:
+            if name not in {m.value for m in Method}:
+                raise ValueError(f"unknown method {name!r}")
+
+
+@dataclass(frozen=True)
+class SearchSpace:
+    """`n_runs` runs of `method`, each sampling uniformly from these ranges,
+    inclusive for integers; learning_rate and reg_lambda are sampled
+    log-uniformly. The CLI's `hpo_*` config keys are derived from these fields;
+    the keys `method`, `patience`, `n_bins` and `min_child_hessian` serve the
+    fields of those names."""
+
+    n_runs: int = setting(50, "number of random-search runs", "hpo_runs", low=1)
     k: tuple[int, int] = setting((1, 10), "search range for hops", "hpo_k", low=0)
     d: tuple[int, int] = setting((4, 32), "search range for embedding dimension", "hpo_d", low=1)
     learning_rate: tuple[float, float] = setting(
@@ -69,6 +97,7 @@ class SearchSpace:
     aggregators: tuple[str, ...] = setting(
         ("mean", "symnorm"), "comma-separated aggregators sampled during search", "hpo_aggregators"
     )
+    method: Method = EmbedConfig.method
     patience: int = GbdtParams.patience
     n_bins: int = GbdtParams.n_bins
     min_child_hessian: float = GbdtParams.min_child_hessian
@@ -86,8 +115,11 @@ class SearchSpace:
             raise ValueError(f"subsample range must lie in (0, 1], got {self.subsample}")
         if not self.aggregators:
             raise ValueError("at least one aggregator is needed")
-        GbdtParams(n_rounds=self.n_rounds, patience=self.patience, n_bins=self.n_bins,
-                   min_child_hessian=self.min_child_hessian)  # their own checks
+        for end in (0, 1):  # GbdtParams' own checks, at either end of every range
+            GbdtParams(learning_rate=self.learning_rate[end], max_depth=self.max_depth[end],
+                       reg_lambda=self.reg_lambda[end], subsample=self.subsample[end],
+                       n_rounds=self.n_rounds, patience=self.patience, n_bins=self.n_bins,
+                       min_child_hessian=self.min_child_hessian)
 
 
 def _usable_cores() -> int:
@@ -174,18 +206,9 @@ def normalize_scores(raw) -> np.ndarray:
     return raw / top
 
 
-def oversmoothing_sweep(
-    g,
-    X,
-    y,
-    methods: list[Method],
-    max_hops: int,
-    k_clusters: int = 0,
-    seed: int = 0,
-    kmeans_restarts: int = 1,
-    workers: int = 1,
-) -> list[SweepResult]:
-    """Score every (method, hop) cell by standardize -> kmeans -> v-measure.
+def oversmoothing_sweep(g, X, y, sweep: SweepConfig, seed: int = 0,
+                        workers: int = 1) -> list[SweepResult]:
+    """Score each of `sweep`'s (method, hop) cells by standardize -> kmeans -> v-measure.
 
     Embedding dimension is pinned to the input feature width so no method
     gets to resize; mean aggregation is used throughout. Each hop is scored
@@ -196,24 +219,19 @@ def oversmoothing_sweep(
     they raise ValueError. Methods run in up to `workers` processes.
     """
     y = np.asarray(y)
-    if max_hops < 1:
-        raise ValueError(f"max_hops must be >= 1, got {max_hops}")
-    if k_clusters < 0:
-        raise ValueError(f"k_clusters must be >= 0, got {k_clusters}")
     n_classes = int(np.unique(y).size)
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
-    if k_clusters == 0:
-        k_clusters = n_classes
+    k_clusters = sweep.k_clusters or n_classes
     width = np.asarray(X).shape[1]
 
     def one(mi: int) -> SweepResult:
-        method = methods[mi]
-        cfg = EmbedConfig(k=max_hops, d=width, aggregator=Aggregator.MEAN, method=method)
-        raw = np.empty(max_hops)
+        method = Method(sweep.methods[mi])
+        cfg = EmbedConfig(k=sweep.max_hops, d=width, aggregator=Aggregator.MEAN, method=method)
+        raw = np.empty(sweep.max_hops)
         for ki, (h, _) in enumerate(hop_states(g, X, cfg)):
-            cell_seed = seed ^ (mi * max_hops + ki)
-            assign = kmeans(standardize(h), k_clusters, cell_seed, kmeans_restarts)
+            cell_seed = seed ^ (mi * sweep.max_hops + ki)
+            assign = kmeans(standardize(h), k_clusters, cell_seed, sweep.kmeans_restarts)
             raw[ki] = v_measure(y, assign)
         return SweepResult(
             method=method,
@@ -222,7 +240,7 @@ def oversmoothing_sweep(
             argmax_k=int(np.argmax(raw)) + 1,
         )
 
-    return _run_jobs(one, len(methods), workers)
+    return _run_jobs(one, len(sweep.methods), workers)
 
 
 def _sample_params(space: SearchSpace, rng: np.random.Generator) -> dict:
@@ -264,31 +282,23 @@ def _execute_run(dataset: Dataset, method: Method, sampled: dict) -> tuple[float
     return model.best_valid_ce, test_acc
 
 
-def random_search(
-    space: SearchSpace,
-    n_runs: int,
-    seed: int,
-    dataset: Dataset,
-    method: Method = Method.PCAPASS,
-    workers: int = 1,
-) -> list[HpoRecord]:
-    """Independent uniform samples over `space`, run in up to `workers`
-    processes; each run embeds, trains and records (validation loss, test
-    accuracy). A failed run is recorded with infinite loss instead of
-    aborting the search. Run i draws from an RNG seeded with `seed ^ i`."""
-    if n_runs < 1:
-        raise ValueError(f"n_runs must be >= 1, got {n_runs}")
+def random_search(space: SearchSpace, seed: int, dataset: Dataset,
+                  workers: int = 1) -> list[HpoRecord]:
+    """`space.n_runs` independent uniform samples over `space`, run in up to
+    `workers` processes; each run embeds, trains and records (validation
+    loss, test accuracy). A failed run is recorded with infinite loss instead
+    of aborting the search. Run i draws from an RNG seeded with `seed ^ i`."""
 
     def one(i: int) -> HpoRecord:
         rng = np.random.default_rng(seed ^ i)
         sampled = _sample_params(space, rng)
         try:
-            valid_ce, test_acc = _execute_run(dataset, method, sampled)
+            valid_ce, test_acc = _execute_run(dataset, space.method, sampled)
         except Exception:
             return HpoRecord(params=sampled, valid_ce=math.inf, test_accuracy=0.0)
         return HpoRecord(params=sampled, valid_ce=valid_ce, test_accuracy=test_acc)
 
-    return _run_jobs(one, n_runs, workers)
+    return _run_jobs(one, space.n_runs, workers)
 
 
 def hpo_summary(records: list[HpoRecord]) -> dict:

@@ -21,14 +21,15 @@ import numpy as np
 from .analysis import (
     HpoRecord,
     SearchSpace,
+    SweepConfig,
     SweepResult,
     hpo_summary,
     oversmoothing_sweep,
     random_search,
 )
-from .config import RunConfig, _choice, _split_tokens, build_config, config_help_text, from_config
+from .config import RunConfig, build_config, config_help_text, from_config
 from .datasets import SPLITS, TRAIN, VALID, Dataset, SbmParams, generate_sbm, load_dataset, save_dataset
-from .embed import EmbedConfig, Method, embed, embeddings_from_csv, embeddings_to_csv
+from .embed import EmbedConfig, embed, embeddings_from_csv, embeddings_to_csv
 from .errors import ConfigError, DataError
 from .fileio import _format_rows, _read_text, write_bytes_atomic, write_text_atomic
 from .gbdt import (
@@ -114,8 +115,8 @@ def cmd_gen(cfg: RunConfig) -> None:
 
 
 def cmd_embed(cfg: RunConfig) -> None:
-    ds = load_dataset(_dataset_dir(cfg))
     embed_cfg = from_config(EmbedConfig, cfg)
+    ds = load_dataset(_dataset_dir(cfg))
     try:
         result = embed(ds.graph, ds.X, embed_cfg)
     except ValueError as exc:  # such as a PCA hop on a 1-node graph
@@ -126,9 +127,9 @@ def cmd_embed(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
+    params = from_config(GbdtParams, cfg)
     ds = _load_split_dataset(cfg)
     H = _load_embeddings(cfg, ds.n_nodes)
-    params = from_config(GbdtParams, cfg)
     tr, va = ds.indices(TRAIN), ds.indices(VALID)
     try:
         model = gbdt_train(H[tr], ds.y[tr], H[va], ds.y[va], params)
@@ -158,6 +159,9 @@ def cmd_eval(cfg: RunConfig) -> None:
             f"{model_file}: model expects {model.n_features} features, "
             f"{_embeddings_path(cfg)} has {H.shape[1]}"
         )
+    if ds.y.max() >= model.n_classes:
+        raise DataError(f"{model_file}: model has {model.n_classes} classes, "
+                        f"{_dataset_dir(cfg) / 'labels.csv'} has label {ds.y.max()}")
     _write_json(Path(cfg.out) / "metrics.json", _metrics(model, H, ds))
 
 
@@ -166,14 +170,10 @@ def sweep(cfg: RunConfig, load: Callable[[], Dataset], where: str | Path) -> lis
     `load()` gives once those keys are checked, in up to `cfg.threads`
     processes. A dataset the sweep cannot score, such as a 1-node one or one
     with fewer nodes than clusters, is a data error at `where`."""
-    methods = [_choice(Method, tok) for tok in _split_tokens(cfg.sweep_methods)]
+    settings = from_config(SweepConfig, cfg)
     ds = load()
     try:
-        return oversmoothing_sweep(
-            ds.graph, ds.X, ds.y, methods, max_hops=cfg.sweep_hops,
-            k_clusters=cfg.k_clusters, seed=cfg.seed, kmeans_restarts=cfg.kmeans_restarts,
-            workers=cfg.threads,
-        )
+        return oversmoothing_sweep(ds.graph, ds.X, ds.y, settings, cfg.seed, cfg.threads)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from None
 
@@ -182,8 +182,7 @@ def search(cfg: RunConfig, load: Callable[[], Dataset]) -> list[HpoRecord]:
     """The random search of `cfg`'s `hpo_*` keys and `method` on the dataset
     that `load()` gives once those keys are checked, in up to `cfg.threads`
     processes."""
-    space, method = from_config(SearchSpace, cfg), _choice(Method, cfg.method)
-    return random_search(space, cfg.hpo_runs, cfg.seed, load(), method, cfg.threads)
+    return random_search(from_config(SearchSpace, cfg), cfg.seed, load(), cfg.threads)
 
 
 def cmd_sweep(cfg: RunConfig) -> None:

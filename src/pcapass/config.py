@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, make_dataclass
 from enum import Enum
 from pathlib import Path
 
-from .analysis import SearchSpace
+from .analysis import SearchSpace, SweepConfig
 from .datasets import SbmParams
 from .embed import EmbedConfig
 from .errors import ConfigError
@@ -22,27 +22,14 @@ from .schema import check_settings, field_keys, setting
 
 @dataclass
 class _Global:
+    """The CLI's own keys; every other key derives from a library settings field."""
+
     seed: int = setting(0, "global RNG seed; feeds data generation, training and analyses", low=0)
     threads: int = setting(1, "worker processes for sweep methods and hpo runs; same output", low=1)
     out: str = setting("run_out", "output directory for the command's files")
     dataset_dir: str = setting("", "dataset directory (default: <out>/dataset)")
     embeddings_path: str = setting("", "embeddings CSV path (default: <out>/embeddings.csv)")
     model_path: str = setting("", "classifier model path (default: <out>/model.bin)")
-
-
-@dataclass
-class _Analyses:
-    """Arguments of oversmoothing_sweep and random_search, not dataclass fields."""
-
-    sweep_hops: int = setting(30, "maximum hop count scanned by the over-smoothing sweep", low=1)
-    sweep_methods: str = setting(
-        "pcapass,message_passing,skip_connections", "comma-separated methods to sweep"
-    )
-    k_clusters: int = setting(
-        0, "clusters for the sweep's k-means (0: distinct label count)", low=0
-    )
-    kmeans_restarts: int = setting(1, "k-means seeding restarts per sweep cell", low=1)
-    hpo_runs: int = setting(50, "number of random-search runs", low=1)
 
 
 def _config_keys(section):
@@ -76,9 +63,17 @@ def from_config(cls, cfg):
     for f in fields(cls):
         raw = [getattr(cfg, name) for name in field_keys(f)]
         if isinstance(f.default, Enum):
-            values[f.name] = _choice(type(f.default), *raw)
-        elif isinstance(f.default, tuple):  # a (low, high) range or a comma list
-            values[f.name] = tuple(raw if len(raw) == 2 else _split_tokens(*raw))
+            enum = type(f.default)
+            try:
+                values[f.name] = enum(raw[0])
+            except ValueError:
+                raise ConfigError(f"unknown {enum.__name__.lower()} {raw[0]!r}") from None
+        elif len(raw) == 2:  # a (low, high) range
+            values[f.name] = tuple(raw)
+        elif isinstance(f.default, tuple):  # a comma list
+            values[f.name] = tuple(tok.strip() for tok in raw[0].split(",") if tok.strip())
+            if not values[f.name]:
+                raise ConfigError(f"empty list value {raw[0]!r}")
         else:
             values[f.name] = raw[0]
     try:
@@ -87,26 +82,11 @@ def from_config(cls, cfg):
         raise ConfigError(str(exc)) from None
 
 
-def _choice(enum, value: str):
-    """The member of `enum` named by a config value."""
-    try:
-        return enum(value)
-    except ValueError:
-        raise ConfigError(f"unknown {enum.__name__.lower()} {value!r}") from None
-
-
-def _split_tokens(raw: str) -> list[str]:
-    tokens = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not tokens:
-        raise ConfigError(f"empty list value {raw!r}")
-    return tokens
-
-
 RunConfig = make_dataclass(
     "RunConfig",
     [
         (name, typ, setting(default, text, low=low))
-        for section in (_Global, SbmParams, EmbedConfig, GbdtParams, _Analyses, SearchSpace)
+        for section in (_Global, SbmParams, EmbedConfig, GbdtParams, SweepConfig, SearchSpace)
         for name, typ, default, text, low in _config_keys(section)
     ],
     namespace={"__module__": __name__},

@@ -27,6 +27,7 @@ from pcapass import (
     Method,
     SbmParams,
     SearchSpace,
+    SweepConfig,
     accuracy,
     aggregate,
     cross_entropy,
@@ -175,8 +176,7 @@ def test_criterion_05_oversmoothing_analog(fixture_seed7):
                 ds.graph,
                 ds.X,
                 ds.y,
-                [Method.PCAPASS, Method.MESSAGE_PASSING],
-                max_hops=30,
+                SweepConfig(max_hops=30, methods=("pcapass", "message_passing")),
                 seed=sweep_seed,
             )
             assert pca_res.normalized.max() == 1.0 and mp_res.normalized.max() == 1.0
@@ -191,7 +191,7 @@ def test_criterion_05_oversmoothing_analog(fixture_seed7):
 def hpo_records(fixture_seed7):
     # one worker process per core; the records are the same at any count
     return random_search(
-        SearchSpace(), n_runs=50, seed=7, dataset=fixture_seed7, method=Method.PCAPASS,
+        SearchSpace(n_runs=50, method=Method.PCAPASS), seed=7, dataset=fixture_seed7,
         workers=os.cpu_count() or 1,
     )
 

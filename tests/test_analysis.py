@@ -12,6 +12,7 @@ from pcapass import (
     Method,
     SbmParams,
     SearchSpace,
+    SweepConfig,
     generate_sbm,
     hop_states,
     hpo_summary,
@@ -39,8 +40,13 @@ def small_sbm(seed=0, n=200, classes=2):
     return generate_sbm(params)
 
 
-def tiny_space():
+def sweep_of(methods, max_hops, **settings):
+    return SweepConfig(max_hops, tuple(m.value for m in methods), **settings)
+
+
+def tiny_space(n_runs=1):
     return SearchSpace(
+        n_runs=n_runs,
         k=(1, 3),
         d=(2, 8),
         learning_rate=(0.05, 0.3),
@@ -72,7 +78,7 @@ class TestOversmoothingSweep:
     def test_message_passing_peaks_early_then_decays(self):
         ds = small_sbm(seed=1)
         (res,) = oversmoothing_sweep(
-            ds.graph, ds.X, ds.y, [Method.MESSAGE_PASSING], max_hops=20, seed=0
+            ds.graph, ds.X, ds.y, sweep_of([Method.MESSAGE_PASSING], max_hops=20), seed=0
         )
         assert res.v_measures.shape == (20,)
         assert res.normalized.max() == 1.0
@@ -90,8 +96,7 @@ class TestOversmoothingSweep:
                 ds.graph,
                 ds.X,
                 ds.y,
-                [Method.PCAPASS, Method.MESSAGE_PASSING],
-                max_hops=10,
+                sweep_of([Method.PCAPASS, Method.MESSAGE_PASSING], max_hops=10),
                 seed=seed,
             )
             if results[0].argmax_k >= results[1].argmax_k:
@@ -107,7 +112,7 @@ class TestOversmoothingSweep:
             tracemalloc.start()
             try:
                 oversmoothing_sweep(
-                    ds.graph, ds.X, ds.y, [Method.MESSAGE_PASSING], max_hops=max_hops
+                    ds.graph, ds.X, ds.y, sweep_of([Method.MESSAGE_PASSING], max_hops=max_hops)
                 )
                 return tracemalloc.get_traced_memory()[1]
             finally:
@@ -118,7 +123,7 @@ class TestOversmoothingSweep:
     def test_cell_seed_is_seed_xor_cell_index(self):
         ds = small_sbm(seed=3, n=120, classes=3)
         methods, max_hops, seed = [Method.PCAPASS, Method.SKIP_CONNECTIONS], 4, 11
-        results = oversmoothing_sweep(ds.graph, ds.X, ds.y, methods, max_hops, seed=seed)
+        results = oversmoothing_sweep(ds.graph, ds.X, ds.y, sweep_of(methods, max_hops), seed=seed)
         mi = 1
         cfg = EmbedConfig(k=max_hops, d=ds.X.shape[1], method=methods[mi])
         for ki, (h, _) in enumerate(hop_states(ds.graph, ds.X, cfg)):
@@ -128,7 +133,7 @@ class TestOversmoothingSweep:
     def test_k_clusters_defaults_to_label_count(self):
         ds = small_sbm(seed=4, n=120, classes=3)
         (res,) = oversmoothing_sweep(
-            ds.graph, ds.X, ds.y, [Method.MESSAGE_PASSING], max_hops=3, seed=0
+            ds.graph, ds.X, ds.y, sweep_of([Method.MESSAGE_PASSING], max_hops=3), seed=0
         )
         assert res.v_measures.shape == (3,)
 
@@ -136,7 +141,7 @@ class TestOversmoothingSweep:
         ds = small_sbm(seed=4, n=60)
         with pytest.raises(ValueError, match="k_clusters must be >= 0, got -3"):
             oversmoothing_sweep(
-                ds.graph, ds.X, ds.y, [Method.PCAPASS], max_hops=1, k_clusters=-3
+                ds.graph, ds.X, ds.y, sweep_of([Method.PCAPASS], max_hops=1, k_clusters=-3)
             )
 
     @pytest.mark.parametrize("k_clusters", [0, 1, 2])
@@ -145,28 +150,28 @@ class TestOversmoothingSweep:
         ds = small_sbm(seed=4, n=60)
         with pytest.raises(ValueError, match="need at least 2 classes, got 1"):
             oversmoothing_sweep(
-                ds.graph, ds.X, np.zeros_like(ds.y), [Method.MESSAGE_PASSING],
-                max_hops=2, k_clusters=k_clusters,
+                ds.graph, ds.X, np.zeros_like(ds.y),
+                sweep_of([Method.MESSAGE_PASSING], max_hops=2, k_clusters=k_clusters),
             )
 
     def test_rejects_zero_hops(self):
         ds = small_sbm(seed=4, n=60)
         with pytest.raises(ValueError):
-            oversmoothing_sweep(ds.graph, ds.X, ds.y, [Method.PCAPASS], max_hops=0)
+            oversmoothing_sweep(ds.graph, ds.X, ds.y, sweep_of([Method.PCAPASS], max_hops=0))
 
 
 class TestRandomSearch:
     def test_single_run(self):
         ds = small_sbm(seed=5, n=150)
-        records = random_search(tiny_space(), 1, seed=0, dataset=ds)
+        records = random_search(tiny_space(1), seed=0, dataset=ds)
         assert len(records) == 1
         assert math.isfinite(records[0].valid_ce)
         assert 0.0 <= records[0].test_accuracy <= 1.0
 
     def test_fixed_seed_reproduces_records(self):
         ds = small_sbm(seed=5, n=150)
-        a = random_search(tiny_space(), 4, seed=9, dataset=ds)
-        b = random_search(tiny_space(), 4, seed=9, dataset=ds)
+        a = random_search(tiny_space(4), seed=9, dataset=ds)
+        b = random_search(tiny_space(4), seed=9, dataset=ds)
         assert [r.params for r in a] == [r.params for r in b]
         assert [r.valid_ce for r in a] == [r.valid_ce for r in b]
         assert [r.test_accuracy for r in a] == [r.test_accuracy for r in b]
@@ -178,15 +183,15 @@ class TestRandomSearch:
             raise RuntimeError("injected failure")
 
         monkeypatch.setattr(analysis_module, "gbdt_train", boom)
-        records = random_search(tiny_space(), 3, seed=0, dataset=ds)
+        records = random_search(tiny_space(3), seed=0, dataset=ds)
         assert len(records) == 3
         assert all(math.isinf(r.valid_ce) for r in records)
         assert all(r.test_accuracy == 0.0 for r in records)
 
     def test_sampled_params_respect_space(self):
         ds = small_sbm(seed=7, n=150)
-        space = tiny_space()
-        for rec in random_search(space, 6, seed=1, dataset=ds):
+        space = tiny_space(6)
+        for rec in random_search(space, seed=1, dataset=ds):
             p = rec.params
             assert space.k[0] <= p["k"] <= space.k[1]
             assert space.d[0] <= p["d"] <= space.d[1]
@@ -198,7 +203,7 @@ class TestRandomSearch:
 class TestHpoSummary:
     def test_summary_matches_direct_pearson(self):
         ds = small_sbm(seed=8, n=150)
-        records = random_search(tiny_space(), 6, seed=3, dataset=ds)
+        records = random_search(tiny_space(6), seed=3, dataset=ds)
         summary = hpo_summary(records)
         expected = pearson_correlation(
             [r.valid_ce for r in records], [r.test_accuracy for r in records]
@@ -252,7 +257,7 @@ class TestWorkers:
         ds = small_sbm(seed=3, n=120, classes=3)
         methods = [Method.PCAPASS, Method.MESSAGE_PASSING, Method.SKIP_CONNECTIONS]
         serial, pooled = [
-            oversmoothing_sweep(ds.graph, ds.X, ds.y, methods, 5, seed=11, workers=w)
+            oversmoothing_sweep(ds.graph, ds.X, ds.y, sweep_of(methods, 5), seed=11, workers=w)
             for w in (1, 2)
         ]
         assert [r.method for r in pooled] == methods
@@ -273,7 +278,7 @@ class TestWorkers:
             return train(*args)
 
         monkeypatch.setattr(analysis_module, "gbdt_train", fail_run_2)
-        serial, pooled = [random_search(tiny_space(), 4, seed=9, dataset=ds, workers=w)
+        serial, pooled = [random_search(tiny_space(4), seed=9, dataset=ds, workers=w)
                           for w in (1, 2)]
         assert pooled == serial
         assert [math.isinf(r.valid_ce) for r in pooled] == [False, False, True, False]

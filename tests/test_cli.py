@@ -321,6 +321,24 @@ class TestErrors:
         assert err.startswith("error: data:") and "expects 6 features" in err
         assert str(out / "model.bin") in err and str(out / "embeddings.csv") in err
 
+    def test_eval_of_a_model_with_fewer_classes_than_the_labels_exits_3(
+        self, tiny_config, tmp_path, capsys
+    ):
+        # a 2-class model scored on 3-class labels once exited 4 from numpy
+        out = tmp_path / "run"
+        for command in ("gen", "embed", "train"):
+            assert run_cmd(command, tiny_config, out) == 0
+        three = write_config(tmp_path / "three.cfg", n_nodes=200, n_classes=3, n_features=6,
+                             k=2, d=6)
+        for command in ("gen", "embed"):
+            assert run_cmd(command, three, out) == 0
+        capsys.readouterr()
+        assert run_cmd("eval", three, out) == 3
+        assert capsys.readouterr().err == (
+            f"error: data: {out / 'model.bin'}: model has 2 classes, "
+            f"{out / 'dataset' / 'labels.csv'} has label 2\n"
+        )
+
     def test_truncated_model_exits_3_naming_the_file(self, tiny_config, tmp_path, capsys):
         out = tmp_path / "run"
         run_cmd("gen", tiny_config, out)
@@ -380,6 +398,7 @@ class TestErrors:
             # once every run failed and hpo exited 0; GbdtParams' own messages
             ({"hpo_rounds": -1}, "n_rounds must be >= 0, got -1"),
             ({"patience": 0}, "patience must be >= 1, got 0"),
+            ({"hpo_depth_max": 2**32}, "max_depth must be <= 4294967295, got 4294967296"),
             # once ignored by hpo
             ({"n_bins": 2**32}, "n_bins must be <= 4294967295, got 4294967296"),
         ],
@@ -651,12 +670,15 @@ class TestErrors:
             ("sweep", dict(sweep_methods="pcapass,nope"), "unknown method 'nope'"),
             ("hpo", dict(hpo_k_min=5, hpo_k_max=3), "k range is inverted"),
             ("hpo", dict(method="nope"), "unknown method 'nope'"),
+            ("embed", dict(method="nope"), "unknown method 'nope'"),
+            ("train", dict(learning_rate=0), "learning_rate must be > 0, got 0.0"),
         ],
     )
     def test_analysis_keys_are_checked_before_the_dataset_loads(
         self, command, keys, message, tmp_path, capsys
     ):
-        # there is no dataset: hpo once loaded it first and exited 3
+        # there is no dataset: hpo, embed and train once loaded it first and
+        # exited 3
         config = write_config(tmp_path / "a.cfg", **keys)
         assert main([command, "--config", config, "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err

@@ -1,8 +1,9 @@
 """The parameter schema: each knob is a field of SbmParams, EmbedConfig,
-GbdtParams or SearchSpace, defined once with its default, help text and
-least value, or a CLI-only key in config.py. The config keys, their help text, the CLI's
-dataclass construction and the PGBM header derive from those fields; the
-literal key table below pins what the derivation produces."""
+GbdtParams, SweepConfig or SearchSpace, defined once with its default, help
+text and least value, or a CLI-only key of config.py's _Global. The config
+keys, their help text, the CLI's dataclass construction and the PGBM header
+derive from those fields; the literal key table below pins what the
+derivation produces."""
 
 import math
 import struct
@@ -11,8 +12,8 @@ from enum import Enum
 
 import pytest
 
-from pcapass.analysis import SearchSpace
-from pcapass.config import RunConfig, build_config, config_help_text, from_config
+from pcapass.analysis import SearchSpace, SweepConfig
+from pcapass.config import RunConfig, _Global, build_config, config_help_text, from_config
 from pcapass.datasets import SbmParams
 from pcapass.embed import EmbedConfig
 from pcapass.errors import ConfigError
@@ -105,16 +106,22 @@ def _expected_keys(f):
     return [(stem, f.type, f.default, text)]
 
 
+# The library's settings classes, in their `--help` order.
+SETTINGS_CLASSES = (SbmParams, EmbedConfig, GbdtParams, SweepConfig, SearchSpace)
+
+
 def test_library_params_are_run_config_keys_with_the_same_defaults():
     run = {f.name: f for f in fields(RunConfig)}
-    for cls in (SbmParams, EmbedConfig, GbdtParams, SearchSpace):
+    for cls in SETTINGS_CLASSES:
         for f in fields(cls):
             if not f.metadata.get("help"):
-                # served by the key of its name: the global seed, or the GBDT
-                # key of SearchSpace.patience, .n_bins and .min_child_hessian
-                keyless = ("seed", "patience", "n_bins", "min_child_hessian")
+                # served by the key of its name: the global seed, the
+                # embedding key of SearchSpace.method, or the GBDT key of
+                # SearchSpace.patience, .n_bins and .min_child_hessian
+                keyless = ("seed", "method", "patience", "n_bins", "min_child_hessian")
                 assert f.name in keyless, f"{cls.__name__}.{f.name}"
-                assert run[f.name].default == f.default
+                default = f.default.value if isinstance(f.default, Enum) else f.default
+                assert run[f.name].default == default
                 continue
             for name, typ, default, text in _expected_keys(f):
                 assert name in run, f"{cls.__name__}.{f.name}: {name} is not a config key"
@@ -127,7 +134,7 @@ def test_run_config_keeps_one_seed_and_the_section_order():
     names = [f.name for f in fields(RunConfig)]
     assert names.count("seed") == 1 and names[0] == "seed"
     sections = []
-    for cls in (SbmParams, EmbedConfig, GbdtParams, SearchSpace):
+    for cls in SETTINGS_CLASSES:
         keys = [
             name
             for f in fields(cls)
@@ -137,12 +144,27 @@ def test_run_config_keeps_one_seed_and_the_section_order():
         start = names.index(keys[0])
         assert names[start : start + len(keys)] == keys, cls.__name__
         sections.append((start, start + len(keys)))
-    # the library sections in this order, the sweep and hpo_runs keys between
-    # GbdtParams and SearchSpace
-    assert sections == sorted(sections)
-    assert names[sections[2][1] : sections[3][0]] == [
-        "sweep_hops", "sweep_methods", "k_clusters", "kmeans_restarts", "hpo_runs"
+    # the library sections in this order, each right after the one before,
+    # and hpo_runs still the first search key
+    assert [start for start, _ in sections[1:]] == [end for _, end in sections[:-1]]
+    assert names[sections[3][0] : sections[4][0]] == [
+        "sweep_hops", "sweep_methods", "k_clusters", "kmeans_restarts"
     ]
+    assert names[sections[4][0]] == "hpo_runs"
+
+
+def test_every_key_outside_global_is_a_library_settings_field():
+    # config.py declares no library setting: each key but the CLI's own
+    # (_Global's) derives from a field of a settings class
+    derived = [
+        name
+        for cls in SETTINGS_CLASSES
+        for f in fields(cls)
+        if f.metadata.get("help")
+        for name, *_ in _expected_keys(f)
+    ]
+    names = [f.name for f in fields(RunConfig)]
+    assert names == [f.name for f in fields(_Global)] + derived
 
 
 def test_every_config_key_has_help_text():
@@ -154,6 +176,7 @@ def test_every_config_key_has_help_text():
 
 def test_default_hpo_keys_build_the_default_search_space():
     assert from_config(SearchSpace, RunConfig()) == SearchSpace()
+    assert from_config(SweepConfig, RunConfig()) == SweepConfig()
     assert from_config(EmbedConfig, RunConfig()) == EmbedConfig()
 
 
