@@ -13,7 +13,14 @@ from .analysis import (
     oversmoothing_sweep,
     random_search,
 )
-from .datasets import Dataset, SbmParams, generate_sbm, load_dataset, save_dataset
+from .datasets import (
+    Dataset,
+    SbmParams,
+    generate_sbm,
+    load_dataset,
+    load_labels_and_splits,
+    save_dataset,
+)
 from .embed import EmbedConfig, EmbedResult, Method, embed, hop_states
 from .errors import ConfigError, DataError
 from .gbdt import (
@@ -74,6 +81,7 @@ __all__ = [
     "kmeans",
     "load_dataset",
     "load_edge_list",
+    "load_labels_and_splits",
     "normalize_scores",
     "oversmoothing_sweep",
     "pca_fit",

@@ -6,6 +6,10 @@ outputs identically. Exit codes: 0 success, 2 config error, 3 data error,
 4 runtime error. The experiment scripts enter through `run_script`, which
 maps errors to the same codes, and run their analyses through `sweep` and
 `search`, as the `sweep` and `hpo` commands do.
+
+`train` and `eval` read only the embeddings, labels.csv and splits.csv; they
+never open edges.tsv or features.csv, so a malformed one is an error only for
+`embed`, `sweep` and `hpo`, which read the whole dataset.
 """
 
 from __future__ import annotations
@@ -28,7 +32,18 @@ from .analysis import (
     random_search,
 )
 from .config import RunConfig, build_config, config_help_text, from_config
-from .datasets import SPLITS, TRAIN, VALID, Dataset, SbmParams, generate_sbm, load_dataset, save_dataset
+from .datasets import (
+    SPLITS,
+    TRAIN,
+    VALID,
+    Dataset,
+    SbmParams,
+    _check_trainable,
+    generate_sbm,
+    load_dataset,
+    load_labels_and_splits,
+    save_dataset,
+)
 from .embed import EmbedConfig, embed, embeddings_from_csv, embeddings_to_csv
 from .errors import ConfigError, DataError
 from .fileio import _format_rows, _read_text, write_bytes_atomic, write_text_atomic
@@ -62,17 +77,11 @@ def _model_path(cfg: RunConfig) -> Path:
 
 
 def _load_split_dataset(cfg: RunConfig) -> Dataset:
-    """The dataset, which must hold two classes and a node of every split:
-    loaded data skips the class and split checks of `gen`."""
+    """The whole dataset for `hpo`, which embeds and classifies it: it must
+    hold two classes and a node of every split, as `load_labels_and_splits`
+    requires of the labels and splits that `train` and `eval` read."""
     ds = load_dataset(_dataset_dir(cfg))
-    n_classes = np.unique(ds.y).size
-    if n_classes < 2:
-        raise DataError(
-            f"{_dataset_dir(cfg) / 'labels.csv'}: need at least 2 classes, got {n_classes}"
-        )
-    for which, name in enumerate(SPLITS):
-        if not (ds.split == which).any():
-            raise DataError(f"{_dataset_dir(cfg) / 'splits.csv'}: no {name} node")
+    _check_trainable(_dataset_dir(cfg), ds.y, ds.split)
     return ds
 
 
@@ -90,15 +99,15 @@ def _load_embeddings(cfg: RunConfig, n_nodes: int) -> np.ndarray:
     return H
 
 
-def _metrics(model: GbdtModel, H: np.ndarray, ds: Dataset) -> dict:
+def _metrics(model: GbdtModel, H: np.ndarray, y: np.ndarray, split: np.ndarray) -> dict:
     proba = gbdt_predict_proba(model, H)
     pred = np.argmax(proba, axis=1)
     out = {"best_round": model.best_round, "n_rounds": len(model.rounds)}
     for which, name in enumerate(SPLITS):
-        idx = ds.indices(which)
-        out[f"{name}_accuracy"] = accuracy(pred[idx], ds.y[idx])
-    valid = ds.indices(VALID)
-    out["valid_cross_entropy"] = cross_entropy(proba[valid], ds.y[valid])
+        rows = split == which
+        out[f"{name}_accuracy"] = accuracy(pred[rows], y[rows])
+    valid = split == VALID
+    out["valid_cross_entropy"] = cross_entropy(proba[valid], y[valid])
     return out
 
 
@@ -128,11 +137,11 @@ def cmd_embed(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     params = from_config(GbdtParams, cfg)
-    ds = _load_split_dataset(cfg)
-    H = _load_embeddings(cfg, ds.n_nodes)
-    tr, va = ds.indices(TRAIN), ds.indices(VALID)
+    y, split = load_labels_and_splits(_dataset_dir(cfg))
+    H = _load_embeddings(cfg, y.size)
+    tr, va = split == TRAIN, split == VALID
     try:
-        model = gbdt_train(H[tr], ds.y[tr], H[va], ds.y[va], params)
+        model = gbdt_train(H[tr], y[tr], H[va], y[va], params)
     except ConfigError:  # a setting that overflows a leaf
         raise
     except ValueError as exc:  # such as a class with no train node
@@ -141,12 +150,12 @@ def cmd_train(cfg: RunConfig) -> None:
     write_bytes_atomic(model_file, gbdt_to_bytes(model))
     print(f"wrote {model_file}")
     write_text_atomic(model_file.with_suffix(".txt"), gbdt_dump_text(model))
-    _write_json(Path(cfg.out) / "metrics.json", _metrics(model, H, ds))
+    _write_json(Path(cfg.out) / "metrics.json", _metrics(model, H, y, split))
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    ds = _load_split_dataset(cfg)
-    H = _load_embeddings(cfg, ds.n_nodes)
+    y, split = load_labels_and_splits(_dataset_dir(cfg))
+    H = _load_embeddings(cfg, y.size)
     model_file = _model_path(cfg)
     if not model_file.is_file():
         raise DataError(f"missing model file: {model_file}")
@@ -159,10 +168,10 @@ def cmd_eval(cfg: RunConfig) -> None:
             f"{model_file}: model expects {model.n_features} features, "
             f"{_embeddings_path(cfg)} has {H.shape[1]}"
         )
-    if ds.y.max() >= model.n_classes:
+    if y.max() >= model.n_classes:
         raise DataError(f"{model_file}: model has {model.n_classes} classes, "
-                        f"{_dataset_dir(cfg) / 'labels.csv'} has label {ds.y.max()}")
-    _write_json(Path(cfg.out) / "metrics.json", _metrics(model, H, ds))
+                        f"{_dataset_dir(cfg) / 'labels.csv'} has label {y.max()}")
+    _write_json(Path(cfg.out) / "metrics.json", _metrics(model, H, y, split))
 
 
 def sweep(cfg: RunConfig, load: Callable[[], Dataset], where: str | Path) -> list[SweepResult]:

@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fileio import _format_rows, _lines, _parse_table, _read_text, write_text_atomic
+from .fileio import (
+    _first_pass,
+    _format_rows,
+    _lines,
+    _parse_table,
+    _read_text,
+    write_text_atomic,
+)
 from .graph import CsrGraph, EdgeList, edge_list_of, load_edge_list, prepare
 from .schema import check_settings, setting
 
@@ -167,12 +174,19 @@ def _split_index(token: str) -> int:
     return SPLITS.index(token)
 
 
-def _read_id_column(path: Path, header: str, n: int, convert) -> list:
-    """The `convert`ed values of a `node_id,<column>` file by node id; rows are counted first."""
-    lines = list(_lines(_read_text(path)))
+def _read_id_column(path: Path, text: str, header: str, n: int | None, convert) -> list:
+    """The line parse of a `node_id,<column>` file: the `convert`ed values by
+    node id, of which there are `n` (None: as many as the file has rows, at
+    least one). The header and the row count are checked first, then each row,
+    and an error names the first bad line."""
+    lines = list(_lines(text))
     if not lines or lines[0] != (1, header):
         raise DataError(f"{path}: expected header line '{header}'")
-    if len(lines) - 1 != n:
+    if n is None:
+        n = len(lines) - 1
+        if n == 0:
+            raise DataError(f"{path}: expected at least 1 row, found 0")
+    elif len(lines) - 1 != n:
         raise DataError(f"{path}: expected {n} rows, found {len(lines) - 1}")
     values = [None] * n
     for number, ln in lines[1:]:
@@ -192,13 +206,68 @@ def _read_id_column(path: Path, header: str, n: int, convert) -> list:
     return values
 
 
+def _first_pass_column(text: str, header: str, n: int | None, dtype):
+    """The value column of a `node_id,<column>` file read by `_first_pass` as
+    `dtype`, or None unless that reads it and its ids run 0..n-1 in order (n
+    None: any row count). Ids out of order are left to the line parse."""
+    table = _first_pass(text, np.dtype([("id", np.int64), ("value", dtype)]), ",", header)
+    if table is None:
+        return None
+    ids = table["id"].ravel()
+    if (n is not None and ids.size != n) or (ids != np.arange(ids.size)).any():
+        return None
+    return table["value"].ravel()
+
+
+def _read_labels(path: Path, n: int | None) -> np.ndarray:
+    """labels.csv's labels by node id: 0..C-1 with no gap, and so below the node
+    count `n` (None: labels.csv's row count)."""
+    text = _read_text(path)
+    y = _first_pass_column(text, "node_id,label", n, np.int64)
+    if y is None or not ((y >= 0) & (y < y.size)).all():
+        labels = _read_id_column(path, text, "node_id,label", n, _label)
+        n = len(labels)
+        # checked on Python ints: an int64 array could overflow, and bincount
+        # would allocate one count per class up to the largest label
+        top = max(labels)
+        if top >= n:
+            raise DataError(
+                f"{path}: label {top} is not below the node count {n}, "
+                "so some class below it is unused"
+            )
+        y = np.array(labels, dtype=np.int64)
+    present = np.bincount(y)
+    if (present == 0).any():
+        gap = int(np.flatnonzero(present == 0)[0])
+        raise DataError(f"{path}: label gap, class {gap} unused")
+    return y
+
+
+def _read_splits(path: Path, n: int) -> np.ndarray:
+    """splits.csv's split indices (TRAIN, VALID, TEST) by node id."""
+    text = _read_text(path)
+    # a token of 6 characters or more is read as 6, and none of those is a split name
+    tokens = _first_pass_column(text, "node_id,split", n, "U6")
+    if tokens is not None:
+        split = np.full(n, -1, dtype=np.int8)
+        for which, name in enumerate(SPLITS):
+            split[tokens == name] = which
+        if (split >= 0).all():
+            return split
+    return np.array(_read_id_column(path, text, "node_id,split", n, _split_index), dtype=np.int8)
+
+
+def _require(directory: Path, names) -> None:
+    for name in names:
+        if not (directory / name).is_file():
+            raise DataError(f"missing dataset file: {directory / name}")
+
+
 def load_dataset(directory) -> Dataset:
     """Load and validate a dataset directory written by `save_dataset` (or
     converted from an external source into the same layout)."""
     directory = Path(directory)
-    for name in ("edges.tsv", "features.csv", "labels.csv", "splits.csv"):
-        if not (directory / name).is_file():
-            raise DataError(f"missing dataset file: {directory / name}")
+    _require(directory, ("edges.tsv", "features.csv", "labels.csv", "splits.csv"))
 
     feats_path = directory / "features.csv"
     try:
@@ -215,23 +284,32 @@ def load_dataset(directory) -> Dataset:
         )
     n = X.shape[0]
 
-    labels_path = directory / "labels.csv"
-    labels = _read_id_column(labels_path, "node_id,label", n, _label)
-    # checked on Python ints: an int64 array could overflow, and bincount
-    # would allocate one count per class up to the largest label
-    top = max(labels)
-    if top >= n:
-        raise DataError(
-            f"{labels_path}: label {top} is not below the node count {n}, "
-            "so some class below it is unused"
-        )
-    y = np.array(labels, dtype=np.int64)
-    present = np.bincount(y)
-    if (present == 0).any():
-        gap = int(np.flatnonzero(present == 0)[0])
-        raise DataError(f"{labels_path}: label gap, class {gap} unused")
-
-    split = _read_id_column(directory / "splits.csv", "node_id,split", n, _split_index)
-
+    y = _read_labels(directory / "labels.csv", n)
+    split = _read_splits(directory / "splits.csv", n)
     graph = prepare(load_edge_list(directory / "edges.tsv", n))
-    return Dataset(graph=graph, X=X, y=y, split=np.array(split, dtype=np.int8))
+    return Dataset(graph=graph, X=X, y=y, split=split)
+
+
+def load_labels_and_splits(directory) -> tuple[np.ndarray, np.ndarray]:
+    """The labels and splits of a dataset directory, all that a classifier on
+    embeddings needs. labels.csv gives the node count; both files are checked
+    as `load_dataset` checks them, and must give two classes and a node of
+    every split. edges.tsv and features.csv are not opened."""
+    directory = Path(directory)
+    _require(directory, ("labels.csv", "splits.csv"))
+    y = _read_labels(directory / "labels.csv", None)
+    split = _read_splits(directory / "splits.csv", y.size)
+    _check_trainable(directory, y, split)
+    return y, split
+
+
+def _check_trainable(directory, y: np.ndarray, split: np.ndarray) -> None:
+    """Two classes and a node of every split, which a classifier needs: `gen`
+    ensures both, and loaded data may lack them."""
+    directory = Path(directory)
+    n_classes = np.unique(y).size
+    if n_classes < 2:
+        raise DataError(f"{directory / 'labels.csv'}: need at least 2 classes, got {n_classes}")
+    for which, name in enumerate(SPLITS):
+        if not (split == which).any():
+            raise DataError(f"{directory / 'splits.csv'}: no {name} node")

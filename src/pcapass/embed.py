@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .aggregate import Aggregator, aggregate
-from .fileio import _format_rows, _lines
+from .fileio import _first_pass, _format_rows, _lines
 from .graph import CsrGraph
 from .pca import PcaModel, pca_fit, pca_transform
 from .schema import check_settings, setting
@@ -114,7 +114,14 @@ def embeddings_to_csv(H: np.ndarray) -> str:
 
 def embeddings_from_csv(text: str) -> np.ndarray:
     """Parse `embeddings_to_csv` output. A bad token, a non-finite value or a
-    row whose width differs from the first raises ValueError naming the line."""
+    row whose width differs from the first raises ValueError naming the line.
+
+    np.loadtxt reads the text first. What it refuses, or reads with a
+    non-finite value, goes to the line parse, which decides and words the
+    error; where both accept, they give the same array."""
+    H = _first_pass(text, np.float64, ",")
+    if H is not None and np.isfinite(H).all():
+        return H
     rows = []
     for number, line in _lines(text):
         try:

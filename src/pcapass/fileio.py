@@ -1,6 +1,7 @@
 """Atomic file writes, and the private text helpers: the UTF-8 decode that
 every text input goes through, the line rule every line parse follows, the one
-`np.loadtxt` call, and the table writer of every CSV/TSV file."""
+`np.loadtxt` call and the first pass built on it, and the table writer of every
+CSV/TSV file."""
 
 from __future__ import annotations
 
@@ -60,6 +61,36 @@ def _parse_table(fh, dtype, delimiter: str, *, comments=None, name="text") -> np
             return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=comments, ndmin=2)
     except (ValueError, Warning) as exc:
         raise ValueError(str(exc).replace(str(fh), str(name))) from None
+
+
+# Characters np.loadtxt reads otherwise than `int()`, `float()` and `==` on the
+# line parses' tokens: it takes \x1c-\x1f for spaces and drops a string's
+# trailing NUL. It also reads a code point past ASCII in an integer as a digit
+# ("1ǿ" as 473), so text past ASCII is refused too.
+_LOADTXT_ONLY = "\x00\x1c\x1d\x1e\x1f"
+
+
+def _loadtxt_agrees(text: str) -> bool:
+    """Whether every token of `text` that np.loadtxt accepts, the line parses
+    accept with the same value: true for ASCII without `_LOADTXT_ONLY`. A first
+    pass runs only on such text."""
+    return text.isascii() and not any(char in text for char in _LOADTXT_ONLY)
+
+
+def _first_pass(text: str, dtype, delimiter: str, header: str | None = None):
+    """`_parse_table` of the lines `_lines` gives of `text`, after `header` as
+    line 1 when one is given; or None when `text` fails `_loadtxt_agrees`,
+    that header is not line 1, or numpy refuses the lines. The line parse
+    decides what this returns None for."""
+    if not _loadtxt_agrees(text):
+        return None
+    lines = _lines(text)
+    if header is not None and next(lines, None) != (1, header):
+        return None
+    try:
+        return _parse_table((line for _, line in lines), dtype, delimiter)
+    except ValueError:
+        return None
 
 
 _CHUNK = 1 << 14

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .fileio import _lines, _parse_table, _read_text
+from .fileio import _lines, _loadtxt_agrees, _parse_table, _read_text
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,17 +91,19 @@ def load_edge_list(path, n_nodes: int) -> EdgeList:
 
     numpy parses the file in C. A file it refuses, or whose shape or ids are
     wrong, goes to the line parse, which decides and names the offending line;
-    loadtxt accepts only tokens `int()` also accepts, so both parses agree.
+    on text that `_loadtxt_agrees` passes, loadtxt accepts only tokens `int()`
+    also accepts, so both parses agree.
     """
     text = _read_text(path)
     # the line parse skips the same "#" lines
     data = re.sub(r"(?m)^#.*\n?", "", text) if "#" in text else text
-    try:
-        pairs = _parse_table(io.StringIO(data), np.int64, "\t")
-        if pairs.shape[1] == 2:  # EdgeList's id check is a ValueError too
-            return EdgeList(n_nodes=n_nodes, pairs=pairs)
-    except ValueError:
-        pass
+    if _loadtxt_agrees(data):
+        try:
+            pairs = _parse_table(io.StringIO(data), np.int64, "\t")
+            if pairs.shape[1] == 2:  # EdgeList's id check is a ValueError too
+                return EdgeList(n_nodes=n_nodes, pairs=pairs)
+        except ValueError:
+            pass
     return _load_edge_list_lines(path, text, n_nodes)
 
 

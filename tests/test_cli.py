@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import multiprocessing
+import shutil
 import struct
 import subprocess
 import sys
@@ -603,6 +604,43 @@ class TestErrors:
             )
         assert not (out / "metrics.json").exists()
         assert not (out / "hpo.csv").exists()
+
+    def test_train_and_eval_read_only_labels_splits_and_embeddings(self, tiny_config, tmp_path):
+        full, bare = tmp_path / "full", tmp_path / "bare"
+        for command in ("gen", "embed"):
+            assert run_cmd(command, tiny_config, full) == 0
+        shutil.copytree(full, bare)
+        for name in ("edges.tsv", "features.csv"):
+            (bare / "dataset" / name).unlink()
+        for command in ("train", "eval"):
+            for out in (full, bare):
+                assert run_cmd(command, tiny_config, out) == 0
+            for name in ("model.bin", "model.txt", "metrics.json"):
+                assert (bare / name).read_bytes() == (full / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "name, keep, message",
+        [
+            ("labels.csv", 1, "expected at least 1 row, found 0"),
+            ("splits.csv", 200, "expected 200 rows, found 199"),
+        ],
+        ids=["header_only_labels", "splits_a_row_short"],
+    )
+    def test_labels_and_splits_of_another_size_exit_3_naming_the_file(
+        self, name, keep, message, tiny_config, tmp_path, capsys
+    ):
+        # train and eval take the node count from labels.csv
+        out = tmp_path / "run"
+        for command in ("gen", "embed", "train"):
+            assert run_cmd(command, tiny_config, out) == 0
+        (out / "metrics.json").unlink()
+        path = out / "dataset" / name
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
+        for command in ("train", "eval"):
+            capsys.readouterr()
+            assert run_cmd(command, tiny_config, out) == 3
+            assert capsys.readouterr().err == f"error: data: {path}: {message}\n"
+        assert not (out / "metrics.json").exists()
 
     def test_sweep_of_a_one_label_dataset_exits_3(self, tiny_config, tmp_path, capsys):
         # it once wrote a sweep.csv whose every v-measure read 1

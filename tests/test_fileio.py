@@ -1,9 +1,11 @@
 """The text helpers in `pcapass.fileio`: the table writer, checked against
 the f-string writers it replaced (tests/oracles.py), the line rule that every
-text input follows, the atomic writes, and the layout that keeps every CSV/TSV
-decision in that one module."""
+text input follows, the `np.loadtxt` first pass, checked against the line
+parses, the atomic writes, and the layout that keeps every CSV/TSV decision in
+that one module."""
 
 import ast
+import importlib
 import inspect
 import io
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracles import (
@@ -21,11 +23,13 @@ from oracles import (
 )
 
 import pcapass
-from pcapass import ConfigError, DataError, SbmParams, cli, fileio, generate_sbm, load_dataset
-from pcapass import save_dataset
+from pcapass import ConfigError, DataError, SbmParams, cli, datasets, fileio, generate_sbm
+from pcapass import load_dataset, load_labels_and_splits, save_dataset
 from pcapass.analysis import HpoRecord, SweepResult
 from pcapass.config import parse_config_file
 from pcapass.embed import Method, embeddings_from_csv, embeddings_to_csv
+
+embed_module = importlib.import_module("pcapass.embed")  # `pcapass.embed` is the function
 
 
 def test_public_functions_are_the_two_atomic_writers():
@@ -91,6 +95,109 @@ def test_only_a_newline_ends_a_line(char, tmp_path):
         _join_first_rows(tmp_path / name / name, char, skip)
         with pytest.raises(DataError, match=message):
             load_dataset(tmp_path / name)
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """A saved 30-node dataset's files and its features as an embeddings.csv,
+    each as {file name: lines}."""
+    root = tmp_path_factory.mktemp("saved")
+    ds = generate_sbm(SbmParams(n_nodes=30, n_classes=3, n_features=3, seed=0))
+    save_dataset(ds, root)
+    (root / "embeddings.csv").write_text(embeddings_to_csv(ds.X), encoding="utf-8")
+    names = ("edges.tsv", "features.csv", "labels.csv", "splits.csv", "embeddings.csv")
+    return {name: (root / name).read_text(encoding="utf-8").split("\n") for name in names}
+
+
+# tokens np.loadtxt and int(), float() or a split-name compare may disagree on
+_TOKENS = [
+    "0", "1", "2", "29", "30", "-0", "-1", "+1", "007", " 1", "1 ", "\x0b1", "1\x0c", "1_0",
+    "0x1", "1.5", ".5", "5.", "1e39", "1e400", "1d3", "nan", "-nan", "inf", "-inf", "", '"1"',
+    "\u0661", "1\u01ff", "1\x1c", "\x1f1", "1\x00", str(2**63 - 1), str(2**63),
+    "99999999999999999999", "train", "valid", "test", "holdout", "valid ", " test", "test\x00",
+    "train\x1c", "trainer",
+]
+_WHOLE_LINES = ["", " ", " \t ", "\x0c", "\x1c", "#", "node_id,label", "node_id,split"]
+
+
+def _edit(lines, edit, index, other, token, line):
+    """`lines` with line `index` edited; `other` picks a cell or a second line."""
+    lines = list(lines)
+    i, j = index % (len(lines) - 1), other % (len(lines) - 1)  # not the "" after the last newline
+    cells = lines[i].split(",")
+    if edit == "cell":
+        cells[other % len(cells)] = token
+        lines[i] = ",".join(cells)
+    elif edit == "ragged":
+        lines[i] = ",".join(cells[:-1] if len(cells) > 1 else cells * 2)
+    elif edit == "trailing":
+        lines[i] += ","
+    elif edit == "line":
+        lines[i] = line
+    elif edit == "swap":  # ids out of order, or the header moved
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "drop":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    return lines
+
+
+def _read(directory, name):
+    """What the readers of `name` give: their arrays' bytes, or the error."""
+    try:
+        if name == "embeddings.csv":
+            read = [embeddings_from_csv((directory / name).read_text(encoding="utf-8"))]
+        else:
+            ds = load_dataset(directory)
+            read = [ds.y, ds.split, *load_labels_and_splits(directory)]
+    except (DataError, ValueError) as exc:
+        return str(exc)
+    return [(a.shape, a.dtype.str, a.tobytes()) for a in read]
+
+
+@given(
+    name=st.sampled_from(["labels.csv", "splits.csv", "embeddings.csv"]),
+    edit=st.sampled_from(["cell", "ragged", "trailing", "line", "swap", "drop", "copy"]),
+    index=st.integers(0, 10**6),
+    other=st.integers(0, 10**6),
+    token=st.sampled_from(_TOKENS),
+    line=st.sampled_from(_WHOLE_LINES) | st.text("0123456789,.-+e\t #_xn", max_size=12),
+)
+@example(name="splits.csv", edit="cell", index=4, other=1, token="test\x00", line="")
+@example(name="splits.csv", edit="cell", index=4, other=1, token="trainer", line="")
+@example(name="labels.csv", edit="cell", index=4, other=1, token="1\u01ff", line="")
+@example(name="labels.csv", edit="swap", index=4, other=9, token="", line="")
+@example(name="embeddings.csv", edit="cell", index=4, other=2, token="1\x1c", line="")
+@settings(max_examples=300, deadline=None)
+def test_the_first_pass_reads_as_the_line_parse(
+    saved_files, tmp_path_factory, name, edit, index, other, token, line
+):
+    # Either the first pass and the line parse give the same bytes, or the
+    # first pass refuses and the line parse's error stands unchanged.
+    directory = tmp_path_factory.mktemp("edited")
+    for file_name, lines in saved_files.items():
+        if file_name == name:
+            lines = _edit(lines, edit, index, other, token, line)
+        (directory / file_name).write_text("\n".join(lines), encoding="utf-8")
+    got = _read(directory, name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datasets, "_first_pass", lambda *args: None)
+        patch.setattr(embed_module, "_first_pass", lambda *args: None)
+        assert got == _read(directory, name)
+
+
+def test_saved_files_are_read_by_the_first_pass(saved_files, tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("parsed line by line")
+
+    for file_name, lines in saved_files.items():
+        (tmp_path / file_name).write_text("\n".join(lines), encoding="utf-8")
+    monkeypatch.setattr(datasets, "_read_id_column", refuse)
+    monkeypatch.setattr(embed_module, "_lines", refuse)
+    assert load_labels_and_splits(tmp_path)[0].shape == load_dataset(tmp_path).y.shape == (30,)
+    text = (tmp_path / "embeddings.csv").read_text(encoding="utf-8")
+    assert embeddings_from_csv(text).shape == (30, 3)
 
 
 @pytest.mark.parametrize(

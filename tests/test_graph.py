@@ -97,6 +97,9 @@ def edge_file_texts(draw):
 @example("0\t1\n2\t3\n", 4)
 @example("# c\r\n1\t2\r\n\r\n \r\n0\t1", 3)
 @example(f"0\t{2**63}\n", 4)
+# loadtxt once read these where int() does not: "1ǿ" as 473, and \x1c as a space
+@example("0\t1\u01ff\n", 500)
+@example("0\t1\x1c\n", 4)
 @settings(max_examples=400, deadline=None)
 def test_load_edge_list_matches_the_line_parser(tmp_path_factory, text, n):
     path = tmp_path_factory.mktemp("edges") / "edges.tsv"
