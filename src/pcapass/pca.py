@@ -2,14 +2,11 @@
 
 Hop states have few columns while the node count may be large, so the
 f x f covariance route is much cheaper than an SVD of the full matrix.
-Rows are brought into a canonical order before accumulation, which makes
-the fitted model independent of how the input rows were ordered, bit for
-bit. The canonical order is lexicographic over the columns, first column
-first, with fully equal rows left in input order; it is the permutation
-`np.lexsort(X.T[::-1])` gives. It is computed as one stable argsort of the
-first column plus one lexsort over only the rows whose first value is
-tied, so continuous hop states cost a single-key sort. Components carry a
-fixed sign convention so repeated fits are reproducible.
+A fit is a deterministic function of its rows in their given order:
+refitting the same matrix gives the same bits, while permuting its rows
+moves the model by floating-point rounding only, since the sums run in
+another order. Components carry a fixed sign convention so repeated fits
+are reproducible.
 """
 
 from __future__ import annotations
@@ -60,25 +57,6 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return components
 
 
-def _canonical_order(X: np.ndarray) -> np.ndarray:
-    """The permutation `np.lexsort(X.T[::-1])` returns, for an n x f matrix."""
-    order = np.argsort(X[:, 0], kind="stable")
-    first = X[order, 0]
-    # Sorting treats all NaNs as equal (and places them last), so they tie.
-    same = (first[1:] == first[:-1]) | (np.isnan(first[1:]) & np.isnan(first[:-1]))
-    tied = np.zeros(first.shape[0], dtype=bool)
-    tied[1:] = same
-    tied[:-1] |= same
-    pos = np.flatnonzero(tied)
-    # Each run of equal first values is one group: the group id is the
-    # primary key and columns 1 .. f-1 order the rows inside it. The sort is
-    # stable and the rows enter in input order, as in the full lexsort.
-    group = np.concatenate(([0], np.cumsum(~same)))[pos]
-    rows = order[pos]
-    order[pos] = rows[np.lexsort((*X[rows, :0:-1].T, group))]
-    return order
-
-
 def pca_fit(X, d: int) -> PcaModel:
     """Fit the top min(d, f, n) principal components of X (n x f).
 
@@ -95,11 +73,8 @@ def pca_fit(X, d: int) -> PcaModel:
     if d < 1:
         raise ValueError(f"target dimension must be >= 1, got {d}")
 
-    # Canonical row order: permuting input rows cannot change the model.
-    # The sorted rows are a fresh copy, so they are centered in place.
-    Xc = X[_canonical_order(X)]
-    mean = Xc.sum(axis=0) / n
-    Xc -= mean
+    mean = X.sum(axis=0) / n
+    Xc = X - mean
     cov = (Xc.T @ Xc) / (n - 1.0)
 
     evals, evecs = np.linalg.eigh(cov)

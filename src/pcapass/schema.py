@@ -7,6 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import field, fields
 
+import numpy as np
+
 
 def setting(default, text: str = "", key: str | None = None, low=None):
     """A field with `--help` text `text` and least value `low`; `key`
@@ -24,16 +26,19 @@ def field_keys(f) -> tuple[str, ...]:
 
 
 def check_settings(settings) -> None:
-    """Reject a float field of dataclass `settings`, or either bound of a
-    float range, that is nan or infinite, a field, or either bound of a
-    range, below its declared `low`, and a range whose lower bound passes its
-    upper; the settings classes' other checks compare floats, and a
-    comparison with nan is always false."""
+    """Reject, in a field of dataclass `settings` or either bound of a range,
+    a float that is nan or infinite, an int above the largest int64 and a
+    value below the field's declared `low`, and reject a range whose
+    lower bound passes its upper; the settings classes' other checks compare
+    floats, and a comparison with nan is always false."""
+    int_max = np.iinfo(np.int64).max
     for f in fields(settings):
         value = getattr(settings, f.name)
         bounds = value if isinstance(value, tuple) else (value,)
         if "float" in f.type and not all(math.isfinite(v) for v in bounds):
             raise ValueError(f"{f.name} must be finite, got {value}")
+        if "int" in f.type and max(bounds) > int_max:
+            raise ValueError(f"{f.name} must be <= {int_max}, got {value}")
         low = f.metadata.get("low")
         if low is not None and min(bounds) < low:
             raise ValueError(f"{f.name} must be >= {low}, got {value}")

@@ -548,13 +548,12 @@ def aggregate_reference(g, H, aggregator):
 
 
 def pca_fit_reference(X, d):
-    """`pca_fit` as it once was: the sorted rows are centered into a second
-    copy. The canonical order is the full lexsort it is defined as. Returns
-    (mean, components, eigenvalues, total_variance)."""
+    """`pca_fit` written out in full: the rows, in their given order, are
+    centered into a copy. Returns (mean, components, eigenvalues,
+    total_variance)."""
     n, f = X.shape
-    Xs = X[np.lexsort(X.T[::-1])]
-    mean = Xs.sum(axis=0) / n
-    Xc = Xs - mean
+    mean = X.sum(axis=0) / n
+    Xc = X - mean
     cov = (Xc.T @ Xc) / (n - 1.0)
 
     evals, evecs = np.linalg.eigh(cov)

@@ -402,6 +402,9 @@ class TestErrors:
             ({"hpo_depth_max": 2**32}, "max_depth must be <= 4294967295, got 4294967296"),
             # once ignored by hpo
             ({"n_bins": 2**32}, "n_bins must be <= 4294967295, got 4294967296"),
+            # once exit 4 from rng.integers: high is out of bounds for int64
+            ({"hpo_d_max": 10**19}, f"hpo_d_max must be <= {2**63 - 1}, got {10**19}"),
+            ({"hpo_k_max": 10**19}, f"hpo_k_max must be <= {2**63 - 1}, got {10**19}"),
         ],
     )
     def test_bad_hpo_range_exits_2(self, keys, message, tmp_path, capsys):
@@ -575,6 +578,17 @@ class TestErrors:
         assert main(["gen", "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: config: {key} = ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["n_nodes", "n_features", "seed"])
+    def test_gen_with_an_int_past_int64_exits_2(self, key, tmp_path, capsys):
+        # n_nodes and n_features there once exited 4 from numpy
+        config = write_config(tmp_path / "gen.cfg", **{key: 10**19})
+        out = tmp_path / "run"
+        assert main(["gen", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: config: {key} must be <= {2**63 - 1}, got {10**19}\n"
+        )
         assert not out.exists()
 
     def test_gen_with_one_class_exits_2(self, tmp_path, capsys):

@@ -282,3 +282,26 @@ def test_the_library_seed_without_a_key_is_bounded_too(cls):
     assert cls(seed=0).seed == 0
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         cls(seed=-1)
+
+
+INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.type == "int"])
+def test_build_config_caps_every_int_key_at_int64(key):
+    # hpo_d_max = 10**19 once made hpo exit 4 from rng.integers, and gen
+    # exited 4 with n_nodes or n_features there
+    assert getattr(build_config(None, {key: INT64_MAX}), key) == INT64_MAX
+    with pytest.raises(ConfigError) as info:
+        build_config(None, {key: INT64_MAX + 1})
+    assert str(info.value) == f"{key} must be <= {INT64_MAX}, got {INT64_MAX + 1}"
+
+
+@pytest.mark.parametrize("name", ["k", "d"])
+def test_either_bound_of_an_int_range_past_int64_is_rejected(name):
+    # rng.integers(lo, hi + 1) takes hi = INT64_MAX
+    assert getattr(SearchSpace(**{name: (1, INT64_MAX)}), name) == (1, INT64_MAX)
+    for value in ((1, INT64_MAX + 1), (INT64_MAX + 1, INT64_MAX + 2)):
+        with pytest.raises(ValueError) as info:
+            SearchSpace(**{name: value})
+        assert str(info.value) == f"{name} must be <= {INT64_MAX}, got {value}"

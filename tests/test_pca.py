@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from oracles import jacobi_eigendecomposition
 from pcapass import explained_variance_ratio, pca_fit, pca_transform
-from pcapass.pca import _canonical_order
 
 DIAGONAL_LINE = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]])
 
@@ -129,56 +125,6 @@ def test_variance_optimality_against_random_projections(rng):
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     projected = (X - X.mean(axis=0)) @ directions.T
     assert top_variance >= projected.var(axis=0, ddof=1).max() - 1e-12
-
-
-@given(
-    hnp.arrays(
-        np.float64,
-        st.tuples(st.integers(2, 12), st.integers(1, 5)),
-        elements=st.floats(-100, 100, allow_nan=False, allow_infinity=False).map(
-            lambda x: x + 0.0  # normalize -0.0
-        ),
-    ),
-    st.randoms(use_true_random=False),
-)
-@settings(max_examples=50)
-def test_row_permutation_leaves_model_bitwise_identical(X, rnd):
-    order = list(range(X.shape[0]))
-    rnd.shuffle(order)
-    a = pca_fit(X, d=X.shape[1])
-    b = pca_fit(X[order], d=X.shape[1])
-    assert a.mean.tobytes() == b.mean.tobytes()
-    assert a.components.tobytes() == b.components.tobytes()
-    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
-
-
-@st.composite
-def tie_heavy_matrices(draw):
-    """Small-integer floats, so first-column ties are the rule, with the
-    first column optionally constant, a mix of 0.0 and -0.0 or partly NaN
-    (sorting places NaNs together, so they tie too), or with whole rows
-    repeated."""
-    n = draw(st.integers(1, 30))
-    f = draw(st.integers(1, 6))
-    cells = st.integers(-2, 2).map(float)
-    X = draw(hnp.arrays(np.float64, (n, f), elements=cells))
-    variants = ["as drawn", "constant", "signed zeros", "nans", "duplicates"]
-    variant = draw(st.sampled_from(variants))
-    if variant == "constant":
-        X[:, 0] = 3.0
-    elif variant == "signed zeros":
-        X[:, 0] = np.where(draw(hnp.arrays(np.bool_, n)), -0.0, 0.0)
-    elif variant == "nans":
-        X[draw(hnp.arrays(np.bool_, n)), 0] = np.nan
-    elif variant == "duplicates":
-        X = X[draw(hnp.arrays(np.int64, n, elements=st.integers(0, min(n, 3) - 1)))]
-    return X
-
-
-@given(tie_heavy_matrices())
-@settings(max_examples=300)
-def test_canonical_order_is_the_full_lexsort(X):
-    np.testing.assert_array_equal(_canonical_order(X), np.lexsort(X.T[::-1]))
 
 
 def test_repeated_fit_bitwise_identical(rng):
