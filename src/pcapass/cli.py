@@ -46,7 +46,7 @@ from .datasets import (
 )
 from .embed import EmbedConfig, embed, embeddings_from_csv, embeddings_to_csv
 from .errors import ConfigError, DataError
-from .fileio import _format_rows, _read_text, write_bytes_atomic, write_text_atomic
+from .fileio import _format_rows, write_bytes_atomic, write_text_atomic
 from .gbdt import (
     GbdtModel,
     GbdtParams,
@@ -89,11 +89,7 @@ def _load_embeddings(cfg: RunConfig, n_nodes: int) -> np.ndarray:
     path = _embeddings_path(cfg)
     if not path.is_file():
         raise DataError(f"missing embeddings file: {path}")
-    text = _read_text(path)
-    try:
-        H = embeddings_from_csv(text)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    H = embeddings_from_csv(path)
     if H.shape[0] != n_nodes:
         raise DataError(f"{path}: {H.shape[0]} rows but the dataset has {n_nodes} nodes")
     return H

@@ -4,7 +4,9 @@ The SBM's homophily knob (p_in vs p_out) directly controls how much class
 signal neighborhoods carry, which is what every end-to-end check here needs
 to tune. A dataset directory holds edges.tsv, features.csv, labels.csv and
 splits.csv; the same layout is the import path for user-converted real
-graphs.
+graphs. labels.csv gives the node count, and the other files are checked
+against it. Each file is read by `fileio._read_table`, so a malformed one
+raises a DataError naming the file and, for a bad row, its line.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fileio import (
-    _first_pass,
-    _format_rows,
-    _lines,
-    _parse_table,
-    _read_text,
-    write_text_atomic,
-)
+from .fileio import _format_rows, _read_table, write_text_atomic
 from .graph import CsrGraph, EdgeList, edge_list_of, load_edge_list, prepare
 from .schema import check_settings, setting
 
@@ -161,100 +156,75 @@ def save_dataset(ds: Dataset, directory) -> None:
     write_text_atomic(directory / "splits.csv", splits)
 
 
-def _label(token: str) -> int:
-    label = int(token)
-    if label < 0:
-        raise ValueError(f"negative label {label}")
-    return label
+# One row per line of labels.csv and splits.csv, after the header; a split
+# name is read as the raw string.
+_LABELS = np.dtype([("id", np.int64), ("label", np.int64)])
+_SPLITS = np.dtype([("id", np.int64), ("split", object)])
 
 
-def _split_index(token: str) -> int:
-    if token not in SPLITS:
-        raise ValueError(f"unknown split token {token!r}")
-    return SPLITS.index(token)
-
-
-def _read_id_column(path: Path, text: str, header: str, n: int | None, convert) -> list:
-    """The line parse of a `node_id,<column>` file: the `convert`ed values by
-    node id, of which there are `n` (None: as many as the file has rows, at
-    least one). The header and the row count are checked first, then each row,
-    and an error names the first bad line."""
-    lines = list(_lines(text))
-    if not lines or lines[0] != (1, header):
-        raise DataError(f"{path}: expected header line '{header}'")
-    if n is None:
-        n = len(lines) - 1
-        if n == 0:
-            raise DataError(f"{path}: expected at least 1 row, found 0")
-    elif len(lines) - 1 != n:
-        raise DataError(f"{path}: expected {n} rows, found {len(lines) - 1}")
-    values = [None] * n
-    for number, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise DataError(f"{path}: line {number}: malformed row {ln!r}")
-        try:
-            node = int(parts[0])
-        except ValueError:
-            raise DataError(f"{path}: line {number}: non-integer node id in {ln!r}") from None
-        if not (0 <= node < n) or values[node] is not None:
-            raise DataError(f"{path}: line {number}: node id {node} out of range or duplicated")
-        try:
-            values[node] = convert(parts[1])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {number}: {exc}") from None
-    return values
-
-
-def _first_pass_column(text: str, header: str, n: int | None, dtype):
-    """The value column of a `node_id,<column>` file read by `_first_pass` as
-    `dtype`, or None unless that reads it and its ids run 0..n-1 in order (n
-    None: any row count). Ids out of order are left to the line parse."""
-    table = _first_pass(text, np.dtype([("id", np.int64), ("value", dtype)]), ",", header)
-    if table is None:
+def _id_fault(ids: np.ndarray, n: int):
+    """The fault of a `node_id` column that must hold 0..n-1 in any order, as
+    `fileio._read_table`'s `check` returns it: the row count, or the first row
+    whose id is out of range or repeats an earlier one; None if it holds."""
+    if ids.size != n:
+        return None, f"expected {n} rows, found {ids.size}"
+    if (ids == np.arange(n)).all():  # the order `save_dataset` writes
         return None
-    ids = table["id"].ravel()
-    if (n is not None and ids.size != n) or (ids != np.arange(ids.size)).any():
+    bad = (ids < 0) | (ids >= n)
+    order = np.argsort(ids, kind="stable")
+    bad[order[1:][ids[order[1:]] == ids[order[:-1]]]] = True
+    if not bad.any():
         return None
-    return table["value"].ravel()
+    row = int(np.argmax(bad))
+    return row, f"node id {ids[row]} out of range or duplicated"
 
 
-def _read_labels(path: Path, n: int | None) -> np.ndarray:
+def _read_labels(path: Path) -> np.ndarray:
     """labels.csv's labels by node id: 0..C-1 with no gap, and so below the node
-    count `n` (None: labels.csv's row count)."""
-    text = _read_text(path)
-    y = _first_pass_column(text, "node_id,label", n, np.int64)
-    if y is None or not ((y >= 0) & (y < y.size)).all():
-        labels = _read_id_column(path, text, "node_id,label", n, _label)
-        n = len(labels)
-        # checked on Python ints: an int64 array could overflow, and bincount
-        # would allocate one count per class up to the largest label
-        top = max(labels)
-        if top >= n:
-            raise DataError(
-                f"{path}: label {top} is not below the node count {n}, "
-                "so some class below it is unused"
+    count, which is labels.csv's row count."""
+
+    def check(table):
+        ids, labels = table["id"], table["label"]
+        n = ids.size
+        fault = _id_fault(ids, n) if n else (None, "expected at least 1 row, found 0")
+        if fault is not None:
+            return fault
+        bad = (labels < 0) | (labels >= n)
+        if bad.any():
+            row = int(np.argmax(bad))
+            label = labels[row]
+            if label < 0:
+                return row, f"negative label {label}"
+            return row, (
+                f"label {label} is not below the node count {n}, so some class below it is unused"
             )
-        y = np.array(labels, dtype=np.int64)
-    present = np.bincount(y)
-    if (present == 0).any():
-        gap = int(np.flatnonzero(present == 0)[0])
-        raise DataError(f"{path}: label gap, class {gap} unused")
+        gaps = np.flatnonzero(np.bincount(labels) == 0)
+        return (None, f"label gap, class {gaps[0]} unused") if gaps.size else None
+
+    table = _read_table(path, _LABELS, header="node_id,label", check=check)
+    y = np.empty(table.size, dtype=np.int64)
+    y[table["id"]] = table["label"]
     return y
 
 
 def _read_splits(path: Path, n: int) -> np.ndarray:
     """splits.csv's split indices (TRAIN, VALID, TEST) by node id."""
-    text = _read_text(path)
-    # a token of 6 characters or more is read as 6, and none of those is a split name
-    tokens = _first_pass_column(text, "node_id,split", n, "U6")
-    if tokens is not None:
-        split = np.full(n, -1, dtype=np.int8)
-        for which, name in enumerate(SPLITS):
-            split[tokens == name] = which
-        if (split >= 0).all():
-            return split
-    return np.array(_read_id_column(path, text, "node_id,split", n, _split_index), dtype=np.int8)
+
+    def check(table):
+        fault = _id_fault(table["id"], n)
+        if fault is not None:
+            return fault
+        known = np.isin(table["split"], SPLITS)
+        if not known.all():
+            row = int(np.argmin(known))
+            return row, f"unknown split token {table['split'][row]!r}"
+        return None
+
+    table = _read_table(path, _SPLITS, header="node_id,split", check=check)
+    split = np.empty(n, dtype=np.int8)
+    for which, name in enumerate(SPLITS):
+        split[table["id"][table["split"] == name]] = which
+    return split
 
 
 def _require(directory: Path, names) -> None:
@@ -269,22 +239,21 @@ def load_dataset(directory) -> Dataset:
     directory = Path(directory)
     _require(directory, ("edges.tsv", "features.csv", "labels.csv", "splits.csv"))
 
-    feats_path = directory / "features.csv"
-    try:
-        with open(feats_path, encoding="utf-8") as fh:  # streamed, blank lines skipped
-            lines = (line for line in fh if line.strip())
-            X = _parse_table(lines, np.float32, ",", comments="#", name=feats_path)
-    except ValueError as exc:
-        raise DataError(f"{feats_path}: {exc}") from None
-    if not np.isfinite(X).all():
-        row, col = np.argwhere(~np.isfinite(X))[0]
-        raise DataError(
-            f"{feats_path}: non-finite value at row {row + 1}, column {col + 1} "
-            "(nan, inf or beyond float32 range)"
-        )
-    n = X.shape[0]
+    y = _read_labels(directory / "labels.csv")
+    n = y.size
 
-    y = _read_labels(directory / "labels.csv", n)
+    def check_features(X):
+        if X.shape[0] != n:
+            return None, f"expected {n} rows, found {X.shape[0]}"
+        finite = np.isfinite(X)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            return row, (
+                f"non-finite value in column {col + 1} (nan, inf or beyond float32 range)"
+            )
+        return None
+
+    X = _read_table(directory / "features.csv", np.float32, check=check_features)
     split = _read_splits(directory / "splits.csv", n)
     graph = prepare(load_edge_list(directory / "edges.tsv", n))
     return Dataset(graph=graph, X=X, y=y, split=split)
@@ -297,7 +266,7 @@ def load_labels_and_splits(directory) -> tuple[np.ndarray, np.ndarray]:
     every split. edges.tsv and features.csv are not opened."""
     directory = Path(directory)
     _require(directory, ("labels.csv", "splits.csv"))
-    y = _read_labels(directory / "labels.csv", None)
+    y = _read_labels(directory / "labels.csv")
     split = _read_splits(directory / "splits.csv", y.size)
     _check_trainable(directory, y, split)
     return y, split

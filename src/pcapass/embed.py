@@ -18,11 +18,13 @@ entry, one row block of about half a million entries at a time (see
 `aggregate`). At f = 16 and 21 CSR entries per node, message_passing and
 skip_connections peak at about 3.5-3.7 n x f float64 arrays on a graph of
 one block, and at about 2.3-2.5 such arrays on a graph of many blocks.
+
+Embeddings are stored as CSV, written and read by `fileio`'s table writer
+and table reader.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -31,7 +33,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .aggregate import Aggregator, aggregate
-from .fileio import _first_pass, _format_rows, _lines
+from .fileio import _format_rows, _read_table
 from .graph import CsrGraph
 from .pca import PcaModel, pca_fit, pca_transform
 from .schema import check_settings, setting
@@ -112,25 +114,13 @@ def embeddings_to_csv(H: np.ndarray) -> str:
     return _format_rows("", *np.asarray(H, dtype=np.float64).T)
 
 
-def embeddings_from_csv(text: str) -> np.ndarray:
-    """Parse `embeddings_to_csv` output. A bad token, a non-finite value or a
-    row whose width differs from the first raises ValueError naming the line.
+def embeddings_from_csv(path) -> np.ndarray:
+    """The embeddings CSV at `path`, as `embeddings_to_csv` writes it, read by
+    `fileio._read_table`. A bad token, a row whose width differs from the
+    first or a non-finite value raises DataError naming the file and line."""
 
-    np.loadtxt reads the text first. What it refuses, or reads with a
-    non-finite value, goes to the line parse, which decides and words the
-    error; where both accept, they give the same array."""
-    H = _first_pass(text, np.float64, ",")
-    if H is not None and np.isfinite(H).all():
-        return H
-    rows = []
-    for number, line in _lines(text):
-        try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError as exc:
-            raise ValueError(f"line {number}: {exc}") from None
-        if not all(map(math.isfinite, row)):
-            raise ValueError(f"line {number}: non-finite value")
-        if rows and len(row) != len(rows[0]):
-            raise ValueError(f"line {number}: {len(row)} values, expected {len(rows[0])}")
-        rows.append(row)
-    return np.asarray(rows, dtype=np.float64)
+    def check(H):
+        finite = np.isfinite(H).all(axis=1)
+        return None if finite.all() else (int(np.argmin(finite)), "non-finite value")
+
+    return _read_table(path, np.float64, check=check)

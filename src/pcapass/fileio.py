@@ -1,11 +1,14 @@
 """Atomic file writes, and the private text helpers: the UTF-8 decode that
-every text input goes through, the line rule every line parse follows, the one
-`np.loadtxt` call and the first pass built on it, and the table writer of every
-CSV/TSV file."""
+every text input goes through, the line rule every text input follows, the
+table reader of every CSV/TSV input (`_read_table`: one `np.loadtxt` first
+pass, and one line parse that decides and words every error), and the table
+writer of every CSV/TSV file."""
 
 from __future__ import annotations
 
+import io
 import os
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -44,53 +47,117 @@ def _read_text(path) -> str:
 
 
 def _lines(text: str):
-    """(number from 1, line) for each non-blank line of `text`. A line ends at
-    a newline alone, as in `np.loadtxt`, not at every `str.splitlines` break."""
-    return ((number, line) for number, line in enumerate(text.split("\n"), 1) if line.strip())
+    """(number from 1, line) for each line of `text` that is not blank and does
+    not start with '#'. A line ends at a newline alone, as in `np.loadtxt`, not
+    at every `str.splitlines` break."""
+    for number, line in enumerate(text.split("\n"), 1):
+        if line.strip() and not line.startswith("#"):
+            yield number, line
 
 
-def _parse_table(fh, dtype, delimiter: str, *, comments=None, name="text") -> np.ndarray:
-    """`np.loadtxt` of the text stream `fh`, at least 2-d. What it refuses or
-    warns about (empty input), and a decode error, raise ValueError, naming
-    `name` where numpy names its input. A format with a line parse may only
-    accept by it: text it refuses, or whose values fail a check, goes to the
-    line parse, which words the error."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=comments, ndmin=2)
-    except (ValueError, Warning) as exc:
-        raise ValueError(str(exc).replace(str(fh), str(name))) from None
+def _parse_table(fh, dtype, delimiter: str) -> np.ndarray:
+    """`np.loadtxt` of the text stream `fh`, one row per line: 1-d for a
+    structured dtype, 2-d otherwise. Its warning on empty input is raised."""
+    dtype = np.dtype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ndmin = 1 if dtype.names else 2
+        return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=ndmin)
 
 
 # Characters np.loadtxt reads otherwise than `int()`, `float()` and `==` on the
-# line parses' tokens: it takes \x1c-\x1f for spaces and drops a string's
+# line parse's tokens: it takes \x1c-\x1f for spaces and drops a string's
 # trailing NUL. It also reads a code point past ASCII in an integer as a digit
-# ("1ǿ" as 473), so text past ASCII is refused too.
+# ("1ǿ" as 473), so text past ASCII skips the first pass too.
 _LOADTXT_ONLY = "\x00\x1c\x1d\x1e\x1f"
-
-
-def _loadtxt_agrees(text: str) -> bool:
-    """Whether every token of `text` that np.loadtxt accepts, the line parses
-    accept with the same value: true for ASCII without `_LOADTXT_ONLY`. A first
-    pass runs only on such text."""
-    return text.isascii() and not any(char in text for char in _LOADTXT_ONLY)
+_COMMENT_LINES = re.compile(r"(?m)^#.*\n?")
 
 
 def _first_pass(text: str, dtype, delimiter: str, header: str | None = None):
-    """`_parse_table` of the lines `_lines` gives of `text`, after `header` as
-    line 1 when one is given; or None when `text` fails `_loadtxt_agrees`,
-    that header is not line 1, or numpy refuses the lines. The line parse
-    decides what this returns None for."""
-    if not _loadtxt_agrees(text):
+    """`_parse_table` of all of `text` at once, with `header` taken off line 1
+    and the lines that start with '#' stripped; or None when `text` is past
+    ASCII or holds `_LOADTXT_ONLY`, line 1 is not `header`, or numpy refuses
+    the text. On the text it reads, numpy accepts only tokens the line parse
+    accepts with the same value; the line parse decides what this refuses."""
+    if not text.isascii() or any(char in text for char in _LOADTXT_ONLY):
         return None
+    if header is not None:
+        first, _, text = text.partition("\n")
+        if first != header:
+            return None
+    if "#" in text:
+        text = _COMMENT_LINES.sub("", text)
+    try:
+        return _parse_table(io.StringIO(text), dtype, delimiter)
+    except (ValueError, Warning):
+        return None
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _int64(token: str) -> int:
+    value = int(token)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{value} is outside the int64 range")
+    return value
+
+
+# The line parse's reading of a token, by the kind of its column's dtype; an
+# object column holds the raw string.
+_CONVERT = {"i": _int64, "f": float, "O": str}
+
+
+def _parse_lines(path, text: str, dtype, delimiter: str, header: str | None = None):
+    """The line parse: the table `_first_pass` reads, and the line number of
+    each of its rows. The lines `_lines` gives are split at `delimiter`; a
+    structured dtype's row has one value per field, any other's as many as
+    the first row. Each value is read by `_CONVERT`. The first line that fails
+    raises DataError naming `path` and the line."""
+    dtype = np.dtype(dtype)
+    kinds = [dtype[name].kind for name in dtype.names] if dtype.names else None
     lines = _lines(text)
     if header is not None and next(lines, None) != (1, header):
-        return None
-    try:
-        return _parse_table((line for _, line in lines), dtype, delimiter)
-    except ValueError:
-        return None
+        raise DataError(f"{path}: line 1: expected the header '{header}'")
+    rows, numbers = [], []
+    for number, line in lines:
+        cells = line.split(delimiter)
+        if kinds is None:
+            kinds = [dtype.kind] * len(cells)
+        if len(cells) != len(kinds):
+            raise DataError(f"{path}: line {number}: {len(cells)} values, expected {len(kinds)}")
+        try:
+            rows.append(tuple(_CONVERT[kind](cell) for kind, cell in zip(kinds, cells)))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {number}: {exc}") from None
+        numbers.append(number)
+    if not rows and not dtype.names:
+        return np.empty((0, 0), dtype), numbers
+    with np.errstate(over="ignore"):  # a float beyond float32 range is inf, as in np.loadtxt
+        return np.array(rows, dtype=dtype), numbers
+
+
+def _read_table(path, dtype, delimiter: str = ",", header: str | None = None, check=None):
+    """The table of the text file at `path`: a row per line that `_lines`
+    gives, after `header` on line 1 if one is given.
+
+    `_first_pass` reads it, and `check(table)` returns None, or the row and
+    message of the table's first fault (a row of None: the whole file). Text
+    the first pass refuses, or a table `check` faults, goes to the line parse,
+    `_parse_lines`, which decides and words every error: a parse fault
+    anywhere comes before any value fault, and either raises DataError naming
+    `path` and, for a row, its line."""
+    text = _read_text(path)
+    table = _first_pass(text, dtype, delimiter, header)
+    if table is not None and (check is None or check(table) is None):
+        return table
+    table, numbers = _parse_lines(path, text, dtype, delimiter, header)
+    fault = None if check is None else check(table)
+    if fault is not None:
+        row, message = fault
+        where = "" if row is None else f"line {numbers[row]}: "
+        raise DataError(f"{path}: {where}{message}")
+    return table
 
 
 _CHUNK = 1 << 14

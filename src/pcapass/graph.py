@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import io
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .fileio import _lines, _loadtxt_agrees, _parse_table, _read_text
+from .fileio import _read_table
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,53 +81,29 @@ class CsrGraph:
         return np.diff(self.row_ptr)
 
 
+# One row per line: a (src, dst) record, which `load_edge_list` views as an
+# (m, 2) int64 array without a copy.
+_EDGE = np.dtype([("src", np.int64), ("dst", np.int64)])
+
+
 def load_edge_list(path, n_nodes: int) -> EdgeList:
     """Parse a tab-separated edge file: one "src<TAB>dst" pair per line.
 
-    Lines starting with '#' are comments; blank lines are ignored. Node ids
-    are 0-based decimal integers and must be < n_nodes.
-
-    numpy parses the file in C. A file it refuses, or whose shape or ids are
-    wrong, goes to the line parse, which decides and names the offending line;
-    on text that `_loadtxt_agrees` passes, loadtxt accepts only tokens `int()`
-    also accepts, so both parses agree.
+    Blank lines and lines that start with '#' are skipped. Node ids are
+    0-based decimal integers and must be < n_nodes. The file is read by
+    `fileio._read_table`, so an error names the file and the line.
     """
-    text = _read_text(path)
-    # the line parse skips the same "#" lines
-    data = re.sub(r"(?m)^#.*\n?", "", text) if "#" in text else text
-    if _loadtxt_agrees(data):
-        try:
-            pairs = _parse_table(io.StringIO(data), np.int64, "\t")
-            if pairs.shape[1] == 2:  # EdgeList's id check is a ValueError too
-                return EdgeList(n_nodes=n_nodes, pairs=pairs)
-        except ValueError:
-            pass
-    return _load_edge_list_lines(path, text, n_nodes)
 
+    def check(table):
+        pairs = table.view(np.int64).reshape(-1, 2)
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n_nodes):
+            row = int(np.argmax(((pairs < 0) | (pairs >= n_nodes)).any(axis=1)))
+            u, v = pairs[row]
+            return row, f"edge ({u}, {v}) out of range for n_nodes={n_nodes}"
+        return None
 
-def _load_edge_list_lines(path, text: str, n_nodes: int) -> EdgeList:
-    """`load_edge_list` one line at a time, with an error naming the line."""
-    src, dst = [], []
-    for lineno, line in _lines(text):
-        if line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}: line {lineno}: expected 'src<TAB>dst'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataError(
-                f"{path}: line {lineno}: non-integer node id in {parts!r}"
-            ) from None
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise DataError(
-                f"{path}: line {lineno}: node id out of range for n_nodes={n_nodes}"
-            )
-        src.append(u)
-        dst.append(v)
-    pairs = np.array([src, dst], dtype=np.int64).T if src else np.empty((0, 2), np.int64)
-    return EdgeList(n_nodes=n_nodes, pairs=pairs)
+    table = _read_table(path, _EDGE, "\t", check=check)
+    return EdgeList(n_nodes=n_nodes, pairs=table.view(np.int64).reshape(-1, 2))
 
 
 def prepare(edges: EdgeList) -> CsrGraph:

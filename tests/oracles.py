@@ -275,22 +275,29 @@ def save_dataset_reference(ds, directory):
 
 def edge_file_reference(path, n_nodes):
     """The (u, v) pairs of an edges.tsv file, read one line at a time with
-    `int()`, or the message naming the first bad line."""
-    pairs = []
+    `int()`, or the message naming the first bad line: every line is parsed
+    before any id is checked against `n_nodes`."""
+    pairs, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith("#") or not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
-                return f"{path}: line {lineno}: expected 'src<TAB>dst'"
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                return f"{path}: line {lineno}: non-integer node id in {parts!r}"
-            if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-                return f"{path}: line {lineno}: node id out of range for n_nodes={n_nodes}"
-            pairs.append([u, v])
+                return f"{path}: line {lineno}: {len(parts)} values, expected 2"
+            ids = []
+            for part in parts:
+                try:
+                    ids.append(int(part))
+                except ValueError as exc:
+                    return f"{path}: line {lineno}: {exc}"
+                if not -(2**63) <= ids[-1] < 2**63:
+                    return f"{path}: line {lineno}: {ids[-1]} is outside the int64 range"
+            pairs.append(ids)
+            linenos.append(lineno)
+    for (u, v), lineno in zip(pairs, linenos):
+        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
+            return f"{path}: line {lineno}: edge ({u}, {v}) out of range for n_nodes={n_nodes}"
     return pairs
 
 

@@ -107,7 +107,7 @@ class TestPipelineSmoke:
         for command in ("gen", "embed", "train"):
             assert run_cmd(command, tiny_config, out) == 0
         ds = load_dataset(out / "dataset")
-        H = embeddings_from_csv((out / "embeddings.csv").read_text())
+        H = embeddings_from_csv(out / "embeddings.csv")
         model = gbdt_from_bytes((out / "model.bin").read_bytes())
         metrics = json.loads((out / "metrics.json").read_text())
         for name, which in (("train", TRAIN), ("valid", VALID), ("test", TEST)):
@@ -427,14 +427,14 @@ class TestErrors:
         capsys.readouterr()
         assert main(["embed", "--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: data:") and "features.csv" in err
-        assert "row 6, column 1" in err
+        assert err.startswith("error: data:")
+        assert "features.csv: line 6: non-finite value in column 1" in err
 
     @pytest.mark.parametrize(
         "label, message",
         [
-            (10**15, f"labels.csv: label {10**15} is not below the node count 200"),
-            (2**63, f"labels.csv: label {2**63} is not below the node count 200"),
+            (10**15, f"labels.csv: line 6: label {10**15} is not below the node count 200"),
+            (2**63, f"labels.csv: line 6: {2**63} is outside the int64 range"),
             ("one", "labels.csv: line 6: invalid literal for int() with base 10: 'one'"),
             ("-1", "labels.csv: line 6: negative label -1"),
         ],

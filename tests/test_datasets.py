@@ -203,7 +203,8 @@ class TestSaveLoad:
             load_dataset(tmp_path / "data")
 
     def test_the_first_bad_row_is_reported(self, tmp_path):
-        # a bad label on line 3 comes before a bad node id on line 6
+        # a bad label on line 3 comes before a bad node id on line 6: both are
+        # parse faults, reported in line order
         ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, seed=0, n_features=3))
         save_dataset(ds, tmp_path / "data")
         path = tmp_path / "data" / "labels.csv"
@@ -220,7 +221,7 @@ class TestSaveLoad:
         path.write_text("# no rows\n")
         with pytest.raises(DataError) as info:
             load_dataset(tmp_path / "data")
-        assert str(info.value) == f'{path}: loadtxt: input contained no data: "{path}"'
+        assert str(info.value) == f"{path}: expected 30 rows, found 0"
 
     @pytest.mark.parametrize(
         "edit", [lambda lines: lines[1:], lambda lines: ["", *lines]], ids=["dropped", "blank"]
@@ -233,13 +234,21 @@ class TestSaveLoad:
         with pytest.raises(DataError, match="header"):
             load_dataset(tmp_path / "data")
 
-    @pytest.mark.parametrize("label", [30, 10**15, 2**63])
-    def test_label_not_below_the_node_count(self, label, tmp_path):
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            (30, "label 30 is not below the node count 30"),
+            (10**15, f"label {10**15} is not below the node count 30"),
+            (2**63, f"{2**63} is outside the int64 range"),
+        ],
+        ids=["30", str(10**15), str(2**63)],
+    )
+    def test_label_not_below_the_node_count(self, label, message, tmp_path):
         ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, seed=0, n_features=3))
         save_dataset(ds, tmp_path / "data")
         path = tmp_path / "data" / "labels.csv"
         lines = path.read_text().splitlines()
         lines[4] = f"3,{label}"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match=f"labels.csv: label {label} is not below"):
+        with pytest.raises(DataError, match=f"labels.csv: line 5: {message}"):
             load_dataset(tmp_path / "data")

@@ -244,9 +244,10 @@ class TestHopLoopBuffers:
 
 
 class TestEmbeddingFiles:
-    def test_csv_roundtrip(self, rng):
+    def test_csv_roundtrip(self, rng, tmp_path):
         H = rng.standard_normal((5, 3))
-        restored = embeddings_from_csv(embeddings_to_csv(H))
+        (tmp_path / "embeddings.csv").write_text(embeddings_to_csv(H))
+        restored = embeddings_from_csv(tmp_path / "embeddings.csv")
         # 9 significant digits: exact at float32 precision
         np.testing.assert_array_equal(
             restored.astype(np.float32), H.astype(np.float32)

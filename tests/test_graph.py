@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import dense_prepared_adjacency, edge_file_reference, graphs_equal, neighbors
 
-from pcapass import Aggregator, CsrGraph, DataError, EdgeList, aggregate, graph, load_edge_list
+from pcapass import Aggregator, CsrGraph, DataError, EdgeList, aggregate, fileio, load_edge_list
 from pcapass import prepare
 from pcapass.graph import edge_list_of
 
@@ -112,10 +112,10 @@ def test_load_edge_list_matches_the_line_parser(tmp_path_factory, text, n):
 
 
 def test_well_formed_file_is_not_parsed_line_by_line(tmp_path, monkeypatch):
-    def refuse(path, text, n_nodes):
+    def refuse(*args):
         raise AssertionError("parsed line by line")
 
-    monkeypatch.setattr(graph, "_load_edge_list_lines", refuse)
+    monkeypatch.setattr(fileio, "_parse_lines", refuse)
     path = tmp_path / "edges.tsv"
     path.write_bytes(b"# header\r\n0\t1\r\n\r\n2\t1\n#x\n+1\t002\r 1\t0 ")
     assert load_edge_list(path, 3).pairs.tolist() == [[0, 1], [2, 1], [1, 2], [1, 0]]
