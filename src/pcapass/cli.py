@@ -76,6 +76,23 @@ def _model_path(cfg: RunConfig) -> Path:
     return Path(cfg.model_path) if cfg.model_path else Path(cfg.out) / "model.bin"
 
 
+def _check_files(cfg: RunConfig) -> None:
+    """`train` and `eval` read the embeddings and write the model, its text dump
+    and metrics.json: four distinct files, or a ConfigError naming two that are one."""
+    model = _model_path(cfg)
+    files = {
+        "model_path": model,
+        "the model's text dump": model.with_suffix(".txt"),
+        "metrics.json": Path(cfg.out) / "metrics.json",
+        "embeddings_path": _embeddings_path(cfg),
+    }
+    seen = {}
+    for name, path in files.items():
+        other, other_path = seen.setdefault(path.resolve(), (name, path))
+        if other != name:
+            raise ConfigError(f"{other} {other_path} and {name} {path} are the same file")
+
+
 def _load_split_dataset(cfg: RunConfig) -> Dataset:
     """The whole dataset for `hpo`, which embeds and classifies it: it must
     hold two classes and a node of every split, as `load_labels_and_splits`
@@ -132,6 +149,7 @@ def cmd_embed(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
+    _check_files(cfg)
     params = from_config(GbdtParams, cfg)
     y, split = load_labels_and_splits(_dataset_dir(cfg))
     H = _load_embeddings(cfg, y.size)
@@ -150,6 +168,7 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def cmd_eval(cfg: RunConfig) -> None:
+    _check_files(cfg)
     y, split = load_labels_and_splits(_dataset_dir(cfg))
     H = _load_embeddings(cfg, y.size)
     model_file = _model_path(cfg)

@@ -1,14 +1,13 @@
-"""Atomic file writes, and the private text helpers: the UTF-8 decode that
-every text input goes through, the line rule every text input follows, the
-table reader of every CSV/TSV input (`_read_table`: one `np.loadtxt` first
-pass, and one line parse that decides and words every error), and the table
+"""Atomic file writes, and the private text helpers: the line rule every text
+input follows, the table reader of every CSV/TSV input (`_read_table`: one
+UTF-8 read of the file, one `np.loadtxt` first pass that reads the file
+itself, and one line parse that decides and words every error), and the table
 writer of every CSV/TSV file."""
 
 from __future__ import annotations
 
-import io
+import operator
 import os
-import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -36,16 +35,6 @@ def write_text_atomic(path, text: str) -> None:
     write_bytes_atomic(path, text.encode("utf-8"))
 
 
-def _read_text(path) -> str:
-    """`path` decoded as UTF-8 with universal newlines; a file that is not
-    UTF-8 raises a DataError naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
-
-
 def _lines(text: str):
     """(number from 1, line) for each line of `text` that is not blank and does
     not start with '#'. A line ends at a newline alone, as in `np.loadtxt`, not
@@ -55,14 +44,15 @@ def _lines(text: str):
             yield number, line
 
 
-def _parse_table(fh, dtype, delimiter: str) -> np.ndarray:
-    """`np.loadtxt` of the text stream `fh`, one row per line: 1-d for a
-    structured dtype, 2-d otherwise. Its warning on empty input is raised."""
+def _parse_table(fname, dtype, delimiter: str, skiprows: int = 0) -> np.ndarray:
+    """`np.loadtxt` of the path or text stream `fname`, '#' starting a comment, one row per
+    line after `skiprows`: 1-d for a structured dtype, 2-d otherwise. Its warnings raise."""
     dtype = np.dtype(dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         ndmin = 1 if dtype.names else 2
-        return np.loadtxt(fh, dtype=dtype, delimiter=delimiter, comments=None, ndmin=ndmin)
+        return np.loadtxt(fname, dtype=dtype, delimiter=delimiter, comments="#",
+                          skiprows=skiprows, encoding="ascii", ndmin=ndmin)
 
 
 # Characters np.loadtxt reads otherwise than `int()`, `float()` and `==` on the
@@ -70,27 +60,29 @@ def _parse_table(fh, dtype, delimiter: str) -> np.ndarray:
 # trailing NUL. It also reads a code point past ASCII in an integer as a digit
 # ("1ǿ" as 473), so text past ASCII skips the first pass too.
 _LOADTXT_ONLY = "\x00\x1c\x1d\x1e\x1f"
-_COMMENT_LINES = re.compile(r"(?m)^#.*\n?")
+_VERSION = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
-def _first_pass(text: str, dtype, delimiter: str, header: str | None = None):
-    """`_parse_table` of all of `text` at once, with `header` taken off line 1
-    and the lines that start with '#' stripped; or None when `text` is past
-    ASCII or holds `_LOADTXT_ONLY`, line 1 is not `header`, or numpy refuses
-    the text. On the text it reads, numpy accepts only tokens the line parse
-    accepts with the same value; the line parse decides what this refuses."""
+def _first_pass(path, text: str, opened, dtype, delimiter: str, header: str | None = None):
+    """`_parse_table` of the file at `path`, past line 1 if `header` is given; or None
+    when the guard refuses `text`, numpy raises, or `path` is no longer the file whose
+    `os.fstat` gave `opened` as `text` was read. The guard refuses text past ASCII or
+    holding `_LOADTXT_ONLY`, a '#' that does not start a line (numpy would cut the line
+    there), and a line 1 that is not `header`; on the rest, numpy accepts only tokens
+    the line parse accepts, with the same value. numpy picks a decompressor by suffix
+    (a plain-text `x.csv.gz` raises) and would fetch a relative path like `http://h/x`."""
     if not text.isascii() or any(char in text for char in _LOADTXT_ONLY):
         return None
-    if header is not None:
-        first, _, text = text.partition("\n")
-        if first != header:
-            return None
-    if "#" in text:
-        text = _COMMENT_LINES.sub("", text)
-    try:
-        return _parse_table(io.StringIO(text), dtype, delimiter)
-    except (ValueError, Warning):
+    if text.count("#") != text.startswith("#") + text.count("\n#"):
         return None
+    if header is not None and text[: len(header) + 1] not in (header, header + "\n"):
+        return None
+    try:
+        table = _parse_table(os.path.abspath(path), dtype, delimiter, int(header is not None))
+        same = _VERSION(os.stat(path)) == _VERSION(opened)
+    except Exception:  # noqa: BLE001 - any refusal leaves the file to the line parse
+        return None
+    return table if same else None
 
 
 _INT64 = np.iinfo(np.int64)
@@ -141,14 +133,19 @@ def _read_table(path, dtype, delimiter: str = ",", header: str | None = None, ch
     """The table of the text file at `path`: a row per line that `_lines`
     gives, after `header` on line 1 if one is given.
 
-    `_first_pass` reads it, and `check(table)` returns None, or the row and
-    message of the table's first fault (a row of None: the whole file). Text
-    the first pass refuses, or a table `check` faults, goes to the line parse,
-    `_parse_lines`, which decides and words every error: a parse fault
-    anywhere comes before any value fault, and either raises DataError naming
-    `path` and, for a row, its line."""
-    text = _read_text(path)
-    table = _first_pass(text, dtype, delimiter, header)
+    The text is read once as UTF-8 (DataError naming `path` if it is not).
+    `_first_pass` reads the table, and `check(table)` returns None, or the row
+    and message of the table's first fault (a row of None: the whole file). A
+    file the first pass refuses, or a table `check` faults, goes to the line
+    parse of the text, `_parse_lines`, which decides and words every error: a
+    parse fault anywhere comes before any value fault, and either raises
+    DataError naming `path` and, for a row, its line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text, opened = fh.read(), os.fstat(fh.fileno())
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    table = _first_pass(path, text, opened, dtype, delimiter, header)
     if table is not None and (check is None or check(table) is None):
         return table
     table, numbers = _parse_lines(path, text, dtype, delimiter, header)

@@ -330,7 +330,6 @@ def gbdt_train(X_tr, y_tr, X_val, y_val, params: GbdtParams) -> GbdtModel:
     prior_ce = cross_entropy(_softmax(margins_val), y_val)
     best_ce = prior_ce
     best_round = -1
-    stall = 0
     rounds: list[list[Tree]] = []
     history: list[float] = []
     all_rows = np.arange(n_tr)
@@ -362,11 +361,8 @@ def gbdt_train(X_tr, y_tr, X_val, y_val, params: GbdtParams) -> GbdtModel:
         if ce < best_ce:
             best_ce = ce
             best_round = r
-            stall = 0
-        else:
-            stall += 1
-            if stall >= params.patience:
-                break
+        elif r - best_round >= params.patience:
+            break
 
     return GbdtModel(
         n_classes=n_classes,

@@ -291,6 +291,34 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: config:") and repr(key) in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ({"model_path": "model.txt"},
+             "model_path model.txt and the model's text dump model.txt"),
+            ({"model_path": "run/metrics.json"},
+             "model_path run/metrics.json and metrics.json run/metrics.json"),
+            ({"model_path": "run/x/../metrics.json"},
+             "model_path run/x/../metrics.json and metrics.json run/metrics.json"),
+            ({"model_path": "e.csv", "embeddings_path": "e.csv"},
+             "model_path e.csv and embeddings_path e.csv"),
+            ({"embeddings_path": "model.txt", "model_path": "model.bin"},
+             "the model's text dump model.txt and embeddings_path model.txt"),
+        ],
+        ids=["dump", "metrics", "metrics_dotdot", "embeddings", "dump_embeddings"],
+    )
+    def test_files_that_overwrite_each_other_exit_2(
+        self, command, keys, message, tmp_path, capsys, monkeypatch
+    ):
+        # train once wrote the text dump of model_path = model.txt over the
+        # model, and metrics.json or the model over the embeddings it read
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path / "paths.cfg", **keys)
+        assert main([command, "--config", config, "--out", "run"]) == 2
+        assert capsys.readouterr().err == f"error: config: {message} are the same file\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["paths.cfg"]
+
     def test_missing_dataset_exits_3(self, tmp_path, capsys):
         assert main(["embed", "--out", str(tmp_path / "nope")]) == 3
         err = capsys.readouterr().err

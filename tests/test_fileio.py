@@ -9,6 +9,9 @@ import inspect
 import io
 import os
 import re
+import socket
+import tracemalloc
+import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from pcapass import load_dataset, load_labels_and_splits, save_dataset
 from pcapass.analysis import HpoRecord, SweepResult
 from pcapass.config import parse_config_file
 from pcapass.embed import Method, embeddings_from_csv, embeddings_to_csv
+from pcapass.graph import load_edge_list
 
 
 def test_public_functions_are_the_two_atomic_writers():
@@ -156,6 +160,8 @@ def _edit(lines, edit, index, other, token, line, delimiter):
         lines[i], lines[j] = lines[j], lines[i]
     elif edit == "drop":
         del lines[i]
+    elif edit == "insert":
+        lines.insert(i, line)
     else:
         lines.insert(i, lines[i])
     return lines
@@ -179,7 +185,9 @@ def _read(directory, name):
     name=st.sampled_from(
         ["edges.tsv", "features.csv", "labels.csv", "splits.csv", "embeddings.csv"]
     ),
-    edit=st.sampled_from(["cell", "ragged", "trailing", "line", "swap", "drop", "copy"]),
+    edit=st.sampled_from(
+        ["cell", "ragged", "trailing", "line", "swap", "drop", "insert", "copy"]
+    ),
     index=st.integers(0, 10**6),
     other=st.integers(0, 10**6),
     token=st.sampled_from(_TOKENS),
@@ -195,6 +203,10 @@ def _read(directory, name):
 @example(name="features.csv", edit="cell", index=4, other=1, token="1\x1c", line="")
 @example(name="features.csv", edit="cell", index=4, other=1, token="\x1f1", line="")
 @example(name="features.csv", edit="cell", index=4, other=2, token="1 # c", line="")
+# numpy takes '#' anywhere for a comment, the line rule only at the start of a line
+@example(name="embeddings.csv", edit="insert", index=4, other=0, token="", line="  # c")
+@example(name="labels.csv", edit="insert", index=1, other=0, token="", line="# c")
+@example(name="features.csv", edit="cell", index=4, other=2, token="1#2", line="")
 @settings(max_examples=500, deadline=None)
 def test_the_first_pass_reads_as_the_line_parse(
     saved_files, tmp_path_factory, name, edit, index, other, token, line
@@ -221,6 +233,89 @@ def test_saved_files_are_read_by_the_first_pass(saved_files, tmp_path, monkeypat
     monkeypatch.setattr(fileio, "_parse_lines", refuse)
     assert load_labels_and_splits(tmp_path)[0].shape == load_dataset(tmp_path).y.shape == (30,)
     assert embeddings_from_csv(tmp_path / "embeddings.csv").shape == (30, 3)
+
+
+@pytest.mark.parametrize("how", ["replace", "rewrite"])
+def test_a_file_replaced_between_reads_is_read_as_opened(how, tmp_path, monkeypatch):
+    # numpy opens the path again, so a file replaced or written over after the
+    # text was read must not be what comes back: the line parse reads the text.
+    # The new file holds other values, and a \x1c that numpy reads as a space.
+    H = np.arange(12.0).reshape(4, 3)
+    path, new = tmp_path / "embeddings.csv", tmp_path / "new.csv"
+    path.write_text(embeddings_to_csv(H), encoding="utf-8")
+    new.write_text(embeddings_to_csv(H + 0.5).replace("\n", "\x1c\n"), encoding="utf-8")
+    parse_table, parse_lines, parsed = fileio._parse_table, fileio._parse_lines, []
+
+    def swap_then_parse(*args):
+        if how == "replace":
+            os.replace(new, path)
+        else:  # the same file, written over
+            path.write_bytes(new.read_bytes())
+        return parse_table(*args)
+
+    def spy(path, *args):
+        parsed.append(path)
+        return parse_lines(path, *args)
+
+    monkeypatch.setattr(fileio, "_parse_table", swap_then_parse)
+    monkeypatch.setattr(fileio, "_parse_lines", spy)
+    assert embeddings_from_csv(path).tobytes() == H.tobytes()
+    assert parsed == [path]
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_text_named_like_an_archive_is_read(suffix, tmp_path):
+    # numpy opens a path by its suffix: a plain-text emb.csv.gz once made
+    # `train` exit 4 with "Not a gzipped file"
+    archive = tmp_path / ("emb.csv" + suffix)
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"embeddings_path = {archive}\nn_nodes = 200\nn_classes = 2\nn_features = 4\n"
+        "k = 1\nd = 4\nn_rounds = 5\n"
+    )
+    for command in ("gen", "embed", "train"):
+        assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    plain = tmp_path / "emb.csv"
+    plain.write_bytes(archive.read_bytes())
+    assert embeddings_from_csv(archive).tobytes() == embeddings_from_csv(plain).tobytes()
+
+
+def test_a_relative_path_like_a_url_is_read_from_disk(saved_files, tmp_path, monkeypatch):
+    # numpy would take "http://host/edges.tsv" for a URL and fetch it
+    def refuse(*args, **kwargs):
+        raise AssertionError("network")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    monkeypatch.setattr(socket, "getaddrinfo", refuse)
+    monkeypatch.setattr(fileio, "_parse_lines", refuse)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "http:" / "host" / "edges.tsv"  # a Path drops the "//"
+    path.parent.mkdir(parents=True)
+    path.write_text("\n".join(saved_files["edges.tsv"]))
+    got = load_edge_list("http://host/edges.tsv", 30)
+    assert got.pairs.tobytes() == load_edge_list(path, 30).pairs.tobytes()
+
+
+def test_reading_a_table_peaks_below_four_bytes_per_file_byte(tmp_path):
+    # the reader holds the text (a byte per character) and numpy's table; it
+    # once also held an io.StringIO copy of the text, at 4 bytes a character
+    ds = generate_sbm(SbmParams(n_nodes=2000, seed=0))
+    save_dataset(ds, tmp_path)
+    (tmp_path / "embeddings.csv").write_text(embeddings_to_csv(
+        np.random.default_rng(0).standard_normal((2000, 16))), encoding="utf-8")
+    for name, read in [
+        ("edges.tsv", lambda path: load_edge_list(path, 2000)),
+        ("embeddings.csv", embeddings_from_csv),
+    ]:
+        path = tmp_path / name
+        read(path)  # numpy's first-call allocations are not the reader's
+        tracemalloc.start()
+        try:
+            read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size, name
 
 
 @pytest.mark.parametrize(
