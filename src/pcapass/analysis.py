@@ -21,13 +21,12 @@ processes, at most one per usable core and per job, with the same results.
 
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from . import parallel
 from .aggregate import Aggregator
 from .datasets import TEST, TRAIN, VALID, Dataset
 from .embed import EmbedConfig, Method, embed, hop_states
@@ -122,37 +121,6 @@ class SearchSpace:
                        min_child_hessian=self.min_child_hessian)
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_count(workers: int, jobs: int) -> int:
-    """Processes `_run_jobs` starts: never more than the usable cores or the
-    jobs, however large `workers` is."""
-    return max(1, min(workers, _usable_cores(), jobs))
-
-
-# OpenBLAS's thread-count setters, by the symbol names of numpy's bundled
-# 64-bit build, a 64-bit system build and a 32-bit one.
-_OPENBLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads"
-)
-
-
-def _openblas_function(names):
-    """The first of `names` that numpy's loaded BLAS exports, or None."""
-    core = getattr(np, "_core", None) or np.core  # numpy 2 renamed `core`
-    lib = ctypes.CDLL(core._multiarray_umath.__file__)
-    for name in names:
-        func = getattr(lib, name, None)
-        if func is not None:
-            return func
-    return None
-
-
 _job = None  # a worker's job, set once by `_start_worker`
 
 
@@ -161,10 +129,7 @@ def _start_worker(job, blas_threads: int) -> None:
     the workers together use no more threads than there are cores."""
     global _job
     _job = job
-    set_threads = _openblas_function(_OPENBLAS_SET_THREADS)
-    if set_threads is not None:
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        set_threads(blas_threads)
+    parallel._set_blas_threads(blas_threads)
 
 
 def _call_job(i: int):
@@ -172,7 +137,7 @@ def _call_job(i: int):
 
 
 def _run_jobs(job, n_jobs: int, workers: int) -> list:
-    """`[job(i) for i in range(n_jobs)]`, in `_worker_count` processes.
+    """`[job(i) for i in range(n_jobs)]`, in `parallel._worker_count` processes.
 
     One worker runs the jobs in this process. More use a fork-context pool:
     forked workers inherit `job` (a closure over the caller's data) through
@@ -182,13 +147,13 @@ def _run_jobs(job, n_jobs: int, workers: int) -> list:
     starts its own threads; OpenBLAS's threads survive a fork through its
     fork handlers (Python 3.12 warns about them with a DeprecationWarning).
     """
-    count = _worker_count(workers, n_jobs)
+    count = parallel._worker_count(workers, n_jobs)
     if count == 1:
         return [job(i) for i in range(n_jobs)]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    blas_threads = max(1, _usable_cores() // count)
+    blas_threads = max(1, parallel._usable_cores() // count)
     with ProcessPoolExecutor(
         count, mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker, initargs=(job, blas_threads),

@@ -5,9 +5,10 @@ Three embedders share one hop loop:
 * pcapass: aggregate the neighborhood, concatenate with the previous state
   (a skip connection that doubles the width), then fit-and-apply PCA to pull
   the width back to at most d. Memory per node stays O(d) no matter how many
-  hops run: a hop peaks at about 6 n x d float64 arrays, namely the previous
-  state, the 2d-wide concatenation, the centered copy `pca_transform` makes
-  of it, and the new state.
+  hops run: a hop peaks at about 5 n x d float64 arrays, namely the previous
+  state, the 2d-wide concatenation and the centered copy `pca_fit` makes of
+  it. The hop centers the concatenation in place before it projects it, so
+  the projection adds only the new state.
 * message_passing: plain repeated aggregation, the baseline most exposed to
   over-smoothing.
 * skip_connections: average the aggregated state with the previous one,
@@ -17,7 +18,15 @@ Each hop's aggregation builds its operator's weights, 8 bytes per CSR
 entry, one row block of about half a million entries at a time (see
 `aggregate`). At f = 16 and 21 CSR entries per node, message_passing and
 skip_connections peak at about 3.5-3.7 n x f float64 arrays on a graph of
-one block, and at about 2.3-2.5 such arrays on a graph of many blocks.
+one block, and at about 2.3-2.5 such arrays on a graph of many blocks, 2.5-2.7
+when two threads hold two blocks' weights.
+
+A graph of several blocks runs them on as many threads as OpenBLAS has,
+at most one per usable core (`parallel._worker_count`). OpenBLAS runs on 1
+thread during each such hop, since its idle threads spin-wait on the cores
+the blocks need, and gets its count back before the hop's state is yielded.
+A pool worker of `analysis`, capped at 1 OpenBLAS thread, runs its blocks on
+one thread. The bytes are the same at any thread count.
 
 Embeddings are stored as CSV, written and read by `fileio`'s table writer
 and table reader.
@@ -26,16 +35,18 @@ and table reader.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .aggregate import Aggregator, aggregate
+from . import parallel
+from .aggregate import Aggregator, _row_blocks, aggregate
 from .fileio import _format_rows, _read_table
 from .graph import CsrGraph
-from .pca import PcaModel, pca_fit, pca_transform
+from .pca import PcaModel, pca_fit
 from .schema import check_settings, setting
 
 
@@ -65,37 +76,61 @@ class EmbedResult:
     per_hop_models: list[PcaModel] = field(default_factory=list)
 
 
+@contextmanager
+def _block_threads(blocks: int) -> Iterator[int]:
+    """The threads one hop runs `blocks` row blocks on: OpenBLAS's thread
+    count, at most one per usable core and block. While that is more than 1,
+    OpenBLAS runs on 1 thread, so that its idle threads do not spin on the
+    cores the blocks run on; the caller's count is restored on exit."""
+    blas = parallel._blas_threads()
+    threads = parallel._worker_count(blas, blocks)
+    if threads == 1:
+        yield 1
+        return
+    parallel._set_blas_threads(1)
+    try:
+        yield threads
+    finally:
+        parallel._set_blas_threads(blas)
+
+
 def hop_states(
     g: CsrGraph, X, cfg: EmbedConfig
 ) -> Iterator[tuple[np.ndarray, Optional[PcaModel]]]:
     """Yield (state, pca_model) after each hop 1..k; model is None except
-    for the pcapass method. The initial state is the raw input features."""
+    for the pcapass method. The initial state is the raw input features.
+    Each hop's work runs under `_block_threads`, so OpenBLAS has the
+    caller's thread count at each yield."""
     h = np.ascontiguousarray(X, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != g.n_nodes:
         raise ValueError(
             f"feature matrix must have {g.n_nodes} rows, got shape {h.shape}"
         )
+    blocks = _row_blocks(g).size - 1
     warned = False
     for _ in range(cfg.k):
-        if cfg.method is Method.PCAPASS:
-            combined = np.hstack((aggregate(g, h, cfg.aggregator), h))
-            model = pca_fit(combined, cfg.d)
-            if model.n_components < cfg.d and not warned:
-                warnings.warn(
-                    f"requested dimension {cfg.d} capped at {model.n_components} "
-                    f"(concatenated width {combined.shape[1]}, {g.n_nodes} nodes)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                warned = True
-            h = pca_transform(model, combined)
-            yield h, model
-        elif cfg.method is Method.SKIP_CONNECTIONS:
-            h = (aggregate(g, h, cfg.aggregator) + h) / 2.0
-            yield h, None
-        else:
-            h = aggregate(g, h, cfg.aggregator)
-            yield h, None
+        with _block_threads(blocks) as threads:
+            model = None
+            if cfg.method is Method.PCAPASS:
+                combined = np.hstack((aggregate(g, h, cfg.aggregator, threads), h))
+                model = pca_fit(combined, cfg.d)
+                if model.n_components < cfg.d and not warned:
+                    warnings.warn(
+                        f"requested dimension {cfg.d} capped at {model.n_components} "
+                        f"(concatenated width {combined.shape[1]}, {g.n_nodes} nodes)",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    warned = True
+                # `pca_transform`, centered in place: this hop owns `combined`
+                combined -= model.mean
+                h = combined @ model.components.T
+                del combined  # not held through the next hop's aggregate
+            elif cfg.method is Method.SKIP_CONNECTIONS:
+                h = (aggregate(g, h, cfg.aggregator, threads) + h) / 2.0
+            else:
+                h = aggregate(g, h, cfg.aggregator, threads)
+        yield h, model
 
 
 def embed(g: CsrGraph, X, cfg: EmbedConfig) -> EmbedResult:

@@ -52,3 +52,16 @@ def xor_data(seed=0, n=400):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def set_openblas_threads():
+    """`parallel._set_blas_threads`, for one test: the test is skipped where
+    numpy's BLAS has no OpenBLAS setter, and the count it found is restored
+    after it."""
+    parallel = importlib.import_module("pcapass.parallel")
+    if parallel._openblas_function(parallel._OPENBLAS_SET_THREADS) is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count call")
+    before = parallel._blas_threads()
+    yield parallel._set_blas_threads
+    parallel._set_blas_threads(before)

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import force_row_blocks, prepared_path, random_edge_pairs
 from oracles import aggregate_reference, dense_operator, dense_prepared_adjacency
 from pcapass import Aggregator, EdgeList, EmbedConfig, Method, aggregate, embed, prepare
+from scipy.sparse import _sparsetools as sparsetools
 
 
 def message_passing(g, H, k):
@@ -59,16 +62,17 @@ def star_graph(n):
 
 class TestRowBlocks:
     """Every graph is aggregated in row blocks, each multiplied by scipy's CSR
-    kernel straight into its rows of the output. At any block size, the
-    blocks must give the bytes of `csr_matrix @ H`, which also pins the
-    private kernel: a scipy change that alters it fails here."""
+    kernel straight into its rows of the output. At any block size and
+    thread count, the blocks must give the bytes of `csr_matrix @ H`, which
+    also pins the private kernel: a scipy change that alters it fails here."""
 
     @pytest.mark.parametrize("width", [1, 5, 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("aggregator", list(Aggregator))
     @pytest.mark.parametrize("block_entries", [1, 7, 64, None])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_same_bytes_as_the_whole_operator(
-        self, block_entries, aggregator, dtype, width, rng, monkeypatch
+        self, threads, block_entries, aggregator, dtype, width, rng, monkeypatch
     ):
         # width 1 is the case where `csr_matrix @ H` runs `csr_matvec`, not
         # `csr_matvecs`; None is the module's own block size
@@ -83,7 +87,7 @@ class TestRowBlocks:
         if block_entries is not None:
             force_row_blocks(monkeypatch, block_entries)
         for g, X, whole in zip(graphs, inputs, expected):
-            out = aggregate(g, X, aggregator)
+            out = aggregate(g, X, aggregator, threads)
             assert out.shape == whole.shape and out.dtype == whole.dtype
             assert out.tobytes() == whole.tobytes()
 
@@ -100,19 +104,69 @@ class TestRowBlocks:
         monkeypatch.undo()  # the module's own size: this graph is one block
         assert agg_module._row_blocks(g).tolist() == [0, g.n_nodes]
 
-    def test_a_failing_block_raises(self, rng, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("where", ["weights", "kernel"])
+    def test_a_failing_block_raises(self, where, threads, rng, monkeypatch):
+        # every block past row 100 fails, in the weights built on the calling
+        # thread or in the kernel run on a worker thread
         agg_module = force_row_blocks(monkeypatch, 16)
         g = prepare(EdgeList(200, random_edge_pairs(rng, 200, 600)))
+        first = next(r0 for r0 in agg_module._row_blocks(g).tolist() if r0 > 100)
         weights = agg_module._weights
+        kernel = sparsetools.csr_matvecs
 
-        def fail_late_blocks(g, deg, aggregator, r0, r1):
+        def fail_late_weights(g, deg, aggregator, r0, r1):
             if r0 > 100:
                 raise RuntimeError(f"block at row {r0} failed")
             return weights(g, deg, aggregator, r0, r1)
 
-        monkeypatch.setattr(agg_module, "_weights", fail_late_blocks)
-        with pytest.raises(RuntimeError, match="block at row .* failed"):
-            aggregate(g, rng.standard_normal((200, 3)), Aggregator.SYM_NORM)
+        def fail_late_kernels(n_rows, n_cols, n_vecs, indptr, cols, data, x, y):
+            r0 = (y.ctypes.data - y.base.ctypes.data) // (8 * n_vecs)  # y is out[r0:r1]
+            if r0 > 100:
+                raise RuntimeError(f"block at row {r0} failed")
+            kernel(n_rows, n_cols, n_vecs, indptr, cols, data, x, y)
+
+        if where == "weights":
+            monkeypatch.setattr(agg_module, "_weights", fail_late_weights)
+        else:
+            monkeypatch.setattr(sparsetools, "csr_matvecs", fail_late_kernels)
+        alive = threading.enumerate()
+        with pytest.raises(RuntimeError, match=f"^block at row {first} failed$"):
+            aggregate(g, rng.standard_normal((200, 3)), Aggregator.SYM_NORM, threads)
+        assert threading.enumerate() == alive
+
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_kernels_run_on_at_most_threads_workers(self, threads, rng, monkeypatch):
+        # however slow the kernels, the calling thread builds a block's
+        # weights only while fewer than `threads` built blocks wait for theirs
+        agg_module = force_row_blocks(monkeypatch, 64)
+        g = prepare(EdgeList(200, random_edge_pairs(rng, 200, 600)))
+        X = rng.standard_normal((200, 3))
+        whole = aggregate_reference(g, X, "mean")  # before its kernel is patched
+        weights, kernel = agg_module._weights, sparsetools.csr_matvecs
+        built, done, waiting, workers = [], set(), [], set()
+
+        def count_waiting(g, deg, aggregator, r0, r1):
+            waiting.append(len([r for r in built if r not in done]))
+            built.append(r0)
+            return weights(g, deg, aggregator, r0, r1)
+
+        def slow_kernel(n_rows, n_cols, n_vecs, indptr, cols, data, x, y):
+            time.sleep(0.005)
+            kernel(n_rows, n_cols, n_vecs, indptr, cols, data, x, y)
+            workers.add(threading.get_ident())
+            done.add((y.ctypes.data - y.base.ctypes.data) // (8 * n_vecs))
+
+        monkeypatch.setattr(agg_module, "_weights", count_waiting)
+        monkeypatch.setattr(sparsetools, "csr_matvecs", slow_kernel)
+        out = aggregate(g, X, Aggregator.MEAN, threads)
+        assert out.tobytes() == whole.tobytes()
+        assert len(built) > 3 * threads and max(waiting) == threads - 1
+        if threads == 1:
+            assert workers == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in workers and len(workers) <= threads
 
 
 class TestAggregateK:

@@ -1,3 +1,4 @@
+import importlib
 import math
 import multiprocessing
 import os
@@ -7,12 +8,17 @@ import numpy as np
 import pytest
 
 import pcapass.analysis as analysis_module
+import pcapass.parallel as parallel_module
+from conftest import force_row_blocks, random_edge_pairs
 from pcapass import (
+    EdgeList,
     EmbedConfig,
     Method,
     SbmParams,
     SearchSpace,
     SweepConfig,
+    aggregate,
+    embed,
     generate_sbm,
     hop_states,
     hpo_summary,
@@ -20,11 +26,14 @@ from pcapass import (
     normalize_scores,
     oversmoothing_sweep,
     pearson_correlation,
+    prepare,
     random_search,
     standardize,
     v_measure,
 )
 from pcapass.cli import main
+
+embed_module = importlib.import_module("pcapass.embed")
 
 
 def small_sbm(seed=0, n=200, classes=2):
@@ -226,7 +235,7 @@ class TestHpoSummary:
 @pytest.fixture
 def two_cores(monkeypatch):
     """Make the pool start two workers, whatever this machine's core count."""
-    monkeypatch.setattr(analysis_module, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(parallel_module, "_usable_cores", lambda: 2)
 
 
 class TestWorkers:
@@ -234,13 +243,13 @@ class TestWorkers:
                                                  (8, [1, 2, 3, 3])])
     def test_worker_count_is_capped_by_cores_and_jobs(self, cores, expected, monkeypatch):
         # the count is computed, and no process is started, even for 2**31
-        monkeypatch.setattr(analysis_module, "_usable_cores", lambda: cores)
-        counts = [analysis_module._worker_count(t, 3) for t in (1, 2, 4, 2**31)]
+        monkeypatch.setattr(parallel_module, "_usable_cores", lambda: cores)
+        counts = [parallel_module._worker_count(t, 3) for t in (1, 2, 4, 2**31)]
         assert counts == expected
         assert multiprocessing.active_children() == []
 
     def test_usable_cores_bound_the_count(self):
-        assert analysis_module._worker_count(2**31, 2**31) == analysis_module._usable_cores()
+        assert parallel_module._worker_count(2**31, 2**31) == parallel_module._usable_cores()
 
     def test_jobs_run_in_workers_and_return_in_job_order(self, two_cores):
         results = analysis_module._run_jobs(lambda i: (i * i, os.getpid()), 7, workers=2)
@@ -284,20 +293,40 @@ class TestWorkers:
         assert [math.isinf(r.valid_ce) for r in pooled] == [False, False, True, False]
 
     def test_a_worker_caps_openblas_threads(self, monkeypatch):
-        getters = [name.replace("_set_", "_get_")
-                   for name in analysis_module._OPENBLAS_SET_THREADS]
-        get_threads = analysis_module._openblas_function(getters)
+        get_threads = parallel_module._openblas_function(parallel_module._OPENBLAS_GET_THREADS)
         if get_threads is None:
             pytest.skip("numpy's BLAS exports no OpenBLAS thread-count call")
         # 6 cores over 2 workers give each 3 BLAS threads, a count no
         # process here starts with
-        monkeypatch.setattr(analysis_module, "_usable_cores", lambda: 6)
+        monkeypatch.setattr(parallel_module, "_usable_cores", lambda: 6)
         assert analysis_module._run_jobs(lambda i: get_threads(), 2, workers=2) == [3, 3]
 
+    def test_a_capped_worker_runs_its_row_blocks_serially(self, two_cores, rng, monkeypatch):
+        # each of two workers on two cores gets 1 OpenBLAS thread, so its
+        # hops run their row blocks on that one thread
+        force_row_blocks(monkeypatch, 64)
+        seen = []
+
+        def spy(g, H, aggregator, threads):
+            seen.append(threads)
+            return aggregate(g, H, aggregator, threads)
+
+        monkeypatch.setattr(embed_module, "aggregate", spy)
+        g = prepare(EdgeList(300, random_edge_pairs(rng, 300, 900)))
+        X = rng.standard_normal((300, 4))
+        cfg = EmbedConfig(k=2, d=4)
+
+        def job(i):  # a worker may run both jobs
+            seen.clear()
+            embed(g, X, cfg)
+            return seen
+
+        assert analysis_module._run_jobs(job, 2, workers=2) == [[1, 1], [1, 1]]
+
     def test_a_blas_without_the_symbols_is_left_alone(self, monkeypatch):
-        monkeypatch.setattr(analysis_module, "_OPENBLAS_SET_THREADS", ("no_such_symbol",))
+        monkeypatch.setattr(parallel_module, "_OPENBLAS_SET_THREADS", ("no_such_symbol",))
         monkeypatch.setattr(analysis_module, "_job", None)
-        assert analysis_module._openblas_function(("no_such_symbol",)) is None
+        assert parallel_module._openblas_function(("no_such_symbol",)) is None
         analysis_module._start_worker(abs, 1)  # keeps the job, sets no thread count
         assert analysis_module._call_job(-4) == 4
 

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcapass.analysis as analysis_module
+import pcapass.parallel as parallel_module
 from pcapass import (
     ConfigError,
     DataError,
@@ -169,7 +170,7 @@ class TestPipelineSmoke:
     def test_no_worker_outlives_a_pooled_command(self, command, tiny_config, tmp_path,
                                                  monkeypatch):
         # three sweep methods and two hpo runs start two workers at --threads 2
-        monkeypatch.setattr(analysis_module, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel_module, "_usable_cores", lambda: 2)
         out = tmp_path / "run"
         assert run_cmd("gen", tiny_config, out) == 0
         assert run_cmd(command, tiny_config, out, extra=("--threads", "2")) == 0
@@ -559,7 +560,7 @@ class TestErrors:
     def test_a_sweep_worker_error_exits_3_with_the_in_process_line(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(analysis_module, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel_module, "_usable_cores", lambda: 2)
         config = write_config(tmp_path / "c.cfg", n_nodes=60, k_clusters=100, sweep_hops=2)
         out = tmp_path / "run"
         assert run_cmd("gen", config, out) == 0
@@ -1080,7 +1081,7 @@ def test_process_modules_load_only_when_a_pool_starts(tmp_path):
     out = tmp_path / "run"
     for command in ("gen", "embed"):
         assert run_cmd(command, config, out) == 0
-    pool = analysis_module._usable_cores() >= 2
+    pool = parallel_module._usable_cores() >= 2
     seen = modules_loaded(["multiprocessing", "concurrent.futures"], config, out,
                           ["gen", "train", "eval", "embed", "hpo"])
     assert seen == str({

@@ -1,3 +1,4 @@
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -18,10 +19,13 @@ from pcapass import (
     aggregate,
     embed,
     hop_states,
+    parallel,
     pca_fit,
     prepare,
 )
 from pcapass.embed import embeddings_from_csv, embeddings_to_csv
+
+embed_module = importlib.import_module("pcapass.embed")
 
 
 def cfg_for(method, k, d, aggregator=Aggregator.MEAN):
@@ -217,18 +221,20 @@ class TestHopLoopBuffers:
         # `load_dataset` returns them. A unit is one n x f float64 array, the
         # size of a hop state. The one-block bound of the plain methods holds
         # only while `aggregate` allocates its output after the first block's
-        # weights. In blocks of 2^16 entries, which hold one block's weights
-        # instead of the nnz-length ones, the plain methods peak lower.
+        # weights. In blocks of 2^16 entries, which hold at most two blocks'
+        # weights instead of the nnz-length ones, the plain methods peak
+        # lower. The blocks run on two threads on any machine.
         n, f = 20_000, 16
         g = prepare(EdgeList(n, random_edge_pairs(rng, n, 10 * n)))
         X = rng.standard_normal((n, f)).astype(np.float32)
-        whole = {Method.PCAPASS: 7.0, Method.MESSAGE_PASSING: 3.8, Method.SKIP_CONNECTIONS: 3.8}
-        blocked = {Method.PCAPASS: 7.0, Method.MESSAGE_PASSING: 3.5, Method.SKIP_CONNECTIONS: 3.5}
+        whole = {Method.PCAPASS: 5.2, Method.MESSAGE_PASSING: 3.8, Method.SKIP_CONNECTIONS: 3.8}
+        blocked = {Method.PCAPASS: 5.2, Method.MESSAGE_PASSING: 3.5, Method.SKIP_CONNECTIONS: 3.5}
         aggregate(g, X[:, :1], Aggregator.MEAN)  # import scipy.sparse untraced
         peaks, over = {}, []
         for path, bound in (("whole", whole), ("blocks", blocked)):
             if path == "blocks":
                 force_row_blocks(monkeypatch, 1 << 16)
+                force_block_threads(monkeypatch, 2)
             for method in Method:
                 for aggregator in Aggregator:
                     tracemalloc.start()
@@ -241,6 +247,69 @@ class TestHopLoopBuffers:
                     if peak > bound[method]:
                         over.append((path, method.value, aggregator.value))
         assert not over, peaks
+
+
+def force_block_threads(monkeypatch, threads):
+    """Give the hop loop a budget of `threads` row-block threads on any
+    machine, with OpenBLAS's own count left as it is."""
+    monkeypatch.setattr(parallel, "_usable_cores", lambda: threads)
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: threads)
+    monkeypatch.setattr(parallel, "_set_blas_threads", lambda count: None)
+
+
+class TestBlockThreads:
+    """Each hop runs its row blocks on OpenBLAS's threads, with OpenBLAS at 1
+    thread during the hop; the caller's count is back at every yield."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """(threads, OpenBLAS's threads) of each `aggregate` the hop loop calls."""
+        calls = []
+
+        def spy(g, H, aggregator, threads):
+            calls.append((threads, parallel._blas_threads()))
+            return aggregate(g, H, aggregator, threads)
+
+        monkeypatch.setattr(embed_module, "aggregate", spy)
+        return calls
+
+    def test_the_callers_count_is_restored(self, seen, set_openblas_threads, rng, monkeypatch):
+        force_row_blocks(monkeypatch, 64)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+        set_openblas_threads(2)
+        g = prepare(EdgeList(300, random_edge_pairs(rng, 300, 900)))
+        X = rng.standard_normal((300, 4))
+        for method in Method:
+            cfg = cfg_for(method, k=2, d=4)
+            for _ in hop_states(g, X, cfg):
+                assert parallel._blas_threads() == 2
+            embed(g, X, cfg)
+            assert parallel._blas_threads() == 2
+        assert seen == [(2, 1)] * (len(Method) * 2 * 2)
+
+        def fail(*args):
+            raise RuntimeError("hop failed")
+
+        monkeypatch.setattr(embed_module, "pca_fit", fail)
+        with pytest.raises(RuntimeError, match="hop failed"):
+            embed(g, X, cfg_for(Method.PCAPASS, k=2, d=4))
+        assert parallel._blas_threads() == 2
+
+    @pytest.mark.parametrize("blas, block_entries", [(1, 64), (2, None)])
+    def test_one_thread_or_one_block_runs_the_serial_path(
+        self, blas, block_entries, seen, rng, monkeypatch
+    ):
+        # OpenBLAS at 1 thread, as in a pool worker that `_start_worker`
+        # capped, or a graph of one block: OpenBLAS's count is left alone
+        if block_entries is not None:
+            force_row_blocks(monkeypatch, block_entries)
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "_blas_threads", lambda: blas)
+        counts_set = []
+        monkeypatch.setattr(parallel, "_set_blas_threads", counts_set.append)
+        g = prepare(EdgeList(300, random_edge_pairs(rng, 300, 900)))
+        embed(g, rng.standard_normal((300, 4)), cfg_for(Method.PCAPASS, k=2, d=4))
+        assert seen == [(1, blas), (1, blas)] and counts_set == []
 
 
 class TestEmbeddingFiles:

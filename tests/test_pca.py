@@ -3,6 +3,7 @@ import pytest
 
 from oracles import jacobi_eigendecomposition
 from pcapass import explained_variance_ratio, pca_fit, pca_transform
+from pcapass.parallel import _blas_threads
 
 DIAGONAL_LINE = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]])
 
@@ -94,6 +95,20 @@ class TestTransform:
         dist_x = np.linalg.norm(X[:, None] - X[None, :], axis=2)
         dist_y = np.linalg.norm(Y[:, None] - Y[None, :], axis=2)
         np.testing.assert_allclose(dist_y, dist_x, atol=1e-6)
+
+
+def test_same_bytes_at_one_and_two_openblas_threads(rng, set_openblas_threads):
+    # the hop loop fits and projects with OpenBLAS at 1 thread, where its
+    # caller may have it at 2
+    X = rng.standard_normal((100_000, 32))
+    results = []
+    for threads in (1, 2):
+        set_openblas_threads(threads)
+        assert _blas_threads() == threads
+        model = pca_fit(X, 16)
+        results.append([a.tobytes() for a in (model.mean, model.components, model.eigenvalues,
+                                              pca_transform(model, X))])
+    assert results[0] == results[1]
 
 
 class TestExplainedVarianceRatio:
