@@ -5,10 +5,10 @@ Three embedders share one hop loop:
 * pcapass: aggregate the neighborhood, concatenate with the previous state
   (a skip connection that doubles the width), then fit-and-apply PCA to pull
   the width back to at most d. Memory per node stays O(d) no matter how many
-  hops run: a hop peaks at about 5 n x d float64 arrays, namely the previous
-  state, the 2d-wide concatenation and the centered copy `pca_fit` makes of
-  it. The hop centers the concatenation in place before it projects it, so
-  the projection adds only the new state.
+  hops run: a hop peaks at about 4 n x d float64 arrays, namely the previous
+  state, the aggregate and the 2d-wide concatenation, which `pca_fit`
+  centers in place, so the fit makes no copy of it and the projection adds
+  only the new state.
 * message_passing: plain repeated aggregation, the baseline most exposed to
   over-smoothing.
 * skip_connections: average the aggregated state with the previous one,
@@ -22,9 +22,11 @@ one block, and at about 2.3-2.5 such arrays on a graph of many blocks, 2.5-2.7
 when two threads hold two blocks' weights.
 
 A graph of several blocks runs them on as many threads as OpenBLAS has,
-at most one per usable core (`parallel._worker_count`). OpenBLAS runs on 1
-thread during each such hop, since its idle threads spin-wait on the cores
-the blocks need, and gets its count back before the hop's state is yielded.
+at most one per usable core (`parallel._worker_count`): the aggregate's
+blocks, and for pcapass the copy of each block's rows into the
+concatenation (`parallel._run_blocks`). OpenBLAS runs on 1 thread during
+each such hop, since its idle threads spin-wait on the cores the blocks
+need, and gets its count back before the hop's state is yielded.
 A pool worker of `analysis`, capped at 1 OpenBLAS thread, runs its blocks on
 one thread. The bytes are the same at any thread count.
 
@@ -94,6 +96,21 @@ def _block_threads(blocks: int) -> Iterator[int]:
         parallel._set_blas_threads(blas)
 
 
+def _concatenate(left: np.ndarray, right: np.ndarray, cuts, threads: int) -> np.ndarray:
+    """`np.hstack((left, right))` of two float64 matrices, copied one row
+    block (`cuts`) at a time on up to `threads` threads. A copy is exact, so
+    the bytes do not depend on the blocks or the threads."""
+    w = left.shape[1]
+    out = np.empty((left.shape[0], w + right.shape[1]))
+
+    def fill(r0, r1):
+        out[r0:r1, :w] = left[r0:r1]
+        out[r0:r1, w:] = right[r0:r1]
+
+    parallel._run_blocks(fill, cuts, threads)
+    return out
+
+
 def hop_states(
     g: CsrGraph, X, cfg: EmbedConfig
 ) -> Iterator[tuple[np.ndarray, Optional[PcaModel]]]:
@@ -106,14 +123,17 @@ def hop_states(
         raise ValueError(
             f"feature matrix must have {g.n_nodes} rows, got shape {h.shape}"
         )
-    blocks = _row_blocks(g).size - 1
+    cuts = _row_blocks(g).tolist()
     warned = False
     for _ in range(cfg.k):
-        with _block_threads(blocks) as threads:
+        with _block_threads(len(cuts) - 1) as threads:
             model = None
             if cfg.method is Method.PCAPASS:
-                combined = np.hstack((aggregate(g, h, cfg.aggregator, threads), h))
-                model = pca_fit(combined, cfg.d)
+                combined = _concatenate(
+                    aggregate(g, h, cfg.aggregator, threads), h, cuts, threads
+                )
+                # centered in place: this hop owns `combined`
+                model = pca_fit(combined, cfg.d, overwrite_x=True)
                 if model.n_components < cfg.d and not warned:
                     warnings.warn(
                         f"requested dimension {cfg.d} capped at {model.n_components} "
@@ -122,9 +142,7 @@ def hop_states(
                         stacklevel=2,
                     )
                     warned = True
-                # `pca_transform`, centered in place: this hop owns `combined`
-                combined -= model.mean
-                h = combined @ model.components.T
+                h = combined @ model.components.T  # `pca_transform` of the centered rows
                 del combined  # not held through the next hop's aggregate
             elif cfg.method is Method.SKIP_CONNECTIONS:
                 h = (aggregate(g, h, cfg.aggregator, threads) + h) / 2.0

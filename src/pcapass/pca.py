@@ -57,13 +57,20 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return components
 
 
-def pca_fit(X, d: int) -> PcaModel:
+def pca_fit(X, d: int, *, overwrite_x: bool = False) -> PcaModel:
     """Fit the top min(d, f, n) principal components of X (n x f).
 
     The covariance is the sample covariance (divides by n - 1); no variance
     scaling is applied. Constant input is fine: all eigenvalues come out
     zero and transforms map to zeros.
+
+    By default X is left as it is and the fit centers a copy of it. With
+    `overwrite_x`, once the shape checks pass, the mean is subtracted from
+    X in place, so that X holds X - mean on return and no n x f copy is
+    made; the model has the same bytes. X must then be a writeable float64
+    ndarray: an input that would have to be converted raises ValueError.
     """
+    given = X
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"pca_fit expects a 2-D matrix, got shape {X.shape}")
@@ -72,9 +79,11 @@ def pca_fit(X, d: int) -> PcaModel:
         raise ValueError(f"pca_fit needs at least 2 rows, got {n}")
     if d < 1:
         raise ValueError(f"target dimension must be >= 1, got {d}")
+    if overwrite_x and (X is not given or not X.flags.writeable):
+        raise ValueError("overwrite_x needs X to be a writeable float64 ndarray")
 
     mean = X.sum(axis=0) / n
-    Xc = X - mean
+    Xc = np.subtract(X, mean, out=X if overwrite_x else None)
     cov = (Xc.T @ Xc) / (n - 1.0)
 
     evals, evecs = np.linalg.eigh(cov)

@@ -1,4 +1,5 @@
 import importlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -171,8 +172,10 @@ class TestHopLoopBuffers:
     @pytest.mark.parametrize("k", [0, 1, 3])
     @pytest.mark.parametrize("aggregator", list(Aggregator))
     @pytest.mark.parametrize("method", list(Method))
-    def test_same_bytes_as_the_two_copy_hop_loop(self, method, aggregator, k, dtype, rng):
-        n, f, d = 120, 5, 4
+    def test_same_bytes_as_the_two_copy_hop_loop(
+        self, method, aggregator, k, dtype, rng, f=5, d=4
+    ):
+        n = 120
         g = prepare(EdgeList(n, random_edge_pairs(rng, n, 3 * n)))
         X = rng.standard_normal((n, f)).astype(dtype)
         cfg = cfg_for(method, k=k, d=d, aggregator=aggregator)
@@ -197,8 +200,25 @@ class TestHopLoopBuffers:
     @pytest.mark.parametrize("aggregator", list(Aggregator))
     @pytest.mark.parametrize("method", list(Method))
     def test_same_bytes_in_row_blocks(self, method, aggregator, k, dtype, rng, monkeypatch):
+        # the aggregate and the concatenation run on two threads on any machine
         force_row_blocks(monkeypatch, 7)
+        force_block_threads(monkeypatch, 2)
         self.test_same_bytes_as_the_two_copy_hop_loop(method, aggregator, k, dtype, rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_same_bytes_in_row_blocks_with_one_column_halves(
+        self, aggregator, k, dtype, rng, monkeypatch
+    ):
+        # f = d = 1: each half of the concatenation is one column wide. Its
+        # column sums are bitwise those of the reference only when they are
+        # taken over the whole concatenation, not half by half.
+        force_row_blocks(monkeypatch, 7)
+        force_block_threads(monkeypatch, 2)
+        self.test_same_bytes_as_the_two_copy_hop_loop(
+            Method.PCAPASS, aggregator, k, dtype, rng, f=1, d=1
+        )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_inputs_are_left_unchanged(self, dtype, rng):
@@ -227,8 +247,8 @@ class TestHopLoopBuffers:
         n, f = 20_000, 16
         g = prepare(EdgeList(n, random_edge_pairs(rng, n, 10 * n)))
         X = rng.standard_normal((n, f)).astype(np.float32)
-        whole = {Method.PCAPASS: 5.2, Method.MESSAGE_PASSING: 3.8, Method.SKIP_CONNECTIONS: 3.8}
-        blocked = {Method.PCAPASS: 5.2, Method.MESSAGE_PASSING: 3.5, Method.SKIP_CONNECTIONS: 3.5}
+        whole = {Method.PCAPASS: 4.2, Method.MESSAGE_PASSING: 3.8, Method.SKIP_CONNECTIONS: 3.8}
+        blocked = {Method.PCAPASS: 4.2, Method.MESSAGE_PASSING: 3.5, Method.SKIP_CONNECTIONS: 3.5}
         aggregate(g, X[:, :1], Aggregator.MEAN)  # import scipy.sparse untraced
         peaks, over = {}, []
         for path, bound in (("whole", whole), ("blocks", blocked)):
@@ -287,13 +307,33 @@ class TestBlockThreads:
             assert parallel._blas_threads() == 2
         assert seen == [(2, 1)] * (len(Method) * 2 * 2)
 
-        def fail(*args):
+        def fail(*args, **kwargs):
             raise RuntimeError("hop failed")
 
         monkeypatch.setattr(embed_module, "pca_fit", fail)
         with pytest.raises(RuntimeError, match="hop failed"):
             embed(g, X, cfg_for(Method.PCAPASS, k=2, d=4))
         assert parallel._blas_threads() == 2
+
+        # the concatenation's second row block fails on a runner thread
+        run_blocks, fills = parallel._run_blocks, []
+
+        def fail_second_block(run, cuts, threads):
+            def run_or_fail(r0, r1):
+                if r0 == cuts[1]:
+                    raise RuntimeError("fill failed")
+                run(r0, r1)
+
+            fills.append(threads)
+            run_blocks(run_or_fail, cuts, threads)
+
+        monkeypatch.setattr(parallel, "_run_blocks", fail_second_block)
+        running = threading.active_count()
+        with pytest.raises(RuntimeError, match="fill failed"):
+            embed(g, X, cfg_for(Method.PCAPASS, k=2, d=4))
+        assert fills == [2]
+        assert parallel._blas_threads() == 2
+        assert threading.active_count() == running
 
     @pytest.mark.parametrize("blas, block_entries", [(1, 64), (2, None)])
     def test_one_thread_or_one_block_runs_the_serial_path(
@@ -310,6 +350,33 @@ class TestBlockThreads:
         g = prepare(EdgeList(300, random_edge_pairs(rng, 300, 900)))
         embed(g, rng.standard_normal((300, 4)), cfg_for(Method.PCAPASS, k=2, d=4))
         assert seen == [(1, blas), (1, blas)] and counts_set == []
+
+    @pytest.mark.parametrize("threads", [1, 2, 5])
+    def test_the_runner_raises_the_first_failing_block(self, threads):
+        # blocks 3 and 4 of 4 fail: the third block's error is raised at any
+        # thread count, after every block has run on the runner's threads, or
+        # at once on the calling thread when there is one thread
+        cuts, ran, on = [0, 3, 5, 9, 12], [], set()
+
+        def run(r0, r1):
+            ran.append((r0, r1))
+            on.add(threading.get_ident())
+            if r0 >= 5:
+                raise ValueError(f"block at row {r0}")
+
+        running = threading.active_count()
+        with pytest.raises(ValueError, match="row 5$"):
+            parallel._run_blocks(run, cuts, threads)
+        assert threading.active_count() == running
+        if threads == 1:
+            assert ran == [(0, 3), (3, 5), (5, 9)] and on == {threading.get_ident()}
+        else:
+            assert sorted(ran) == [(0, 3), (3, 5), (5, 9), (9, 12)]
+            assert threading.get_ident() not in on
+
+        on.clear()
+        parallel._run_blocks(lambda r0, r1: on.add(threading.get_ident()), [0, 12], threads)
+        assert on == {threading.get_ident()}  # one block runs on the calling thread
 
 
 class TestEmbeddingFiles:

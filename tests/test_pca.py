@@ -111,6 +111,50 @@ def test_same_bytes_at_one_and_two_openblas_threads(rng, set_openblas_threads):
     assert results[0] == results[1]
 
 
+class TestOverwriteX:
+    """`overwrite_x=True` centers the caller's array instead of a copy: the
+    model has the same bytes as the default fit's, and X holds X - mean."""
+
+    @pytest.mark.parametrize(
+        "n, f, d, constant",
+        [
+            (50, 6, 4, ()),
+            (5, 12, 3, ()),  # n < f
+            (40, 3, 7, ()),  # d > f
+            (30, 1, 1, ()),  # a single column
+            (2, 4, 4, ()),  # the fewest rows
+            (60, 5, 5, (1, 3)),  # constant columns
+            (20_000, 32, 16, ()),
+        ],
+    )
+    def test_same_model_and_the_centered_rows(self, n, f, d, constant, rng):
+        X0 = rng.standard_normal((n, f)) * rng.uniform(0.1, 10.0, f) + rng.standard_normal(f)
+        X0[:, list(constant)] = 2.5
+        before = X0.tobytes()
+        expected = pca_fit(X0, d)
+        assert X0.tobytes() == before  # the default fit centers a copy
+        X = X0.copy()
+        model = pca_fit(X, d, overwrite_x=True)
+        for name in ("mean", "components", "eigenvalues"):
+            assert getattr(model, name).tobytes() == getattr(expected, name).tobytes()
+        assert model.total_variance == expected.total_variance
+        assert X.tobytes() == (X0 - model.mean).tobytes()
+
+    @pytest.mark.parametrize("kind", ["float32", "list", "read-only"])
+    def test_an_input_it_would_have_to_convert_raises(self, kind, rng):
+        X = rng.standard_normal((10, 3))
+        if kind == "float32":
+            X = X.astype(np.float32)
+        elif kind == "read-only":
+            X.flags.writeable = False
+        before = np.array(X).tobytes()
+        if kind == "list":
+            X = X.tolist()
+        with pytest.raises(ValueError, match="overwrite_x"):
+            pca_fit(X, 2, overwrite_x=True)
+        assert np.array(X).tobytes() == before
+
+
 class TestExplainedVarianceRatio:
     def test_rank1(self):
         assert explained_variance_ratio(pca_fit(DIAGONAL_LINE, 1)).tolist() == [1.0]
