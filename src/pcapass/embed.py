@@ -4,11 +4,12 @@ Three embedders share one hop loop:
 
 * pcapass: aggregate the neighborhood, concatenate with the previous state
   (a skip connection that doubles the width), then fit-and-apply PCA to pull
-  the width back to at most d. Memory per node stays O(d) no matter how many
-  hops run: a hop peaks at about 4 n x d float64 arrays, namely the previous
-  state, the aggregate and the 2d-wide concatenation, which `pca_fit`
-  centers in place, so the fit makes no copy of it and the projection adds
-  only the new state.
+  the width back to at most d. The concatenation is never built: `pca_fit`
+  and `pca_transform` take its two halves (`right`), sum its Gram matrix
+  and project it one chunk of rows at a time, and the new state is written
+  into the aggregate's buffer. Memory per node stays O(d) no matter how
+  many hops run: a hop holds about 2 n x d float64 arrays, the previous
+  state and the aggregate, so it peaks inside `aggregate`.
 * message_passing: plain repeated aggregation, the baseline most exposed to
   over-smoothing.
 * skip_connections: average the aggregated state with the previous one,
@@ -16,19 +17,18 @@ Three embedders share one hop loop:
 
 Each hop's aggregation builds its operator's weights, 8 bytes per CSR
 entry, one row block of about half a million entries at a time (see
-`aggregate`). At f = 16 and 21 CSR entries per node, message_passing and
-skip_connections peak at about 3.5-3.7 n x f float64 arrays on a graph of
-one block, and at about 2.3-2.5 such arrays on a graph of many blocks, 2.5-2.7
-when two threads hold two blocks' weights.
+`aggregate`). At f = d = 16 and 21 CSR entries per node, each of the three
+methods peaks at about 3.4-3.7 n x f float64 arrays on a graph of one block,
+and at about 2.3-2.5 such arrays on a graph of many blocks, 2.5-2.7 when two
+threads hold two blocks' weights.
 
-A graph of several blocks runs them on as many threads as OpenBLAS has,
-at most one per usable core (`parallel._worker_count`): the aggregate's
-blocks, and for pcapass the copy of each block's rows into the
-concatenation (`parallel._run_blocks`). OpenBLAS runs on 1 thread during
-each such hop, since its idle threads spin-wait on the cores the blocks
-need, and gets its count back before the hop's state is yielded.
-A pool worker of `analysis`, capped at 1 OpenBLAS thread, runs its blocks on
-one thread. The bytes are the same at any thread count.
+A graph of several blocks runs the aggregate's blocks on as many threads as
+OpenBLAS has, at most one per usable core (`parallel._worker_count`).
+OpenBLAS runs on 1 thread during each such hop, since its idle threads
+spin-wait on the cores the blocks need, and gets its count back before the
+hop's state is yielded. A pool worker of `analysis`, capped at 1 OpenBLAS
+thread, runs its blocks on one thread. A pcapass hop's fit and projection
+run on the calling thread. The bytes are the same at any thread count.
 
 Embeddings are stored as CSV, written and read by `fileio`'s table writer
 and table reader.
@@ -48,7 +48,7 @@ from . import parallel
 from .aggregate import Aggregator, _row_blocks, aggregate
 from .fileio import _format_rows, _read_table
 from .graph import CsrGraph
-from .pca import PcaModel, pca_fit
+from .pca import PcaModel, pca_fit, pca_transform
 from .schema import check_settings, setting
 
 
@@ -96,21 +96,6 @@ def _block_threads(blocks: int) -> Iterator[int]:
         parallel._set_blas_threads(blas)
 
 
-def _concatenate(left: np.ndarray, right: np.ndarray, cuts, threads: int) -> np.ndarray:
-    """`np.hstack((left, right))` of two float64 matrices, copied one row
-    block (`cuts`) at a time on up to `threads` threads. A copy is exact, so
-    the bytes do not depend on the blocks or the threads."""
-    w = left.shape[1]
-    out = np.empty((left.shape[0], w + right.shape[1]))
-
-    def fill(r0, r1):
-        out[r0:r1, :w] = left[r0:r1]
-        out[r0:r1, w:] = right[r0:r1]
-
-    parallel._run_blocks(fill, cuts, threads)
-    return out
-
-
 def hop_states(
     g: CsrGraph, X, cfg: EmbedConfig
 ) -> Iterator[tuple[np.ndarray, Optional[PcaModel]]]:
@@ -123,27 +108,27 @@ def hop_states(
         raise ValueError(
             f"feature matrix must have {g.n_nodes} rows, got shape {h.shape}"
         )
-    cuts = _row_blocks(g).tolist()
+    blocks = len(_row_blocks(g)) - 1
     warned = False
     for _ in range(cfg.k):
-        with _block_threads(len(cuts) - 1) as threads:
+        with _block_threads(blocks) as threads:
             model = None
             if cfg.method is Method.PCAPASS:
-                combined = _concatenate(
-                    aggregate(g, h, cfg.aggregator, threads), h, cuts, threads
-                )
-                # centered in place: this hop owns `combined`
-                model = pca_fit(combined, cfg.d, overwrite_x=True)
+                # the hop owns the aggregate `A` and never writes to `h`
+                A = aggregate(g, h, cfg.aggregator, threads)
+                model = pca_fit(A, cfg.d, right=h)
                 if model.n_components < cfg.d and not warned:
                     warnings.warn(
                         f"requested dimension {cfg.d} capped at {model.n_components} "
-                        f"(concatenated width {combined.shape[1]}, {g.n_nodes} nodes)",
+                        f"(concatenated width {model.n_features}, {g.n_nodes} nodes)",
                         RuntimeWarning,
                         stacklevel=2,
                     )
                     warned = True
-                h = combined @ model.components.T  # `pca_transform` of the centered rows
-                del combined  # not held through the next hop's aggregate
+                # the new state is written into A's rows when it is as wide
+                out = A if model.n_components == A.shape[1] else None
+                h = pca_transform(model, A, right=h, out=out)
+                del A, out  # not held through the next hop's aggregate
             elif cfg.method is Method.SKIP_CONNECTIONS:
                 h = (aggregate(g, h, cfg.aggregator, threads) + h) / 2.0
             else:

@@ -2,9 +2,8 @@
 
 `analysis` runs its jobs in at most `_worker_count` processes and caps each
 worker's OpenBLAS threads; `embed`'s hop loop runs `aggregate`'s row blocks
-on OpenBLAS's threads, and fills a pcapass hop's concatenation on the same
-threads through `_run_blocks`. Both read and set OpenBLAS's thread count
-through the calls below, which find numpy's BLAS's symbols once per process.
+on OpenBLAS's threads. Both read and set OpenBLAS's thread count through the
+calls below, which find numpy's BLAS's symbols once per process.
 """
 
 from __future__ import annotations
@@ -27,25 +26,6 @@ def _worker_count(workers: int, jobs: int) -> int:
     """Processes or threads to run `jobs` jobs on: never more than the usable
     cores or the jobs, however large `workers` is."""
     return max(1, min(workers, _usable_cores(), jobs))
-
-
-def _run_blocks(run, cuts, threads: int) -> None:
-    """Call `run(r0, r1)` for each pair of consecutive row `cuts`, on up to
-    `threads` threads; on this thread alone for one block or one thread.
-    The first block to fail, in block order, raises, and no thread outlives
-    the call."""
-    starts, stops = cuts[:-1], cuts[1:]
-    threads = min(threads, len(starts))
-    if threads <= 1:
-        for r0, r1 in zip(starts, stops):
-            run(r0, r1)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # imported only where used
-
-    with ThreadPoolExecutor(threads) as pool:  # waits for every block on exit
-        blocks = [pool.submit(run, r0, r1) for r0, r1 in zip(starts, stops)]
-    for block in blocks:  # the first failing block, in block order, raises
-        block.result()
 
 
 # OpenBLAS's thread-count setters, by the symbol names of numpy's bundled

@@ -26,6 +26,15 @@ def force_row_blocks(monkeypatch, block_entries):
     return module
 
 
+def force_chunk_rows(monkeypatch, rows):
+    """Make a fit or projection of two column blocks take chunks of `rows`
+    rows; returns the chunk size in force."""
+    module = importlib.import_module("pcapass.pca")
+    if rows is not None:
+        monkeypatch.setattr(module, "_CHUNK_ROWS", rows)
+    return module._CHUNK_ROWS
+
+
 def blob_data(seed=0, n_train=200, n_valid=100, n_test=100):
     """Two well-separated Gaussian blobs; linearly separable with margin."""
     rng = np.random.default_rng(seed)

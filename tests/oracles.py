@@ -5,8 +5,10 @@ code with the package: dense adjacency matrices, an explicit cyclic Jacobi
 eigensolver, SVD-based PCA, contingency-table entropies computed with
 plain loops, a dataset reader and writer that handle one line at a time, a
 boosting loop that grows each tree depth-first, one node at a time, the
-hop loop as it was before it reused its buffers, and aggregation through
-one whole operator, as it was before large graphs were cut into row blocks.
+hop loop with each chunk of a pcapass hop's two halves centered into a
+copy, and as it was when the whole concatenation was built, and aggregation
+through one whole operator, as it was before large graphs were cut into
+row blocks.
 """
 
 import math
@@ -554,20 +556,14 @@ def aggregate_reference(g, H, aggregator):
     return operator_reference(g, aggregator) @ H
 
 
-def pca_fit_reference(X, d):
-    """`pca_fit` written out in full: the rows, in their given order, are
-    centered into a copy. Returns (mean, components, eigenvalues,
-    total_variance)."""
-    n, f = X.shape
-    mean = X.sum(axis=0) / n
-    Xc = X - mean
-    cov = (Xc.T @ Xc) / (n - 1.0)
-
+def _model_reference(mean, cov, n_components):
+    """(mean, components, eigenvalues, total_variance) of the sample
+    covariance `cov`: its top eigenpairs, floored and sign-fixed as
+    `pca_fit` does."""
     evals, evecs = np.linalg.eigh(cov)
     evals = evals[::-1]
     components = evecs[:, ::-1].T.copy()
 
-    n_components = min(d, f, n)
     evals = np.maximum(evals[:n_components], 0.0)
     if evals.size and evals[0] > 0.0:
         evals[evals < 1e-12 * evals[0]] = 0.0
@@ -578,9 +574,80 @@ def pca_fit_reference(X, d):
     return mean, components, evals, float(np.trace(cov))
 
 
-def hop_states_reference(g, X, method, aggregator, k, d):
-    """The hop loop as it once was, with the aggregate kept alive through the
-    PCA fit. Returns (states after hops 1..k, pcapass models)."""
+def pca_fit_reference(X, d):
+    """The fit of one whole matrix: the rows, in their given order, are
+    centered into a copy and multiplied in one product. `pca_fit` has its
+    bytes on up to one chunk of rows and differs by rounding beyond.
+    Returns (mean, components, eigenvalues, total_variance)."""
+    n, f = X.shape
+    mean = X.sum(axis=0) / n
+    Xc = X - mean
+    cov = (Xc.T @ Xc) / (n - 1.0)
+    return _model_reference(mean, cov, min(d, f, n))
+
+
+def _centered_chunk_reference(left, right, mean, r0, chunk_rows):
+    w = left.shape[1]
+    return (left[r0 : r0 + chunk_rows] - mean[:w], right[r0 : r0 + chunk_rows] - mean[w:])
+
+
+def pca_fit_halves_reference(left, right, d, chunk_rows):
+    """`pca_fit(left, d, right=right)` written out in full: the column sums
+    are taken half by half, and the four blocks of the Gram matrix are
+    summed over copies of each chunk of `chunk_rows` rows of the two
+    halves, centered. An n x 0 `right` makes it `pca_fit(left, d)`."""
+    n, w = left.shape
+    mean = np.concatenate((left.sum(axis=0), right.sum(axis=0))) / n
+    gram = np.zeros((mean.size, mean.size))
+    for r0 in range(0, n, chunk_rows):
+        a, c = _centered_chunk_reference(left, right, mean, r0, chunk_rows)
+        gram[:w, :w] += a.T @ a
+        gram[:w, w:] += a.T @ c
+        gram[w:, w:] += c.T @ c
+    gram[w:, :w] = gram[:w, w:].T
+    return _model_reference(mean, gram / (n - 1.0), min(d, mean.size, n))
+
+
+def pca_transform_halves_reference(left, right, mean, components, chunk_rows):
+    """`pca_transform(model, left, right=right)` written out in full: each
+    chunk of `chunk_rows` rows of each half is copied and centered, and the
+    chunk's projection is the sum of its halves' projections. An n x 0
+    `right` makes it `pca_transform(model, left)`."""
+    w = left.shape[1]
+    left_components = components[:, :w].T.copy()
+    right_components = components[:, w:].T.copy()
+    out = np.empty((len(left), len(components)))
+    for r0 in range(0, len(left), chunk_rows):
+        a, c = _centered_chunk_reference(left, right, mean, r0, chunk_rows)
+        out[r0 : r0 + chunk_rows] = a @ left_components + c @ right_components
+    return out
+
+
+def hop_states_reference(g, X, method, aggregator, k, d, chunk_rows):
+    """The hop loop with each pcapass hop fitted from the Gram blocks of its
+    two halves and projected one chunk of `chunk_rows` rows at a time, each
+    chunk of each half centered into a copy. Returns (states after hops
+    1..k, pcapass models)."""
+    h = np.ascontiguousarray(X, dtype=np.float64)
+    states, models = [], []
+    for _ in range(k):
+        if method == "pcapass":
+            agg = operator_reference(g, aggregator) @ h
+            model = pca_fit_halves_reference(agg, h, d, chunk_rows)
+            h = pca_transform_halves_reference(agg, h, *model[:2], chunk_rows)
+            models.append(model)
+        elif method == "skip_connections":
+            h = (operator_reference(g, aggregator) @ h + h) / 2.0
+        else:
+            h = operator_reference(g, aggregator) @ h
+        states.append(h)
+    return states, models
+
+
+def hop_states_concatenating_reference(g, X, method, aggregator, k, d):
+    """The hop loop as it once was, with each pcapass hop's concatenation
+    built whole, fitted and projected in one product. Returns (states after
+    hops 1..k, pcapass models)."""
     h = np.ascontiguousarray(X, dtype=np.float64)
     states, models = [], []
     for _ in range(k):

@@ -1,15 +1,15 @@
 import importlib
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import force_row_blocks, path_edges, random_edge_pairs
+from conftest import force_chunk_rows, force_row_blocks, path_edges, random_edge_pairs
 from oracles import (
     dense_operator,
     dense_prepared_adjacency,
     embed_reference,
+    hop_states_concatenating_reference,
     hop_states_reference,
 )
 from pcapass import (
@@ -164,23 +164,26 @@ def test_embed_deterministic_bitwise(rng):
 
 
 class TestHopLoopBuffers:
-    """The hop loop builds the operator weights in one buffer and drops each
-    aggregate once it is concatenated. Neither may change a byte of a result
-    or an input."""
+    """The hop loop builds the operator weights in one buffer, fits and
+    projects each pcapass hop from chunks of its concatenation without
+    building it, and writes the new state into the aggregate's buffer. None
+    of that may change a byte of a result or an input."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [0, 1, 3])
     @pytest.mark.parametrize("aggregator", list(Aggregator))
     @pytest.mark.parametrize("method", list(Method))
-    def test_same_bytes_as_the_two_copy_hop_loop(
-        self, method, aggregator, k, dtype, rng, f=5, d=4
+    def test_same_bytes_as_the_reference_hop_loop(
+        self, method, aggregator, k, dtype, rng, monkeypatch, f=5, d=4, chunk_rows=None
     ):
+        # 120 rows are one chunk of the default size
+        rows = force_chunk_rows(monkeypatch, chunk_rows)
         n = 120
         g = prepare(EdgeList(n, random_edge_pairs(rng, n, 3 * n)))
         X = rng.standard_normal((n, f)).astype(dtype)
         cfg = cfg_for(method, k=k, d=d, aggregator=aggregator)
         result = embed(g, X, cfg)
-        states, models = hop_states_reference(g, X, method.value, aggregator.value, k, d)
+        states, models = hop_states_reference(g, X, method.value, aggregator.value, k, d, rows)
 
         for mine, theirs in zip([h for h, _ in hop_states(g, X, cfg)], states, strict=True):
             assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
@@ -200,10 +203,13 @@ class TestHopLoopBuffers:
     @pytest.mark.parametrize("aggregator", list(Aggregator))
     @pytest.mark.parametrize("method", list(Method))
     def test_same_bytes_in_row_blocks(self, method, aggregator, k, dtype, rng, monkeypatch):
-        # the aggregate and the concatenation run on two threads on any machine
+        # the aggregate runs on two threads on any machine, and a pcapass
+        # hop's 120 rows are four chunks
         force_row_blocks(monkeypatch, 7)
         force_block_threads(monkeypatch, 2)
-        self.test_same_bytes_as_the_two_copy_hop_loop(method, aggregator, k, dtype, rng)
+        self.test_same_bytes_as_the_reference_hop_loop(
+            method, aggregator, k, dtype, rng, monkeypatch, chunk_rows=32
+        )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3])
@@ -211,14 +217,37 @@ class TestHopLoopBuffers:
     def test_same_bytes_in_row_blocks_with_one_column_halves(
         self, aggregator, k, dtype, rng, monkeypatch
     ):
-        # f = d = 1: each half of the concatenation is one column wide. Its
-        # column sums are bitwise those of the reference only when they are
-        # taken over the whole concatenation, not half by half.
+        # f = d = 1: each half of the concatenation is one column wide, and
+        # numpy sums a single column pairwise
         force_row_blocks(monkeypatch, 7)
         force_block_threads(monkeypatch, 2)
-        self.test_same_bytes_as_the_two_copy_hop_loop(
-            Method.PCAPASS, aggregator, k, dtype, rng, f=1, d=1
+        self.test_same_bytes_as_the_reference_hop_loop(
+            Method.PCAPASS, aggregator, k, dtype, rng, monkeypatch, f=1, d=1, chunk_rows=32
         )
+
+    @pytest.mark.parametrize("blocks", [False, True])
+    @pytest.mark.parametrize("f, d", [(5, 4), (1, 1)])
+    @pytest.mark.parametrize("aggregator", list(Aggregator))
+    def test_close_to_the_concatenating_hop_loop(self, aggregator, f, d, blocks, rng, monkeypatch):
+        # fitting from chunks of the concatenation instead of the whole one
+        # moves the states by rounding only
+        if blocks:
+            force_row_blocks(monkeypatch, 7)
+            force_block_threads(monkeypatch, 2)
+            force_chunk_rows(monkeypatch, 32)
+        n, k = 120, 4
+        g = prepare(EdgeList(n, random_edge_pairs(rng, n, 3 * n)))
+        X = rng.standard_normal((n, f))
+        cfg = cfg_for(Method.PCAPASS, k=k, d=d, aggregator=aggregator)
+        states, models = hop_states_concatenating_reference(g, X, "pcapass", aggregator.value, k, d)
+        for (mine, model), theirs, (_, _, eigenvalues, _) in zip(
+            hop_states(g, X, cfg), states, models, strict=True
+        ):
+            scale = np.abs(theirs).max()
+            np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-10 * scale)
+            np.testing.assert_allclose(
+                model.eigenvalues, eigenvalues, rtol=0, atol=1e-10 * eigenvalues[0]
+            )
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_inputs_are_left_unchanged(self, dtype, rng):
@@ -239,16 +268,18 @@ class TestHopLoopBuffers:
     def test_hop_peak_memory_is_a_few_states(self, rng, monkeypatch):
         # 20k nodes of mean degree about 21, with float32 features as
         # `load_dataset` returns them. A unit is one n x f float64 array, the
-        # size of a hop state. The one-block bound of the plain methods holds
-        # only while `aggregate` allocates its output after the first block's
-        # weights. In blocks of 2^16 entries, which hold at most two blocks'
-        # weights instead of the nnz-length ones, the plain methods peak
-        # lower. The blocks run on two threads on any machine.
+        # size of a hop state. A pcapass hop holds the previous state, the
+        # aggregate and a chunk of rows, so every method peaks inside
+        # `aggregate`. The one-block bounds hold only while `aggregate`
+        # allocates its output after the first block's weights. In blocks of
+        # 2^16 entries, which hold at most two blocks' weights instead of the
+        # nnz-length ones, every method peaks lower. The blocks run on two
+        # threads on any machine.
         n, f = 20_000, 16
         g = prepare(EdgeList(n, random_edge_pairs(rng, n, 10 * n)))
         X = rng.standard_normal((n, f)).astype(np.float32)
-        whole = {Method.PCAPASS: 4.2, Method.MESSAGE_PASSING: 3.8, Method.SKIP_CONNECTIONS: 3.8}
-        blocked = {Method.PCAPASS: 4.2, Method.MESSAGE_PASSING: 3.5, Method.SKIP_CONNECTIONS: 3.5}
+        whole = {Method.PCAPASS: 3.85, Method.MESSAGE_PASSING: 3.8, Method.SKIP_CONNECTIONS: 3.8}
+        blocked = {Method.PCAPASS: 2.85, Method.MESSAGE_PASSING: 3.5, Method.SKIP_CONNECTIONS: 3.5}
         aggregate(g, X[:, :1], Aggregator.MEAN)  # import scipy.sparse untraced
         peaks, over = {}, []
         for path, bound in (("whole", whole), ("blocks", blocked)):
@@ -310,30 +341,13 @@ class TestBlockThreads:
         def fail(*args, **kwargs):
             raise RuntimeError("hop failed")
 
-        monkeypatch.setattr(embed_module, "pca_fit", fail)
-        with pytest.raises(RuntimeError, match="hop failed"):
-            embed(g, X, cfg_for(Method.PCAPASS, k=2, d=4))
-        assert parallel._blas_threads() == 2
-
-        # the concatenation's second row block fails on a runner thread
-        run_blocks, fills = parallel._run_blocks, []
-
-        def fail_second_block(run, cuts, threads):
-            def run_or_fail(r0, r1):
-                if r0 == cuts[1]:
-                    raise RuntimeError("fill failed")
-                run(r0, r1)
-
-            fills.append(threads)
-            run_blocks(run_or_fail, cuts, threads)
-
-        monkeypatch.setattr(parallel, "_run_blocks", fail_second_block)
-        running = threading.active_count()
-        with pytest.raises(RuntimeError, match="fill failed"):
-            embed(g, X, cfg_for(Method.PCAPASS, k=2, d=4))
-        assert fills == [2]
-        assert parallel._blas_threads() == 2
-        assert threading.active_count() == running
+        # the hop's fit fails, then its projection
+        for name in ("pca_fit", "pca_transform"):
+            with monkeypatch.context() as patch:
+                patch.setattr(embed_module, name, fail)
+                with pytest.raises(RuntimeError, match="hop failed"):
+                    embed(g, X, cfg_for(Method.PCAPASS, k=2, d=4))
+            assert parallel._blas_threads() == 2
 
     @pytest.mark.parametrize("blas, block_entries", [(1, 64), (2, None)])
     def test_one_thread_or_one_block_runs_the_serial_path(
@@ -350,33 +364,6 @@ class TestBlockThreads:
         g = prepare(EdgeList(300, random_edge_pairs(rng, 300, 900)))
         embed(g, rng.standard_normal((300, 4)), cfg_for(Method.PCAPASS, k=2, d=4))
         assert seen == [(1, blas), (1, blas)] and counts_set == []
-
-    @pytest.mark.parametrize("threads", [1, 2, 5])
-    def test_the_runner_raises_the_first_failing_block(self, threads):
-        # blocks 3 and 4 of 4 fail: the third block's error is raised at any
-        # thread count, after every block has run on the runner's threads, or
-        # at once on the calling thread when there is one thread
-        cuts, ran, on = [0, 3, 5, 9, 12], [], set()
-
-        def run(r0, r1):
-            ran.append((r0, r1))
-            on.add(threading.get_ident())
-            if r0 >= 5:
-                raise ValueError(f"block at row {r0}")
-
-        running = threading.active_count()
-        with pytest.raises(ValueError, match="row 5$"):
-            parallel._run_blocks(run, cuts, threads)
-        assert threading.active_count() == running
-        if threads == 1:
-            assert ran == [(0, 3), (3, 5), (5, 9)] and on == {threading.get_ident()}
-        else:
-            assert sorted(ran) == [(0, 3), (3, 5), (5, 9), (9, 12)]
-            assert threading.get_ident() not in on
-
-        on.clear()
-        parallel._run_blocks(lambda r0, r1: on.add(threading.get_ident()), [0, 12], threads)
-        assert on == {threading.get_ident()}  # one block runs on the calling thread
 
 
 class TestEmbeddingFiles:

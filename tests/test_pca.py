@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigendecomposition
+from conftest import force_chunk_rows
+from oracles import (
+    jacobi_eigendecomposition,
+    pca_fit_halves_reference,
+    pca_transform_halves_reference,
+)
 from pcapass import explained_variance_ratio, pca_fit, pca_transform
 from pcapass.parallel import _blas_threads
 
@@ -106,53 +111,141 @@ def test_same_bytes_at_one_and_two_openblas_threads(rng, set_openblas_threads):
         set_openblas_threads(threads)
         assert _blas_threads() == threads
         model = pca_fit(X, 16)
+        halves = pca_fit(X[:, :16], 16, right=X[:, 16:])
         results.append([a.tobytes() for a in (model.mean, model.components, model.eigenvalues,
-                                              pca_transform(model, X))])
+                                              pca_transform(model, X), halves.components,
+                                              pca_transform(halves, X[:, :16], right=X[:, 16:]))])
     assert results[0] == results[1]
 
 
-class TestOverwriteX:
-    """`overwrite_x=True` centers the caller's array instead of a copy: the
-    model has the same bytes as the default fit's, and X holds X - mean."""
+class TestTwoColumnBlocks:
+    """`pca_fit(X, d, right=R)` and `pca_transform(model, X, right=R)` fit
+    and project the concatenation [X, R] without building it: the Gram
+    matrix is summed over chunks of rows, and the projection runs chunk by
+    chunk."""
 
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
     @pytest.mark.parametrize(
-        "n, f, d, constant",
+        "n, f1, f2, d, constant",
         [
-            (50, 6, 4, ()),
-            (5, 12, 3, ()),  # n < f
-            (40, 3, 7, ()),  # d > f
-            (30, 1, 1, ()),  # a single column
-            (2, 4, 4, ()),  # the fewest rows
-            (60, 5, 5, (1, 3)),  # constant columns
-            (20_000, 32, 16, ()),
+            (50, 3, 3, 4, ()),
+            (5, 6, 6, 3, ()),  # n < f
+            (40, 2, 1, 7, ()),  # d > f
+            (30, 1, 1, 1, ()),  # one-column halves
+            (2, 4, 4, 4, ()),  # the fewest rows
+            (60, 3, 2, 5, (1, 3)),  # constant columns
+            (20_000, 16, 16, 16, ()),
         ],
     )
-    def test_same_model_and_the_centered_rows(self, n, f, d, constant, rng):
-        X0 = rng.standard_normal((n, f)) * rng.uniform(0.1, 10.0, f) + rng.standard_normal(f)
-        X0[:, list(constant)] = 2.5
-        before = X0.tobytes()
-        expected = pca_fit(X0, d)
-        assert X0.tobytes() == before  # the default fit centers a copy
-        X = X0.copy()
-        model = pca_fit(X, d, overwrite_x=True)
-        for name in ("mean", "components", "eigenvalues"):
-            assert getattr(model, name).tobytes() == getattr(expected, name).tobytes()
-        assert model.total_variance == expected.total_variance
-        assert X.tobytes() == (X0 - model.mean).tobytes()
+    def test_the_chunked_reference_bitwise_and_the_whole_fit_closely(
+        self, n, f1, f2, d, constant, chunk_rows, rng, monkeypatch
+    ):
+        rows = force_chunk_rows(monkeypatch, chunk_rows)
+        scale = rng.uniform(0.1, 10.0, f1 + f2)
+        Z = rng.standard_normal((n, f1 + f2)) * scale + rng.standard_normal(f1 + f2)
+        Z[:, list(constant)] = 2.5
+        X, R = Z[:, :f1].copy(), Z[:, f1:].copy()
+        before = (X.tobytes(), R.tobytes())
+        model = pca_fit(X, d, right=R)
+        projected = pca_transform(model, X, right=R)
+        assert (X.tobytes(), R.tobytes()) == before
 
-    @pytest.mark.parametrize("kind", ["float32", "list", "read-only"])
-    def test_an_input_it_would_have_to_convert_raises(self, kind, rng):
-        X = rng.standard_normal((10, 3))
-        if kind == "float32":
-            X = X.astype(np.float32)
-        elif kind == "read-only":
-            X.flags.writeable = False
-        before = np.array(X).tobytes()
-        if kind == "list":
-            X = X.tolist()
-        with pytest.raises(ValueError, match="overwrite_x"):
-            pca_fit(X, 2, overwrite_x=True)
-        assert np.array(X).tobytes() == before
+        mean, components, eigenvalues, total = pca_fit_halves_reference(X, R, d, rows)
+        assert model.mean.tobytes() == mean.tobytes()
+        assert model.components.shape == components.shape
+        assert model.components.tobytes() == components.tobytes()
+        assert model.eigenvalues.tobytes() == eigenvalues.tobytes()
+        assert model.total_variance == total
+        expected = pca_transform_halves_reference(X, R, mean, components, rows)
+        assert projected.tobytes() == expected.tobytes()
+
+        # the fit of the built concatenation, up to rounding
+        whole = pca_fit(Z, d)
+        np.testing.assert_allclose(
+            model.eigenvalues, whole.eigenvalues, rtol=1e-10, atol=1e-12 * whole.eigenvalues[0]
+        )
+        assert model.total_variance == pytest.approx(whole.total_variance, rel=1e-12)
+        np.testing.assert_allclose(
+            projected, pca_transform(whole, Z), rtol=0, atol=1e-10 * np.abs(Z).max()
+        )
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    @pytest.mark.parametrize("n, f, d", [(50, 6, 4), (5, 12, 3), (30, 1, 1), (20_000, 32, 16)])
+    def test_one_block_is_the_chunked_reference_of_no_right_columns(
+        self, n, f, d, chunk_rows, rng, monkeypatch
+    ):
+        # a fit of one matrix sums its Gram matrix over the same chunks
+        rows = force_chunk_rows(monkeypatch, chunk_rows)
+        X = rng.standard_normal((n, f)) * rng.uniform(0.1, 10.0, f) + rng.standard_normal(f)
+        before = X.tobytes()
+        model = pca_fit(X, d)
+        projected = pca_transform(model, X)
+        assert X.tobytes() == before
+        nothing = np.empty((n, 0))
+        mean, components, eigenvalues, total = pca_fit_halves_reference(X, nothing, d, rows)
+        assert model.mean.tobytes() == mean.tobytes()
+        assert model.components.tobytes() == components.tobytes()
+        assert model.eigenvalues.tobytes() == eigenvalues.tobytes()
+        assert model.total_variance == total
+        expected = pca_transform_halves_reference(X, nothing, mean, components, rows)
+        assert projected.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk_rows", [None, 7])
+    @pytest.mark.parametrize("n, f", [(50, 3), (30, 1), (20_000, 16)])
+    def test_a_projection_into_the_left_block_has_the_same_bytes(
+        self, n, f, chunk_rows, rng, monkeypatch
+    ):
+        force_chunk_rows(monkeypatch, chunk_rows)
+        X, R = rng.standard_normal((n, f)), rng.standard_normal((n, f))
+        model = pca_fit(X, f, right=R)
+        expected = pca_transform(model, X, right=R)
+        assert pca_transform(model, X, right=R, out=X) is X
+        assert X.tobytes() == expected.tobytes()
+        # and a projection of one whole matrix into it
+        Z = np.hstack((X, R))
+        whole = pca_fit(Z, f)
+        expected = pca_transform(whole, Z)
+        assert pca_transform(whole, Z, out=X) is X
+        assert X.tobytes() == expected.tobytes()
+
+    def test_jacobi_eigensolve_of_the_concatenation(self, rng):
+        X, R = rng.standard_normal((20, 3)), rng.standard_normal((20, 3))
+        model = pca_fit(X, d=3, right=R)
+        ref_evals, ref_vectors = jacobi_eigendecomposition(np.cov(np.hstack((X, R)), rowvar=False))
+        np.testing.assert_allclose(model.eigenvalues, ref_evals[:3], atol=1e-8)
+        np.testing.assert_allclose(model.components, ref_vectors[:3], atol=1e-8)
+
+    def test_bad_shapes_raise(self, rng):
+        X, R = rng.standard_normal((10, 3)), rng.standard_normal((10, 2))
+        with pytest.raises(ValueError, match="same rows"):
+            pca_fit(X, 2, right=R[:9])
+        with pytest.raises(ValueError, match="same rows"):
+            pca_fit(X, 2, right=R[:, 0])
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            pca_fit(X[:1], 2, right=R[:1])
+        with pytest.raises(ValueError, match=">= 1"):
+            pca_fit(X, 0, right=R)
+        model = pca_fit(X, 2, right=R)
+        with pytest.raises(ValueError, match="columns"):
+            pca_transform(model, X, right=X)
+        with pytest.raises(ValueError, match="same rows"):
+            pca_transform(model, X, right=R[:9])
+        # `out` must hold exactly the projection, in float64
+        for out in [
+            np.empty((11, 2)),  # more rows than X
+            np.empty((10, 2), dtype=np.float32),
+            X,  # a column wider than the projection
+            np.empty((10, 2)).tolist(),
+        ]:
+            with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+                pca_transform(model, X, right=R, out=out)
+        Z = np.hstack((X, R))
+        with pytest.raises(ValueError, match="out must be a float64 array of shape"):
+            pca_transform(pca_fit(Z, 2), Z, out=np.empty((9, 2)))
+        # the converted copy of a float32 X is not X's buffer
+        X32 = X.astype(np.float32)
+        with pytest.raises(ValueError, match="out must be"):
+            pca_transform(pca_fit(X32, 3, right=R), X32, right=R, out=X32)
 
 
 class TestExplainedVarianceRatio:
