@@ -4,13 +4,14 @@ reports how strongly validation loss predicts test accuracy."""
 
 import sys
 
-from pcapass import SbmParams, generate_sbm, hpo_summary
-from pcapass.cli import run_script, search
+from pcapass import SbmParams, SearchSpace, generate_sbm, hpo_summary, random_search
+from pcapass.cli import run_script
 from pcapass.config import from_config
 
 
 def run(cfg):
-    records = search(cfg, lambda: generate_sbm(from_config(SbmParams, cfg)))
+    ds = generate_sbm(from_config(SbmParams, cfg))
+    records = random_search(from_config(SearchSpace, cfg), cfg.seed, ds, cfg.threads)
     for i, rec in enumerate(records):
         p = rec.params
         print(

@@ -10,7 +10,7 @@ from pcapass.config import from_config
 
 
 def run(cfg):
-    results = sweep(cfg, lambda: generate_sbm(from_config(SbmParams, cfg)), "generated dataset")
+    results = sweep(cfg, generate_sbm(from_config(SbmParams, cfg)), "generated dataset")
     print(f"{'k':>3} " + " ".join(f"{r.method.value:>18}" for r in results))
     for i in range(cfg.sweep_hops):
         cells = " ".join(f"{r.v_measures[i]:>18.4f}" for r in results)

@@ -110,8 +110,6 @@ class SearchSpace:
             lo = getattr(self, name)[0]
             if lo <= 0:
                 raise ValueError(f"{name} lower bound must be > 0, got {lo}")
-        if not (0.0 < self.subsample[0] and self.subsample[1] <= 1.0):
-            raise ValueError(f"subsample range must lie in (0, 1], got {self.subsample}")
         if not self.aggregators:
             raise ValueError("at least one aggregator is needed")
         for end in (0, 1):  # GbdtParams' own checks, at either end of every range

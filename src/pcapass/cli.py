@@ -3,9 +3,11 @@
 Every command is a pure function of (config file, flags, input files) and
 writes its outputs atomically, so re-running with the same inputs overwrites
 outputs identically. Exit codes: 0 success, 2 config error, 3 data error,
-4 runtime error. The experiment scripts enter through `run_script`, which
-maps errors to the same codes, and run their analyses through `sweep` and
-`search`, as the `sweep` and `hpo` commands do.
+4 runtime error. `build_config` judges the whole config before any command
+reads or writes a file, so every command refuses the same configs. The
+experiment scripts enter through `run_script`, which maps errors to the same
+codes; `run_oversmoothing.py` sweeps through `sweep`, as the `sweep` command
+does.
 
 `train` and `eval` read only the embeddings, labels.csv and splits.csv; they
 never open edges.tsv or features.csv, so a malformed one is an error only for
@@ -23,7 +25,6 @@ from typing import Callable
 import numpy as np
 
 from .analysis import (
-    HpoRecord,
     SearchSpace,
     SweepConfig,
     SweepResult,
@@ -189,29 +190,21 @@ def cmd_eval(cfg: RunConfig) -> None:
     _write_json(Path(cfg.out) / "metrics.json", _metrics(model, H, y, split))
 
 
-def sweep(cfg: RunConfig, load: Callable[[], Dataset], where: str | Path) -> list[SweepResult]:
-    """The over-smoothing sweep of `cfg`'s sweep keys on the dataset that
-    `load()` gives once those keys are checked, in up to `cfg.threads`
-    processes. A dataset the sweep cannot score, such as a 1-node one or one
-    with fewer nodes than clusters, is a data error at `where`."""
+def sweep(cfg: RunConfig, ds: Dataset, where: str | Path) -> list[SweepResult]:
+    """The over-smoothing sweep of `cfg`'s sweep keys on `ds`, in up to
+    `cfg.threads` processes. A dataset the sweep cannot score, such as a
+    1-node one or one with fewer nodes than clusters, is a data error at
+    `where`."""
     settings = from_config(SweepConfig, cfg)
-    ds = load()
     try:
         return oversmoothing_sweep(ds.graph, ds.X, ds.y, settings, cfg.seed, cfg.threads)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from None
 
 
-def search(cfg: RunConfig, load: Callable[[], Dataset]) -> list[HpoRecord]:
-    """The random search of `cfg`'s `hpo_*` keys and `method` on the dataset
-    that `load()` gives once those keys are checked, in up to `cfg.threads`
-    processes."""
-    return random_search(from_config(SearchSpace, cfg), cfg.seed, load(), cfg.threads)
-
-
 def cmd_sweep(cfg: RunConfig) -> None:
     directory = _dataset_dir(cfg)
-    results = sweep(cfg, lambda: load_dataset(directory), directory)
+    results = sweep(cfg, load_dataset(directory), directory)
     text = _format_rows(
         "method,k,v_measure,normalized_v_measure",
         np.repeat([res.method.value for res in results], [res.v_measures.size for res in results]),
@@ -231,7 +224,8 @@ _HPO_PARAMS = (
 
 
 def cmd_hpo(cfg: RunConfig) -> None:
-    records = search(cfg, lambda: _load_split_dataset(cfg))
+    space = from_config(SearchSpace, cfg)
+    records = random_search(space, cfg.seed, _load_split_dataset(cfg), cfg.threads)
     columns = {"run": np.arange(len(records))}
     for name in _HPO_PARAMS.split():
         columns[name] = np.array([rec.params[name.removeprefix("gbdt_")] for rec in records])

@@ -82,11 +82,15 @@ def from_config(cls, cfg):
         raise ConfigError(str(exc)) from None
 
 
+# The library's settings classes, in their `--help` order; every config key
+# but _Global's is one of their fields.
+SECTIONS = (SbmParams, EmbedConfig, GbdtParams, SweepConfig, SearchSpace)
+
 RunConfig = make_dataclass(
     "RunConfig",
     [
         (name, typ, setting(default, text, low=low))
-        for section in (_Global, SbmParams, EmbedConfig, GbdtParams, SweepConfig, SearchSpace)
+        for section in (_Global, *SECTIONS)
         for name, typ, default, text, low in _config_keys(section)
     ],
     namespace={"__module__": __name__},
@@ -135,8 +139,9 @@ def parse_config_file(path) -> dict:
 
 
 def build_config(config_path=None, overrides: dict | None = None) -> RunConfig:
-    """The defaults, then the file's keys, then `overrides`, each key checked
-    against its declared least value."""
+    """The defaults, then the file's keys, then `overrides`: each key checked
+    against its declared bounds, then every settings section built from the
+    keys, so that every command refuses the same configs."""
     cfg = RunConfig()
     if config_path:
         for key, value in parse_config_file(config_path).items():
@@ -149,6 +154,8 @@ def build_config(config_path=None, overrides: dict | None = None) -> RunConfig:
         check_settings(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    for section in SECTIONS:
+        from_config(section, cfg)
     return cfg
 
 

@@ -59,10 +59,7 @@ def pearson_correlation(xs, ys) -> float:
 
 
 def _entropy_from_counts(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
+    p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log(p)).sum())
 
 

@@ -54,6 +54,10 @@ class TestAggregate:
         with pytest.raises(ValueError, match="rows"):
             aggregate(g, np.ones((4, 2)), Aggregator.MEAN)
 
+    def test_unknown_aggregator_rejected(self):
+        with pytest.raises(ValueError, match="^unknown aggregator 'max'$"):
+            aggregate(prepared_path(3), np.ones((3, 2)), "max")
+
 
 def star_graph(n):
     """Node 0 joined to every other node: its row holds all n entries."""

@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +28,15 @@ from pcapass import (
     load_dataset,
     save_dataset,
 )
+from pcapass.aggregate import Aggregator
 from pcapass.cli import main, run_script
 from pcapass.config import RunConfig
 from pcapass.datasets import TEST, TRAIN, VALID
-from pcapass.embed import embeddings_from_csv
+from pcapass.embed import Method, embeddings_from_csv
 from pcapass.metrics import accuracy, cross_entropy
 from pcapass.gbdt import _HEADER, PARAMS_FORMAT
+
+COMMANDS = ("gen", "embed", "train", "eval", "sweep", "hpo")
 
 SIX_METRIC_KEYS = {
     "train_accuracy",
@@ -434,6 +438,8 @@ class TestErrors:
             # once exit 4 from rng.integers: high is out of bounds for int64
             ({"hpo_d_max": 10**19}, f"hpo_d_max must be <= {2**63 - 1}, got {10**19}"),
             ({"hpo_k_max": 10**19}, f"hpo_k_max must be <= {2**63 - 1}, got {10**19}"),
+            # GbdtParams' check at the range's lower end
+            ({"hpo_subsample_min": 0}, "subsample must be in (0, 1], got 0.0"),
         ],
     )
     def test_bad_hpo_range_exits_2(self, keys, message, tmp_path, capsys):
@@ -746,24 +752,31 @@ class TestErrors:
         assert err == f"error: data: {out / 'dataset'}: class 1 missing from training labels\n"
 
     @pytest.mark.parametrize(
-        "command, keys, message",
+        "keys, message",
         [
-            ("sweep", dict(sweep_methods="pcapass,nope"), "unknown method 'nope'"),
-            ("hpo", dict(hpo_k_min=5, hpo_k_max=3), "k range is inverted"),
-            ("hpo", dict(method="nope"), "unknown method 'nope'"),
-            ("embed", dict(method="nope"), "unknown method 'nope'"),
-            ("train", dict(learning_rate=0), "learning_rate must be > 0, got 0.0"),
+            (dict(sweep_methods="pcapass,nope"), "unknown method 'nope'"),
+            (dict(hpo_k_min=5, hpo_k_max=3), "k range is inverted: 5 > 3"),
+            (dict(method="nope"), "unknown method 'nope'"),
+            (dict(sweep_methods=","), "empty list value ','"),
+            # each once exited 0 from gen, and 0 or 3 from every command that
+            # did not build the settings section of its key
+            (dict(learning_rate=0), "learning_rate must be > 0, got 0.0"),
+            (dict(sweep_methods="nope"), "unknown method 'nope'"),
+            (dict(hpo_lr_min=0), "learning_rate lower bound must be > 0, got 0.0"),
+            (dict(n_classes=1), "n_classes must be >= 2 to train a classifier, got 1"),
         ],
     )
     def test_analysis_keys_are_checked_before_the_dataset_loads(
-        self, command, keys, message, tmp_path, capsys
+        self, keys, message, tmp_path, capsys
     ):
         # there is no dataset: hpo, embed and train once loaded it first and
         # exited 3
         config = write_config(tmp_path / "a.cfg", **keys)
-        assert main([command, "--config", config, "--out", str(tmp_path / "run")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: config: ") and message in err
+        for command in COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--config", config, "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == f"error: config: {message}\n", command
+            assert not out.exists(), command
 
     @pytest.mark.parametrize("runs", [0, -1])
     def test_hpo_runs_below_one_exits_2(self, runs, tmp_path, capsys):
@@ -944,6 +957,62 @@ def test_edited_model_file_evaluates_or_exits_3(
     if code == 0:
         metrics = json.loads((out / "metrics.json").read_text(), parse_constant=_reject_constant)
         assert -1 <= metrics["best_round"] < metrics["n_rounds"]
+
+
+INT64_MAX = 2**63 - 1
+# The enum whose values each enum or comma-list key takes; every str key but
+# the paths needs one.
+_CHOICES = {
+    "method": Method,
+    "aggregator": Aggregator,
+    "sweep_methods": Method,
+    "hpo_aggregators": Aggregator,
+}
+# Keys that size the generated dataset, capped so that gen stays fast.
+_GEN_SIZE_CAP = {"n_nodes": 80, "n_features": 80}
+
+
+def _boundary_values(f):
+    """The values a drawn config gives RunConfig field `f`: each value of its
+    enum and a name of none, or its declared low and the value below it, 0,
+    the largest int64 (or the gen-size cap) and a negative float."""
+    if f.type == "str":
+        return [member.value for member in _CHOICES[f.name]] + ["nope"]
+    low = f.metadata["low"]
+    lows = [] if low is None else [low - 1, low]
+    return lows + [0, _GEN_SIZE_CAP.get(f.name, INT64_MAX), -0.5]
+
+
+# Every (key, value) a drawn config may hold. The paths are left out: train
+# and eval alone check that their files are distinct.
+_CONFIG_ENTRIES = [
+    (f.name, value)
+    for f in fields(RunConfig)
+    if f.name not in ("out", "dataset_dir", "embeddings_path", "model_path")
+    for value in _boundary_values(f)
+]
+
+
+@given(st.lists(st.sampled_from(_CONFIG_ENTRIES), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_every_command_refuses_the_same_configs(tmp_path_factory, entries):
+    # learning_rate = 0 once exited 0 from gen, and sweep_methods = nope
+    # from every command but sweep
+    keys = {"n_nodes": 80, **dict(entries)}
+    config = write_config(tmp_path_factory.mktemp("config_space") / "run.cfg", **keys)
+    out = Path(config).parent / "run"  # holds no dataset until gen runs, last
+    codes, errors = [], []
+    for command in COMMANDS[1:] + COMMANDS[:1]:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main([command, "--config", config, "--out", str(out)]))
+        errors.append(err.getvalue())
+    if 2 not in codes:
+        return
+    assert codes == [2] * len(COMMANDS), errors
+    assert len(set(errors)) == 1, errors
+    assert errors[0].startswith("error: config: ") and errors[0].count("\n") == 1
+    assert not out.exists()
 
 
 class TestConfigPrecedence:

@@ -13,7 +13,15 @@ from enum import Enum
 import pytest
 
 from pcapass.analysis import SearchSpace, SweepConfig
-from pcapass.config import RunConfig, _Global, build_config, config_help_text, from_config
+from pcapass.config import (
+    SECTIONS,
+    RunConfig,
+    _Global,
+    build_config,
+    config_help_text,
+    from_config,
+    parse_config_file,
+)
 from pcapass.datasets import SbmParams
 from pcapass.embed import EmbedConfig
 from pcapass.errors import ConfigError
@@ -165,6 +173,7 @@ def test_every_key_outside_global_is_a_library_settings_field():
     ]
     names = [f.name for f in fields(RunConfig)]
     assert names == [f.name for f in fields(_Global)] + derived
+    assert SECTIONS == SETTINGS_CLASSES  # the sections build_config builds
 
 
 def test_every_config_key_has_help_text():
@@ -172,6 +181,18 @@ def test_every_config_key_has_help_text():
     for f in fields(RunConfig):
         assert f.metadata["help"], f.name
         assert f.metadata["help"] in text
+
+
+def test_config_file_skips_indented_comment_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("  # hops\n\t# and dimension\nk = 3\n")
+    assert parse_config_file(path) == {"k": 3}
+
+
+def test_a_search_space_without_aggregators_is_rejected():
+    # the config keys cannot say it: an empty comma list is refused first
+    with pytest.raises(ValueError, match="^at least one aggregator is needed$"):
+        SearchSpace(aggregators=())
 
 
 def test_default_hpo_keys_build_the_default_search_space():
@@ -259,12 +280,41 @@ def test_the_bounded_keys_are_the_literal_table():
     assert _declared_lows() == BOUNDED_KEYS
 
 
+def _accepted_or_refused(overrides: dict, key: str, refusal: str | None) -> None:
+    """`build_config` accepts `overrides` and keeps `key`'s value, or, given
+    a `refusal`, refuses them with that message of a settings section."""
+    if refusal is None:
+        assert getattr(build_config(None, overrides), key) == overrides[key]
+        return
+    with pytest.raises(ConfigError) as info:
+        build_config(None, overrides)
+    assert str(info.value) == refusal
+
+
+# Keys that make every settings section valid beside a key at its declared
+# low, where the low alone leaves a section invalid.
+AT_LOW_COMPANIONS = {
+    "n_features": {"feature_signal": 0},  # one feature holds no equidistant centroids
+    "hpo_k_max": {"hpo_k_min": 0},
+    "hpo_d_max": {"hpo_d_min": 1},
+    "hpo_depth_max": {"hpo_depth_min": 1},
+}
+# A key at its declared low that no companion keys make valid, and the
+# message of the settings section that refuses it.
+AT_LOW_REFUSALS = {
+    "n_nodes": "train_frac = 0.6 gives the smallest class (0 of 1 nodes in 4 classes) "
+    "no train node",
+}
+
+
 @pytest.mark.parametrize("key, low", _declared_lows().items())
 def test_build_config_checks_every_declared_low(key, low):
+    # the key tier refuses low - 1; at low, every settings section judges it
     with pytest.raises(ConfigError) as info:
         build_config(None, {key: low - 1})
     assert str(info.value) == f"{key} must be >= {low}, got {low - 1}"
-    assert getattr(build_config(None, {key: low}), key) == low
+    overrides = {key: low, **AT_LOW_COMPANIONS.get(key, {})}
+    _accepted_or_refused(overrides, key, AT_LOW_REFUSALS.get(key))
 
 
 @pytest.mark.parametrize("name, low", [("k", 0), ("d", 1), ("max_depth", 1)])
@@ -285,13 +335,43 @@ def test_the_library_seed_without_a_key_is_bounded_too(cls):
 
 
 INT64_MAX = 2**63 - 1
+# The largest value of an integer the model file stores (PGBM's "I" code).
+UINT32_MAX = 2**32 - 1
+
+# Keys beside a key at INT64_MAX that make every settings section valid, or,
+# for hpo_depth_min, leave the model-file cap as the one refusal.
+AT_INT64_MAX_COMPANIONS = {
+    "hpo_k_min": {"hpo_k_max": INT64_MAX},
+    "hpo_d_min": {"hpo_d_max": INT64_MAX},
+    "hpo_depth_min": {"hpo_depth_max": INT64_MAX},  # not an inverted range
+}
+# A key at INT64_MAX that no companion keys make valid, and the message of
+# the settings section that refuses it.
+AT_INT64_MAX_REFUSALS = {
+    "n_classes": f"train_frac = 0.6 gives the smallest class (0 of 2000 nodes in {INT64_MAX} "
+    "classes) no train node",
+    **{
+        key: f"{name} must be <= {UINT32_MAX}, got {INT64_MAX}"  # GbdtParams' model-file cap
+        for key, name in [
+            ("max_depth", "max_depth"),
+            ("n_rounds", "n_rounds"),
+            ("patience", "patience"),
+            ("n_bins", "n_bins"),
+            ("hpo_depth_min", "max_depth"),
+            ("hpo_depth_max", "max_depth"),
+            ("hpo_rounds", "n_rounds"),
+        ]
+    },
+}
 
 
 @pytest.mark.parametrize("key", [f.name for f in fields(RunConfig) if f.type == "int"])
 def test_build_config_caps_every_int_key_at_int64(key):
     # hpo_d_max = 10**19 once made hpo exit 4 from rng.integers, and gen
-    # exited 4 with n_nodes or n_features there
-    assert getattr(build_config(None, {key: INT64_MAX}), key) == INT64_MAX
+    # exited 4 with n_nodes or n_features there. The key tier refuses
+    # INT64_MAX + 1; at INT64_MAX, every settings section judges it.
+    overrides = {key: INT64_MAX, **AT_INT64_MAX_COMPANIONS.get(key, {})}
+    _accepted_or_refused(overrides, key, AT_INT64_MAX_REFUSALS.get(key))
     with pytest.raises(ConfigError) as info:
         build_config(None, {key: INT64_MAX + 1})
     assert str(info.value) == f"{key} must be <= {INT64_MAX}, got {INT64_MAX + 1}"

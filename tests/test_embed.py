@@ -122,6 +122,13 @@ class TestSkipConnections:
 
 
 class TestDispatch:
+    @pytest.mark.parametrize("method", list(Method))
+    def test_feature_row_count_mismatch(self, method):
+        g = prepare(EdgeList(3, path_edges(3)))
+        message = r"^feature matrix must have 3 rows, got shape \(4, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            embed(g, np.ones((4, 2)), cfg_for(method, k=1, d=2))
+
     def test_message_passing_is_repeated_aggregate(self, rng):
         g = prepare(EdgeList(6, random_edge_pairs(rng, 6, 10)))
         X = rng.standard_normal((6, 2))

@@ -55,6 +55,24 @@ class TestTrainContracts:
         with pytest.raises(ValueError, match="label count"):
             gbdt_train(X, np.zeros(9, int), X, np.zeros(10, int), quick_params())
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ("one_dimensional", r"^X_tr must be 2-D, got shape \(4,\)$"),
+            ("narrow_validation", "^train and validation feature widths differ$"),
+            ("negative_label", "^labels must be non-negative class indices$"),
+        ],
+    )
+    def test_malformed_inputs_rejected(self, edit, message):
+        X, y = np.ones((4, 2)), np.arange(4) % 2
+        args = {
+            "one_dimensional": (X[:, 0], y, X, y),
+            "narrow_validation": (X, y, X[:, :1], y),
+            "negative_label": (X, y, X, y - 1),
+        }[edit]
+        with pytest.raises(ValueError, match=message):
+            gbdt_train(*args, quick_params())
+
     @pytest.mark.parametrize("empty", ["training", "validation"])
     def test_an_empty_set_is_rejected_by_name(self, empty):
         X, y = np.ones((4, 2)), np.arange(4) % 2
@@ -304,6 +322,21 @@ class TestSerialization:
         getattr(tree, field)[0] = value
         with pytest.raises(ValueError, match=message):
             gbdt_from_bytes(gbdt_to_bytes(model))
+
+    def test_a_tree_of_no_nodes_rejected(self):
+        model = gbdt_from_bytes(self.small_blob())
+        tree = model.rounds[0][0]
+        model.rounds[0][0] = Tree(*(getattr(tree, f.name)[:0] for f in fields(Tree)))
+        with pytest.raises(ValueError, match="^GBDT tree has no nodes$"):
+            gbdt_from_bytes(gbdt_to_bytes(model))
+
+    @pytest.mark.parametrize("n_classes", [0, 1])
+    def test_a_header_of_fewer_than_two_classes_rejected(self, n_classes):
+        # the class count follows the magic, the version and the GbdtParams fields
+        blob = bytearray(self.small_blob())
+        struct.pack_into("<I", blob, 4 + struct.calcsize("<I" + PARAMS_FORMAT), n_classes)
+        with pytest.raises(ValueError, match=f"^GBDT model has {n_classes} classes, need at"):
+            gbdt_from_bytes(bytes(blob))
 
     @pytest.mark.parametrize("best_round", [-3, -2, "n_stored", 2**31 - 1])
     def test_best_round_outside_the_stored_rounds_rejected(self, best_round):

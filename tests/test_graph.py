@@ -145,6 +145,10 @@ class TestPrepare:
         with pytest.raises(DataError, match="out of range"):
             EdgeList(3, np.array([[0, 3]]))
 
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(DataError, match="^n_nodes must be non-negative, got -1$"):
+            EdgeList(-1, np.empty((0, 2), np.int64))
+
 
 class TestDegrees:
     def test_path(self):

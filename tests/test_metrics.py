@@ -118,6 +118,10 @@ class TestVMeasure:
         with pytest.raises(ValueError):
             v_measure([0, 1], [0, 1, 2])
 
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="^v_measure needs at least one sample$"):
+            v_measure([], [])
+
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=60)
     def test_matches_reference_on_random_inputs(self, rnd):
@@ -176,6 +180,19 @@ class TestKmeans:
     def test_k_larger_than_n_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
             kmeans(np.ones((3, 2)), 4, seed=0)
+
+    @pytest.mark.parametrize(
+        "X, k, n_restarts, message",
+        [
+            (np.ones(3), 1, 1, r"^kmeans expects a 2-D matrix, got shape \(3,\)$"),
+            (np.ones((3, 2)), 0, 1, "^cluster count must be >= 1, got 0$"),
+            (np.ones((3, 2)), 1, 0, "^n_restarts must be >= 1, got 0$"),
+        ],
+        ids=["one_dimensional", "no_clusters", "no_restarts"],
+    )
+    def test_bad_arguments_rejected(self, X, k, n_restarts, message):
+        with pytest.raises(ValueError, match=message):
+            kmeans(X, k, seed=0, n_restarts=n_restarts)
 
     def test_inertia_non_increasing(self, rng):
         X = rng.standard_normal((120, 3))

@@ -48,8 +48,10 @@ def test_generalization_without_a_correlation_prints_n_a(tmp_path):
         # run_pipeline.py once exited 4 from gbdt_train, and
         # run_generalization.py exited 0 with every run failed
         (dict(n_nodes=60, n_classes=1), "n_classes must be >= 2"),
+        # run_oversmoothing.py, which trains nothing, once exited 0
+        (dict(learning_rate=0), "learning_rate must be > 0, got 0.0"),
     ],
-    ids=["unknown_key", "rejected_value", "one_class"],
+    ids=["unknown_key", "rejected_value", "one_class", "zero_learning_rate"],
 )
 def test_bad_config_exits_2_with_one_error_line(script, keys, message, tmp_path):
     proc = run_script(script, write_config(tmp_path, **keys))
