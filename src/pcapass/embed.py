@@ -22,13 +22,14 @@ methods peaks at about 3.4-3.7 n x f float64 arrays on a graph of one block,
 and at about 2.3-2.5 such arrays on a graph of many blocks, 2.5-2.7 when two
 threads hold two blocks' weights.
 
-A graph of several blocks runs the aggregate's blocks on as many threads as
-OpenBLAS has, at most one per usable core (`parallel._worker_count`).
-OpenBLAS runs on 1 thread during each such hop, since its idle threads
-spin-wait on the cores the blocks need, and gets its count back before the
-hop's state is yielded. A pool worker of `analysis`, capped at 1 OpenBLAS
-thread, runs its blocks on one thread. A pcapass hop's fit and projection
-run on the calling thread. The bytes are the same at any thread count.
+Every hop lends OpenBLAS's threads to the aggregate's row blocks: OpenBLAS
+runs on 1 thread during the hop, since its idle threads spin-wait on the
+cores the blocks need, and gets its count back before the hop's state is
+yielded. `aggregate` runs its blocks on that count, at most one thread per
+usable core and per block, so a graph of one block, or a pool worker of
+`analysis` capped at 1 OpenBLAS thread, runs them on the calling thread. A
+pcapass hop's fit and projection run on the calling thread. The bytes are
+the same at any thread count.
 
 Embeddings are stored as CSV, written and read by `fileio`'s table writer
 and table reader.
@@ -45,7 +46,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import parallel
-from .aggregate import Aggregator, _row_blocks, aggregate
+from .aggregate import Aggregator, aggregate
 from .fileio import _format_rows, _read_table
 from .graph import CsrGraph
 from .pca import PcaModel, pca_fit, pca_transform
@@ -79,19 +80,15 @@ class EmbedResult:
 
 
 @contextmanager
-def _block_threads(blocks: int) -> Iterator[int]:
-    """The threads one hop runs `blocks` row blocks on: OpenBLAS's thread
-    count, at most one per usable core and block. While that is more than 1,
-    OpenBLAS runs on 1 thread, so that its idle threads do not spin on the
-    cores the blocks run on; the caller's count is restored on exit."""
+def _block_threads() -> Iterator[int]:
+    """The threads one hop offers `aggregate`'s row blocks: OpenBLAS's thread
+    count, at most one per usable core. OpenBLAS runs on 1 thread meanwhile,
+    so that its idle threads do not spin on the cores the blocks run on; the
+    caller's count is restored on exit."""
     blas = parallel._blas_threads()
-    threads = parallel._worker_count(blas, blocks)
-    if threads == 1:
-        yield 1
-        return
     parallel._set_blas_threads(1)
     try:
-        yield threads
+        yield min(blas, parallel._usable_cores())
     finally:
         parallel._set_blas_threads(blas)
 
@@ -108,10 +105,9 @@ def hop_states(
         raise ValueError(
             f"feature matrix must have {g.n_nodes} rows, got shape {h.shape}"
         )
-    blocks = len(_row_blocks(g)) - 1
     warned = False
     for _ in range(cfg.k):
-        with _block_threads(blocks) as threads:
+        with _block_threads() as threads:
             model = None
             if cfg.method is Method.PCAPASS:
                 # the hop owns the aggregate `A` and never writes to `h`

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import field, fields
+from enum import Enum
 
 import numpy as np
 
@@ -26,14 +27,19 @@ def field_keys(f) -> tuple[str, ...]:
 
 
 def check_settings(settings) -> None:
-    """Reject, in a field of dataclass `settings` or either bound of a range,
-    a float that is nan or infinite, an int above the largest int64 and a
-    value below the field's declared `low`, and reject a range whose
-    lower bound passes its upper; the settings classes' other checks compare
-    floats, and a comparison with nan is always false."""
+    """Reject a value that is not a member of its field's enum where the
+    field's default is an `Enum`; and, in a field of dataclass `settings` or
+    either bound of a range, a float that is nan or infinite, an int above
+    the largest int64 and a value below the field's declared `low`; and a
+    range whose lower bound passes its upper. The settings classes' other
+    checks compare floats, and a comparison with nan is always false."""
     int_max = np.iinfo(np.int64).max
     for f in fields(settings):
         value = getattr(settings, f.name)
+        enum = type(f.default)
+        if isinstance(f.default, Enum) and not isinstance(value, enum):
+            article = "an" if enum.__name__[0] in "AEIOU" else "a"
+            raise ValueError(f"{f.name} must be {article} {enum.__name__}, got {value!r}")
         bounds = value if isinstance(value, tuple) else (value,)
         if "float" in f.type and not all(math.isfinite(v) for v in bounds):
             raise ValueError(f"{f.name} must be finite, got {value}")

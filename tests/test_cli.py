@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from pcapass import (
 )
 from pcapass.aggregate import Aggregator
 from pcapass.cli import main, run_script
-from pcapass.config import RunConfig
+from pcapass.config import RunConfig, build_config
 from pcapass.datasets import TEST, TRAIN, VALID
 from pcapass.embed import Method, embeddings_from_csv
 from pcapass.metrics import accuracy, cross_entropy
@@ -970,30 +971,35 @@ _CHOICES = {
 }
 # Keys that size the generated dataset, capped so that gen stays fast.
 _GEN_SIZE_CAP = {"n_nodes": 80, "n_features": 80}
+# The caps of a config that every command runs: also the hop, run and round
+# counts, which at the largest int64 would run for ever.
+_RUN_CAP = {**_GEN_SIZE_CAP, "k": 5, "sweep_hops": 5, "hpo_k_min": 5, "hpo_k_max": 5,
+            "hpo_runs": 2, "n_rounds": 5, "hpo_rounds": 5, "kmeans_restarts": 5}
 
 
-def _boundary_values(f):
+def _boundary_values(f, cap):
     """The values a drawn config gives RunConfig field `f`: each value of its
     enum and a name of none, or its declared low and the value below it, 0,
-    the largest int64 (or the gen-size cap) and a negative float."""
+    the largest int64 (or the field's `cap`) and a negative float."""
     if f.type == "str":
         return [member.value for member in _CHOICES[f.name]] + ["nope"]
     low = f.metadata["low"]
     lows = [] if low is None else [low - 1, low]
-    return lows + [0, _GEN_SIZE_CAP.get(f.name, INT64_MAX), -0.5]
+    return lows + [0, cap.get(f.name, INT64_MAX), -0.5]
 
 
-# Every (key, value) a drawn config may hold. The paths are left out: train
-# and eval alone check that their files are distinct.
-_CONFIG_ENTRIES = [
-    (f.name, value)
-    for f in fields(RunConfig)
-    if f.name not in ("out", "dataset_dir", "embeddings_path", "model_path")
-    for value in _boundary_values(f)
-]
+def _config_entries(cap, left_out=()):
+    """Every (key, value) a drawn config may hold. The paths are left out:
+    train and eval alone check that their files are distinct."""
+    return [
+        (f.name, value)
+        for f in fields(RunConfig)
+        if f.name not in ("out", "dataset_dir", "embeddings_path", "model_path", *left_out)
+        for value in _boundary_values(f, cap)
+    ]
 
 
-@given(st.lists(st.sampled_from(_CONFIG_ENTRIES), min_size=1, max_size=4))
+@given(st.lists(st.sampled_from(_config_entries(_GEN_SIZE_CAP)), min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_every_command_refuses_the_same_configs(tmp_path_factory, entries):
     # learning_rate = 0 once exited 0 from gen, and sweep_methods = nope
@@ -1013,6 +1019,69 @@ def test_every_command_refuses_the_same_configs(tmp_path_factory, entries):
     assert len(set(errors)) == 1, errors
     assert errors[0].startswith("error: config: ") and errors[0].count("\n") == 1
     assert not out.exists()
+
+
+# The config every drawn one starts from: a small dataset, and hop, run and
+# round counts within `_RUN_CAP`.
+_RUN_BASE = {"n_nodes": 80, "k": 2, "sweep_hops": 3, "hpo_runs": 2, "hpo_k_max": 3,
+             "n_rounds": 5, "hpo_rounds": 5}
+
+
+def _accepted(key, value):
+    """Whether the config checks accept `key = value` over `_RUN_BASE`."""
+    try:
+        build_config(overrides={**_RUN_BASE, key: value})
+    except ConfigError:
+        return False
+    return True
+
+
+# Each (key, value) the drawn configs may hold: those accepted alone, since
+# the refused ones are the property above's. `threads` is set by the test.
+_RUN_ENTRIES = [entry for entry in _config_entries(_RUN_CAP, ("threads",)) if _accepted(*entry)]
+
+
+def _run_all(config, out, threads):
+    """Each command's exit code and stderr, run in `COMMANDS` order on `out`
+    at `threads`; a warning other than the d-cap one fails the test."""
+    codes, errors = [], []
+    for command in COMMANDS:
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            codes.append(main([command, "--config", config, "--out", str(out),
+                               "--threads", str(threads)]))
+        errors.append(err.getvalue())
+        for warning in caught:
+            assert str(warning.message).startswith("requested dimension "), warning
+    return codes, errors
+
+
+@given(st.lists(st.sampled_from(_RUN_ENTRIES), max_size=3))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+def test_every_command_runs_the_configs_it_accepts(tmp_path_factory, entries):
+    config = write_config(tmp_path_factory.mktemp("config_runs") / "run.cfg",
+                          **{**_RUN_BASE, **dict(entries)})
+    outputs = []
+    for threads in (1, 2):
+        out = Path(config).parent / f"threads_{threads}"
+        codes, errors = _run_all(config, out, threads)
+        for code, error in zip(codes, errors):
+            assert code in (0, 2, 3), errors
+            assert error.count("\n") == (code != 0) and error.startswith("error: " if code else "")
+        if 2 in codes and set(codes) != {2}:  # only train finds a leaf overflow
+            train = COMMANDS.index("train")
+            assert codes.count(2) == 1 and codes[train] == 2, errors
+            assert "grew a non-finite leaf" in errors[train]
+        files = {path.relative_to(out): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        for path, data in files.items():
+            if path.suffix == ".json":
+                json.loads(data, parse_constant=_reject_constant)
+            if path.suffix == ".csv":
+                assert b"nan" not in data, path
+        outputs.append((codes, files))
+    assert outputs[0] == outputs[1]  # the same exit codes and bytes at either thread count
 
 
 class TestConfigPrecedence:

@@ -334,6 +334,23 @@ def test_the_library_seed_without_a_key_is_bounded_too(cls):
         cls(seed=-1)
 
 
+@pytest.mark.parametrize(
+    "cls, settings, message",
+    [
+        (EmbedConfig, {"k": 2, "method": "pcapass"}, "method must be a Method, got 'pcapass'"),
+        (EmbedConfig, {"method": "nope"}, "method must be a Method, got 'nope'"),
+        (SearchSpace, {"method": "pcapass"}, "method must be a Method, got 'pcapass'"),
+        (EmbedConfig, {"aggregator": "mean"}, "aggregator must be an Aggregator, got 'mean'"),
+    ],
+)
+def test_an_enum_setting_must_hold_a_member_of_its_enum(cls, settings, message):
+    # EmbedConfig(method="pcapass") once ran message passing, SearchSpace's
+    # searched it, and EmbedConfig(aggregator="mean") failed inside aggregate
+    with pytest.raises(ValueError) as info:
+        cls(**settings)
+    assert str(info.value) == message
+
+
 INT64_MAX = 2**63 - 1
 # The largest value of an integer the model file stores (PGBM's "I" code).
 UINT32_MAX = 2**32 - 1

@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib
 import tracemalloc
 
@@ -332,45 +333,56 @@ class TestBlockThreads:
         return calls
 
     def test_the_callers_count_is_restored(self, seen, set_openblas_threads, rng, monkeypatch):
-        force_row_blocks(monkeypatch, 64)
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         set_openblas_threads(2)
         g = prepare(EdgeList(300, random_edge_pairs(rng, 300, 900)))
         X = rng.standard_normal((300, 4))
-        for method in Method:
-            cfg = cfg_for(method, k=2, d=4)
-            for _ in hop_states(g, X, cfg):
-                assert parallel._blas_threads() == 2
-            embed(g, X, cfg)
-            assert parallel._blas_threads() == 2
-        assert seen == [(2, 1)] * (len(Method) * 2 * 2)
 
         def fail(*args, **kwargs):
             raise RuntimeError("hop failed")
 
-        # the hop's fit fails, then its projection
-        for name in ("pca_fit", "pca_transform"):
+        for block_entries in (64, None):  # 64-entry row blocks, then one block
             with monkeypatch.context() as patch:
-                patch.setattr(embed_module, name, fail)
-                with pytest.raises(RuntimeError, match="hop failed"):
-                    embed(g, X, cfg_for(Method.PCAPASS, k=2, d=4))
-            assert parallel._blas_threads() == 2
+                if block_entries is not None:
+                    force_row_blocks(patch, block_entries)
+                for method in Method:
+                    cfg = cfg_for(method, k=2, d=4)
+                    for _ in hop_states(g, X, cfg):
+                        assert parallel._blas_threads() == 2
+                    embed(g, X, cfg)
+                    assert parallel._blas_threads() == 2
+                # the hop's fit fails, then its projection
+                for name in ("pca_fit", "pca_transform"):
+                    with monkeypatch.context() as failing:
+                        failing.setattr(embed_module, name, fail)
+                        with pytest.raises(RuntimeError, match="hop failed"):
+                            embed(g, X, cfg_for(Method.PCAPASS, k=2, d=4))
+                    assert parallel._blas_threads() == 2
+        # each failing embed reached its first hop's aggregate
+        assert seen == [(2, 1)] * 2 * (len(Method) * 2 * 2 + 2)
 
     @pytest.mark.parametrize("blas, block_entries", [(1, 64), (2, None)])
     def test_one_thread_or_one_block_runs_the_serial_path(
         self, blas, block_entries, seen, rng, monkeypatch
     ):
         # OpenBLAS at 1 thread, as in a pool worker that `_start_worker`
-        # capped, or a graph of one block: OpenBLAS's count is left alone
+        # capped, or a graph of one block: every hop still sets OpenBLAS to 1
+        # and back, and `aggregate` clamps its threads to 1, building no pool
         if block_entries is not None:
             force_row_blocks(monkeypatch, block_entries)
         monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(parallel, "_blas_threads", lambda: blas)
-        counts_set = []
+        counts_set = [blas]  # OpenBLAS's count, then each count set
+        monkeypatch.setattr(parallel, "_blas_threads", lambda: counts_set[-1])
         monkeypatch.setattr(parallel, "_set_blas_threads", counts_set.append)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("aggregate built a thread pool")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         g = prepare(EdgeList(300, random_edge_pairs(rng, 300, 900)))
         embed(g, rng.standard_normal((300, 4)), cfg_for(Method.PCAPASS, k=2, d=4))
-        assert seen == [(1, blas), (1, blas)] and counts_set == []
+        assert seen == [(blas, 1), (blas, 1)]
+        assert counts_set == [blas, 1, blas, 1, blas]
 
 
 class TestEmbeddingFiles:
