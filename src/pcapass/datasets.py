@@ -24,6 +24,9 @@ from .schema import check_settings, setting
 TRAIN, VALID, TEST = 0, 1, 2
 SPLITS = ("train", "valid", "test")  # the split names, indexed by TRAIN, VALID, TEST
 
+# Uniform values per draw of `generate_sbm`'s edge sampler: 512 KB of float64.
+_DRAW = 1 << 16
+
 
 @dataclass(frozen=True)
 class SbmParams:
@@ -98,7 +101,12 @@ class Dataset:
 def generate_sbm(p: SbmParams) -> Dataset:
     """Sample a graph, class-correlated Gaussian features, and stratified
     splits, all from one sequential RNG stream so the result is a pure
-    function of the seed."""
+    function of the seed.
+
+    Every candidate node pair gets one uniform value, so time is O(n²). The
+    values are drawn `_DRAW` at a time, which keeps memory at O(n + m) for
+    m edges and leaves the stream, and so every output byte, the same at any
+    piece size: a draw of k values and then l values equals one of k + l."""
     rng = np.random.default_rng(p.seed)
     n, n_cls = p.n_nodes, p.n_classes
 
@@ -109,30 +117,15 @@ def generate_sbm(p: SbmParams) -> Dataset:
     y = rng.permutation(np.repeat(np.arange(n_cls, dtype=np.int64), sizes))
     members = [np.flatnonzero(y == c) for c in range(n_cls)]
 
-    srcs, dsts = [], []
-    for a in range(n_cls):
-        for b in range(a, n_cls):
-            prob = p.p_in if a == b else p.p_out
-            if a == b:
-                ia = members[a]
-                iu, ju = np.triu_indices(ia.size, k=1)
-                hit = rng.random(iu.size) < prob
-                srcs.append(ia[iu[hit]])
-                dsts.append(ia[ju[hit]])
-            else:
-                ia, ib = members[a], members[b]
-                hit = rng.random(ia.size * ib.size) < prob
-                gi, gj = np.divmod(np.flatnonzero(hit), ib.size)
-                srcs.append(ia[gi])
-                dsts.append(ib[gj])
-    pairs = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
-    graph = prepare(EdgeList(n_nodes=n, pairs=pairs))
+    graph = prepare(EdgeList(n_nodes=n, pairs=_sbm_pairs(rng, members, p)))
 
     centroids = np.zeros((n_cls, p.n_features))
     if p.feature_signal > 0.0:
         for c in range(n_cls):
             centroids[c, c] = p.feature_signal / np.sqrt(2.0)
-    X = (centroids[y] + rng.standard_normal((n, p.n_features))).astype(np.float32)
+    X = rng.standard_normal((n, p.n_features))
+    X += centroids[y]
+    X = X.astype(np.float32)
 
     split = np.empty(n, dtype=np.int8)
     for c in range(n_cls):
@@ -142,6 +135,30 @@ def generate_sbm(p: SbmParams) -> Dataset:
         split[order[n_tr : n_tr + n_va]] = VALID
         split[order[n_tr + n_va :]] = TEST
     return Dataset(graph=graph, X=X, y=y, split=np.array(split, dtype=np.int8))
+
+
+def _sbm_pairs(rng, members: list[np.ndarray], p: SbmParams) -> np.ndarray:
+    """The SBM's edges as (u, v) rows, one block pair after another. Row i of
+    a block pair's candidates is (i, j) for every j >= first[i] of block b:
+    j > i inside a block, every j across two. Hits are linear indices into
+    that row-major walk, and index h lies in row
+    searchsorted(start, h, "right") - 1."""
+    srcs, dsts = [], []
+    for a in range(len(members)):
+        for b in range(a, len(members)):
+            prob = p.p_in if a == b else p.p_out
+            ia, ib = members[a], members[b]
+            first = np.arange(1, ia.size + 1) if a == b else np.zeros(ia.size, dtype=np.int64)
+            start = np.concatenate(([0], np.cumsum(ib.size - first)))
+            total = int(start[-1])  # > 0: `SbmParams` gives every block 3 nodes or more
+            hit = np.concatenate([
+                lo + np.flatnonzero(rng.random(min(_DRAW, total - lo)) < prob)
+                for lo in range(0, total, _DRAW)
+            ])
+            row = np.searchsorted(start, hit, side="right") - 1
+            srcs.append(ia[row])
+            dsts.append(ib[first[row] + hit - start[row]])
+    return np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
 
 
 def save_dataset(ds: Dataset, directory) -> None:

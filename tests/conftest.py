@@ -35,6 +35,15 @@ def force_chunk_rows(monkeypatch, rows):
     return module._CHUNK_ROWS
 
 
+def force_draw_values(monkeypatch, values):
+    """Make `generate_sbm` draw its edge sampler's uniform values `values` at
+    a time; returns the piece size in force."""
+    module = importlib.import_module("pcapass.datasets")
+    if values is not None:
+        monkeypatch.setattr(module, "_DRAW", values)
+    return module._DRAW
+
+
 def blob_data(seed=0, n_train=200, n_valid=100, n_test=100):
     """Two well-separated Gaussian blobs; linearly separable with margin."""
     rng = np.random.default_rng(seed)

@@ -6,9 +6,10 @@ eigensolver, SVD-based PCA, contingency-table entropies computed with
 plain loops, a dataset reader and writer that handle one line at a time, a
 boosting loop that grows each tree depth-first, one node at a time, the
 hop loop with each chunk of a pcapass hop's two halves centered into a
-copy, and as it was when the whole concatenation was built, and aggregation
+copy, and as it was when the whole concatenation was built, aggregation
 through one whole operator, as it was before large graphs were cut into
-row blocks.
+row blocks, and the SBM generator drawing each block pair's candidate pairs
+in one piece.
 """
 
 import math
@@ -237,6 +238,52 @@ def datasets_equal(a, b):
         and np.array_equal(a.y, b.y)
         and np.array_equal(a.split, b.split)
     )
+
+
+def generate_sbm_reference(p):
+    """`generate_sbm`'s edge pairs in draw order, features, labels and splits,
+    with each block pair's candidates listed whole: `np.triu_indices` inside
+    a block, every pair row-major across two, then one uniform value each."""
+    rng = np.random.default_rng(p.seed)
+    n, n_cls = p.n_nodes, p.n_classes
+    sizes = np.full(n_cls, n // n_cls, dtype=np.int64)
+    sizes[: n % n_cls] += 1
+    y = rng.permutation(np.repeat(np.arange(n_cls, dtype=np.int64), sizes))
+    members = [np.flatnonzero(y == c) for c in range(n_cls)]
+
+    srcs, dsts = [], []
+    for a in range(n_cls):
+        for b in range(a, n_cls):
+            prob = p.p_in if a == b else p.p_out
+            if a == b:
+                ia = members[a]
+                iu, ju = np.triu_indices(ia.size, k=1)
+                hit = rng.random(iu.size) < prob
+                srcs.append(ia[iu[hit]])
+                dsts.append(ia[ju[hit]])
+            else:
+                ia, ib = members[a], members[b]
+                hit = rng.random(ia.size * ib.size) < prob
+                gi, gj = np.divmod(np.flatnonzero(hit), ib.size)
+                srcs.append(ia[gi])
+                dsts.append(ib[gj])
+    pairs = np.stack([np.concatenate(srcs), np.concatenate(dsts)], axis=1)
+
+    centroids = np.zeros((n_cls, p.n_features))
+    if p.feature_signal > 0.0:
+        for c in range(n_cls):
+            centroids[c, c] = p.feature_signal / np.sqrt(2.0)
+    X = (centroids[y] + rng.standard_normal((n, p.n_features))).astype(np.float32)
+
+    split = np.empty(n, dtype=np.int8)
+    for c in range(n_cls):
+        order = rng.permutation(members[c])
+        n_tr = round(p.train_frac * order.size)
+        n_va = min(round(p.valid_frac * order.size), order.size - n_tr)
+        split[order[:n_tr]] = 0
+        split[order[n_tr : n_tr + n_va]] = 1
+        split[order[n_tr + n_va :]] = 2
+    return pairs, X, y, split
 
 
 def inertia(X, assign):

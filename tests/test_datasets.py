@@ -1,19 +1,25 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from oracles import datasets_equal, neighbors, save_dataset_reference
+from conftest import force_draw_values
+from oracles import datasets_equal, generate_sbm_reference, neighbors, save_dataset_reference
 
 from pcapass import (
     DataError,
+    EdgeList,
     GbdtParams,
     SbmParams,
     gbdt_predict,
     gbdt_train,
     generate_sbm,
     load_dataset,
+    prepare,
     save_dataset,
 )
-from pcapass import fileio
+from pcapass import datasets, fileio
 from pcapass.datasets import TEST, TRAIN, VALID
+from pcapass.graph import edge_list_of
 
 
 class TestParams:
@@ -142,6 +148,76 @@ class TestGenerate:
         cross_hits = adj[np.ix_(members[0], members[1])].sum()
         sigma = np.sqrt(cross_pairs * params.p_out * (1 - params.p_out))
         assert abs(cross_hits - cross_pairs * params.p_out) <= 3 * sigma
+
+
+class TestEdgeDraw:
+    """The edge sampler draws each block pair's uniform values `_DRAW` at a
+    time; the stream, and so every byte, is that of one draw per block pair."""
+
+    SMALL = {
+        "2_classes": SbmParams(n_nodes=60, n_classes=2, n_features=3, p_in=0.3, p_out=0.1, seed=1),
+        "3_classes_uneven": SbmParams(n_nodes=103, n_classes=3, n_features=4, seed=2),
+        "4_classes_uneven": SbmParams(n_nodes=90, n_classes=4, n_features=4, p_in=0.2, seed=3),
+        "5_classes_uneven": SbmParams(
+            n_nodes=77, n_classes=5, n_features=5, p_in=0.4, p_out=0.05, seed=4
+        ),
+        "cliques": SbmParams(n_nodes=41, n_classes=3, n_features=3, p_in=1.0, p_out=0.0, seed=5),
+        "no_edges": SbmParams(n_nodes=40, n_classes=2, n_features=3, p_in=0.0, p_out=0.0, seed=6),
+        "complete": SbmParams(n_nodes=42, n_classes=4, n_features=4, p_in=1.0, p_out=1.0, seed=7),
+    }
+
+    @pytest.mark.parametrize(
+        "name, draw",
+        [
+            *((name, draw) for name in SMALL for draw in (None, 1, 7, 1000)),
+            # 2,000 nodes are 2M candidate pairs: draws of 1 or 7 values
+            # would take seconds to tens of seconds
+            *(("default", draw) for draw in (None, 1000)),
+        ],
+    )
+    def test_same_bytes_as_one_draw_per_block_pair(self, name, draw, monkeypatch):
+        force_draw_values(monkeypatch, draw)
+        params = self.SMALL.get(name, SbmParams())
+        drawn = []  # the edge pairs in draw order, as `generate_sbm` prepares them
+
+        def spy(edges):
+            drawn.append(edges.pairs)
+            return prepare(edges)
+
+        monkeypatch.setattr(datasets, "prepare", spy)
+        ds = generate_sbm(params)
+        pairs, X, y, split = generate_sbm_reference(params)
+        assert drawn[0].dtype == pairs.dtype and drawn[0].tobytes() == pairs.tobytes()
+        want = edge_list_of(prepare(EdgeList(params.n_nodes, pairs))).pairs
+        assert edge_list_of(ds.graph).pairs.tobytes() == want.tobytes()
+        for got, ref in ((ds.X, X), (ds.y, y), (ds.split, split)):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    @staticmethod
+    def peak(**kw):
+        """The tracemalloc peak of `generate_sbm`, warmed up outside the trace."""
+        generate_sbm(SbmParams(n_nodes=100))
+        tracemalloc.start()
+        try:
+            generate_sbm(SbmParams(**kw))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_is_linear_in_the_node_count(self):
+        # At a constant mean degree, twice the nodes is twice the edges and
+        # features (a ratio of 1.99); the candidate pairs, held whole, were four
+        # times as many (3.96).
+        small = self.peak(n_nodes=6000, p_in=0.01, p_out=0.001)
+        large = self.peak(n_nodes=12000, p_in=0.005, p_out=0.0005)
+        assert large / small < 2.5, (small, large)
+
+    def test_without_edges_the_features_set_the_peak(self):
+        # 3.46 MB, mostly the 12,000 x 16 float64 features and their class
+        # centroids (1.54 MB each), against 162 MB with every candidate pair
+        # held whole
+        peak = self.peak(n_nodes=12000, p_in=0.0, p_out=0.0)
+        assert peak < 3.6e6, peak
 
 
 class TestSaveLoad:
