@@ -45,9 +45,9 @@ from .datasets import (
     load_labels_and_splits,
     save_dataset,
 )
-from .embed import EmbedConfig, embed, embeddings_from_csv, embeddings_to_csv
+from .embed import EmbedConfig, embed, embeddings_from_csv
 from .errors import ConfigError, DataError
-from .fileio import _format_rows, write_bytes_atomic, write_text_atomic
+from .fileio import _format_rows, write_atomic
 from .gbdt import (
     GbdtModel,
     GbdtParams,
@@ -126,7 +126,8 @@ def _metrics(model: GbdtModel, H: np.ndarray, y: np.ndarray, split: np.ndarray) 
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, [text.encode("utf-8")])
     print(f"wrote {path}")
 
 
@@ -145,7 +146,7 @@ def cmd_embed(cfg: RunConfig) -> None:
     except ValueError as exc:  # such as a PCA hop on a 1-node graph
         raise DataError(f"{_dataset_dir(cfg)}: {exc}") from None
     path = _embeddings_path(cfg)
-    write_text_atomic(path, embeddings_to_csv(result.embeddings))
+    write_atomic(path, _format_rows("", *result.embeddings.T))
     print(f"wrote {path}")
 
 
@@ -162,9 +163,9 @@ def cmd_train(cfg: RunConfig) -> None:
     except ValueError as exc:  # such as a class with no train node
         raise DataError(f"{_dataset_dir(cfg)}: {exc}") from None
     model_file = _model_path(cfg)
-    write_bytes_atomic(model_file, gbdt_to_bytes(model))
+    write_atomic(model_file, [gbdt_to_bytes(model)])
     print(f"wrote {model_file}")
-    write_text_atomic(model_file.with_suffix(".txt"), gbdt_dump_text(model))
+    write_atomic(model_file.with_suffix(".txt"), [gbdt_dump_text(model).encode("utf-8")])
     _write_json(Path(cfg.out) / "metrics.json", _metrics(model, H, y, split))
 
 
@@ -205,7 +206,7 @@ def sweep(cfg: RunConfig, ds: Dataset, where: str | Path) -> list[SweepResult]:
 def cmd_sweep(cfg: RunConfig) -> None:
     directory = _dataset_dir(cfg)
     results = sweep(cfg, load_dataset(directory), directory)
-    text = _format_rows(
+    rows = _format_rows(
         "method,k,v_measure,normalized_v_measure",
         np.repeat([res.method.value for res in results], [res.v_measures.size for res in results]),
         np.concatenate([np.arange(1, res.v_measures.size + 1) for res in results]),
@@ -213,7 +214,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
         np.concatenate([res.normalized for res in results]),
     )
     path = Path(cfg.out) / "sweep.csv"
-    write_text_atomic(path, text)
+    write_atomic(path, rows)
     print(f"wrote {path}")
 
 
@@ -232,7 +233,7 @@ def cmd_hpo(cfg: RunConfig) -> None:
     columns["valid_ce"] = np.array([rec.valid_ce for rec in records])
     columns["test_accuracy"] = np.array([rec.test_accuracy for rec in records])
     path = Path(cfg.out) / "hpo.csv"
-    write_text_atomic(path, _format_rows(",".join(columns), *columns.values()))
+    write_atomic(path, _format_rows(",".join(columns), *columns.values()))
     print(f"wrote {path}")
     _write_json(Path(cfg.out) / "hpo_summary.json", hpo_summary(records))
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError
-from .fileio import _format_rows, _read_table, write_text_atomic
+from .fileio import _format_rows, _read_table, write_atomic
 from .graph import CsrGraph, EdgeList, edge_list_of, load_edge_list, prepare
 from .schema import check_settings, setting
 
@@ -134,7 +134,7 @@ def generate_sbm(p: SbmParams) -> Dataset:
         split[order[:n_tr]] = TRAIN
         split[order[n_tr : n_tr + n_va]] = VALID
         split[order[n_tr + n_va :]] = TEST
-    return Dataset(graph=graph, X=X, y=y, split=np.array(split, dtype=np.int8))
+    return Dataset(graph=graph, X=X, y=y, split=split)
 
 
 def _sbm_pairs(rng, members: list[np.ndarray], p: SbmParams) -> np.ndarray:
@@ -165,12 +165,12 @@ def save_dataset(ds: Dataset, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     pairs = edge_list_of(ds.graph).pairs
-    write_text_atomic(directory / "edges.tsv", _format_rows("", *pairs.T, delimiter="\t"))
-    write_text_atomic(directory / "features.csv", _format_rows("", *ds.X.T))
+    write_atomic(directory / "edges.tsv", _format_rows("", *pairs.T, delimiter="\t"))
+    write_atomic(directory / "features.csv", _format_rows("", *ds.X.T))
     ids = np.arange(ds.n_nodes)
-    write_text_atomic(directory / "labels.csv", _format_rows("node_id,label", ids, ds.y))
-    splits = _format_rows("node_id,split", ids, np.array(SPLITS)[ds.split])
-    write_text_atomic(directory / "splits.csv", splits)
+    write_atomic(directory / "labels.csv", _format_rows("node_id,label", ids, ds.y))
+    splits = np.array(SPLITS)[ds.split]
+    write_atomic(directory / "splits.csv", _format_rows("node_id,split", ids, splits))
 
 
 # One row per line of labels.csv and splits.csv, after the header; a split

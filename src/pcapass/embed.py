@@ -31,8 +31,9 @@ usable core and per block, so a graph of one block, or a pool worker of
 pcapass hop's fit and projection run on the calling thread. The bytes are
 the same at any thread count.
 
-Embeddings are stored as CSV, written and read by `fileio`'s table writer
-and table reader.
+Embeddings are stored as CSV without a header, one row per node. The `embed`
+command streams them to disk through `fileio`'s table writer and atomic
+writer, and `embeddings_from_csv` reads them back through its table reader.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import parallel
 from .aggregate import Aggregator, aggregate
-from .fileio import _format_rows, _read_table
+from .fileio import _read_table
 from .graph import CsrGraph
 from .pca import PcaModel, pca_fit, pca_transform
 from .schema import check_settings, setting
@@ -144,14 +145,11 @@ def embed(g: CsrGraph, X, cfg: EmbedConfig) -> EmbedResult:
     return EmbedResult(embeddings=h, per_hop_models=models)
 
 
-def embeddings_to_csv(H: np.ndarray) -> str:
-    return _format_rows("", *np.asarray(H, dtype=np.float64).T)
-
-
 def embeddings_from_csv(path) -> np.ndarray:
-    """The embeddings CSV at `path`, as `embeddings_to_csv` writes it, read by
-    `fileio._read_table`. A bad token, a row whose width differs from the
-    first or a non-finite value raises DataError naming the file and line."""
+    """The embeddings CSV at `path`, as the `embed` command writes it (one row
+    per node, no header), read by `fileio._read_table`. A bad token, a row
+    whose width differs from the first or a non-finite value raises DataError
+    naming the file and line."""
 
     def check(H):
         finite = np.isfinite(H).all(axis=1)

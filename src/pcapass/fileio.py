@@ -1,8 +1,10 @@
-"""Atomic file writes, and the private text helpers: the line rule every text
+"""The atomic writer of every output file (`write_atomic`, which streams its
+pieces to disk), and the private text helpers: the line rule every text
 input follows, the table reader of every CSV/TSV input (`_read_table`: one
 UTF-8 read of the file, one `np.loadtxt` first pass that reads the file
 itself, and one line parse that decides and words every error), and the table
-writer of every CSV/TSV file."""
+writer of every CSV/TSV file (`_format_rows`, which yields a table in pieces
+of _CHUNK rows)."""
 
 from __future__ import annotations
 
@@ -17,22 +19,23 @@ import numpy as np
 from .errors import DataError
 
 
-def write_bytes_atomic(path, data: bytes) -> None:
+def write_atomic(path, pieces) -> None:
+    """Write the `bytes` pieces of the iterable `pieces` to `path`, one at a
+    time, through a temporary file in the same directory that replaces
+    `path` only once every piece is written. On any error, raised by the
+    write or by `pieces` itself, the temporary file is removed and `path`
+    keeps what it held."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_text_atomic(path, text: str) -> None:
-    write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def _lines(text: str):
@@ -160,16 +163,20 @@ def _read_table(path, dtype, delimiter: str = ",", header: str | None = None, ch
 _CHUNK = 1 << 14
 
 
-def _format_rows(header: str, *columns: np.ndarray, delimiter: str = ",") -> str:
-    """The line `header`, if any, then the rows of `columns`: floats `{:.9g}`, the rest `str`.
+def _format_rows(header: str, *columns: np.ndarray, delimiter: str = ","):
+    """Yield the UTF-8 pieces of a table: the line `header`, if any, then the
+    rows of `columns`, floats `{:.9g}` and the rest `str`.
 
-    _CHUNK rows at a time become Python scalars, formatted by one call on the
-    row template repeated once per row, so the temporary objects do not grow
-    with the number of rows. A table without header or rows is one newline.
+    Each piece after the header is _CHUNK rows, made Python scalars and
+    formatted by one call on the row template repeated once per row, so
+    what a piece holds does not grow with the number of rows. A table
+    without header or rows is one newline.
     """
     row = delimiter.join("{:.9g}" if col.dtype.kind == "f" else "{}" for col in columns)
-    chunks = [header + "\n"] if header else []
+    if header:
+        yield (header + "\n").encode("utf-8")
+    elif not len(columns[0]):
+        yield b"\n"
     for lo in range(0, len(columns[0]), _CHUNK):
         block = np.stack([col[lo : lo + _CHUNK].astype(object) for col in columns], axis=1)
-        chunks.append(((row + "\n") * len(block)).format(*block.ravel().tolist()))
-    return "".join(chunks) or "\n"
+        yield ((row + "\n") * len(block)).format(*block.ravel().tolist()).encode("utf-8")

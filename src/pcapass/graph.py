@@ -113,23 +113,26 @@ def prepare(edges: EdgeList) -> CsrGraph:
     gets a self-loop, duplicates collapse, and rows are sorted. Idempotent:
     preparing the edges of a prepared graph reproduces it.
     """
-    n = edges.n_nodes
+    n, m = edges.n_nodes, edges.n_edges
+    u, v = edges.pairs[:, 0], edges.pairs[:, 1]
     loops = np.arange(n, dtype=np.int64)
     # Sorted unique (u, v) pairs are the sorted unique keys u * n + v. The key
     # needs n**2 < 2**63, which holds for any n whose arange fits in memory.
-    key = np.concatenate([edges.pairs[:, 0], edges.pairs[:, 1], loops])
+    # The keys are built, sorted and compacted in one array; each row's
+    # entries start where its first key, row * n, would sort in.
+    key = np.concatenate([u, v, loops])
     key *= n
-    key += np.concatenate([edges.pairs[:, 1], edges.pairs[:, 0], loops])
+    key[:m] += v
+    key[m : 2 * m] += u
+    key[2 * m :] += loops
     key.sort()
     if key.size:
         keep = np.empty(key.size, dtype=bool)
         keep[0] = True
         np.not_equal(key[1:], key[:-1], out=keep[1:])
         key = key[keep]
-    u, v = np.divmod(key, n)
-    row_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=n), out=row_ptr[1:])
-    return CsrGraph(row_ptr=row_ptr, col_idx=v)
+    row_ptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return CsrGraph(row_ptr=row_ptr, col_idx=np.remainder(key, n, out=key))
 
 
 def edge_list_of(g: CsrGraph) -> EdgeList:

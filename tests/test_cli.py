@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -192,6 +193,39 @@ class TestPipelineSmoke:
             assert run_cmd("hpo", str(config), out) == 0
             tables.append((out / "hpo.csv").read_text())
         assert tables[0] != tables[1]
+
+
+def _pipeline_peaks(tmp_path, n_nodes):
+    """The tracemalloc peak of each command, run in `COMMANDS` order in this
+    process on an SBM of `n_nodes` at a mean degree of 32.5, with the rounds,
+    hops and runs capped."""
+    scale = 2000 / n_nodes
+    config = write_config(
+        tmp_path / f"run_{n_nodes}.cfg", n_nodes=n_nodes, p_in=0.05 * scale,
+        p_out=0.005 * scale, n_rounds=10, patience=10, sweep_hops=3, hpo_runs=2,
+        hpo_rounds=5, hpo_k_max=3, threads=1,
+    )
+    peaks = {}
+    for command in COMMANDS:
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cmd(command, config, tmp_path / f"out_{n_nodes}") == 0
+            peaks[command] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_every_command_peaks_linearly_in_the_node_count(tmp_path):
+    # Twice the nodes at the same mean degree is twice the edges, so each
+    # command's peak should about double: 1.4-2.0 here. 2.5 is the bound of
+    # `generate_sbm`'s own linear-memory test; `gen` read 3.85 while its draw
+    # held every candidate pair, which only single-function tests watched.
+    _pipeline_peaks(tmp_path, 300)  # first-call allocations are not the commands'
+    small, large = _pipeline_peaks(tmp_path, 3000), _pipeline_peaks(tmp_path, 6000)
+    ratios = {command: round(large[command] / small[command], 2) for command in COMMANDS}
+    assert all(ratio < 2.5 for ratio in ratios.values()), ratios
 
 
 class TestErrors:

@@ -20,12 +20,13 @@ from pcapass import (
     Method,
     aggregate,
     embed,
+    fileio,
     hop_states,
     parallel,
     pca_fit,
     prepare,
 )
-from pcapass.embed import embeddings_from_csv, embeddings_to_csv
+from pcapass.embed import embeddings_from_csv
 
 embed_module = importlib.import_module("pcapass.embed")
 
@@ -388,7 +389,7 @@ class TestBlockThreads:
 class TestEmbeddingFiles:
     def test_csv_roundtrip(self, rng, tmp_path):
         H = rng.standard_normal((5, 3))
-        (tmp_path / "embeddings.csv").write_text(embeddings_to_csv(H))
+        fileio.write_atomic(tmp_path / "embeddings.csv", fileio._format_rows("", *H.T))
         restored = embeddings_from_csv(tmp_path / "embeddings.csv")
         # 9 significant digits: exact at float32 precision
         np.testing.assert_array_equal(

@@ -30,17 +30,22 @@ from pcapass import ConfigError, DataError, SbmParams, cli, fileio, generate_sbm
 from pcapass import load_dataset, load_labels_and_splits, save_dataset
 from pcapass.analysis import HpoRecord, SweepResult
 from pcapass.config import parse_config_file
-from pcapass.embed import Method, embeddings_from_csv, embeddings_to_csv
+from pcapass.embed import Method, embeddings_from_csv
 from pcapass.graph import load_edge_list
 
 
-def test_public_functions_are_the_two_atomic_writers():
+def write_embeddings(path, H):
+    """`H` as the `embed` command writes its embeddings CSV."""
+    fileio.write_atomic(path, fileio._format_rows("", *H.T))
+
+
+def test_the_one_public_function_is_the_atomic_writer():
     public = {
         name
         for name, obj in inspect.getmembers(fileio, inspect.isfunction)
         if not name.startswith("_") and obj.__module__ == fileio.__name__
     }
-    assert public == {"write_bytes_atomic", "write_text_atomic"}
+    assert public == {"write_atomic"}
 
 
 def test_only_fileio_calls_loadtxt():
@@ -123,7 +128,7 @@ def saved_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("saved")
     ds = generate_sbm(SbmParams(n_nodes=30, n_classes=3, n_features=3, seed=0))
     save_dataset(ds, root)
-    (root / "embeddings.csv").write_text(embeddings_to_csv(ds.X), encoding="utf-8")
+    write_embeddings(root / "embeddings.csv", ds.X)
     names = ("edges.tsv", "features.csv", "labels.csv", "splits.csv", "embeddings.csv")
     return {name: (root / name).read_text(encoding="utf-8").split("\n") for name in names}
 
@@ -242,8 +247,9 @@ def test_a_file_replaced_between_reads_is_read_as_opened(how, tmp_path, monkeypa
     # The new file holds other values, and a \x1c that numpy reads as a space.
     H = np.arange(12.0).reshape(4, 3)
     path, new = tmp_path / "embeddings.csv", tmp_path / "new.csv"
-    path.write_text(embeddings_to_csv(H), encoding="utf-8")
-    new.write_text(embeddings_to_csv(H + 0.5).replace("\n", "\x1c\n"), encoding="utf-8")
+    write_embeddings(path, H)
+    write_embeddings(new, H + 0.5)
+    new.write_bytes(new.read_bytes().replace(b"\n", b"\x1c\n"))
     parse_table, parse_lines, parsed = fileio._parse_table, fileio._parse_lines, []
 
     def swap_then_parse(*args):
@@ -301,8 +307,8 @@ def test_reading_a_table_peaks_below_four_bytes_per_file_byte(tmp_path):
     # once also held an io.StringIO copy of the text, at 4 bytes a character
     ds = generate_sbm(SbmParams(n_nodes=2000, seed=0))
     save_dataset(ds, tmp_path)
-    (tmp_path / "embeddings.csv").write_text(embeddings_to_csv(
-        np.random.default_rng(0).standard_normal((2000, 16))), encoding="utf-8")
+    H = np.random.default_rng(0).standard_normal((2000, 16))
+    write_embeddings(tmp_path / "embeddings.csv", H)
     for name, read in [
         ("edges.tsv", lambda path: load_edge_list(path, 2000)),
         ("embeddings.csv", embeddings_from_csv),
@@ -327,7 +333,7 @@ def test_every_text_input_skips_a_whitespace_only_line(name, tmp_path):
     # labels.csv, splits.csv and embeddings.csv once failed on a "#" line
     ds = generate_sbm(SbmParams(n_nodes=30, n_classes=2, n_features=3, seed=0))
     save_dataset(ds, tmp_path)
-    (tmp_path / "embeddings.csv").write_text(embeddings_to_csv(ds.X), encoding="utf-8")
+    write_embeddings(tmp_path / "embeddings.csv", ds.X)
     (tmp_path / "run.cfg").write_text("seed = 1\nthreads = 2\nk = 3\n", encoding="utf-8")
 
     def read():
@@ -356,8 +362,43 @@ def test_a_failed_atomic_write_leaves_no_temporary_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "replace", refuse)
     with pytest.raises(OSError, match="replace refused"):
-        fileio.write_bytes_atomic(tmp_path / "out.bin", b"data")
+        fileio.write_atomic(tmp_path / "out.bin", [b"data"])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_piece_leaves_the_old_file_and_no_temporary_file(tmp_path):
+    # the pieces are formatted during the write, so a formatting error comes
+    # after the temporary file holds the first piece
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+
+    def pieces():
+        yield b"new\n"
+        raise ValueError("formatting failed")
+
+    with pytest.raises(ValueError, match="formatting failed"):
+        fileio.write_atomic(path, pieces())
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"old\n"
+
+
+def test_writing_a_table_holds_one_piece_at_a_time(tmp_path):
+    # twice the rows, the same peak (a ratio of 1.00): the writer once joined
+    # the whole table into one string and encoded it, 2 bytes a text byte and
+    # a ratio of 1.58 between these sizes
+    H = np.random.default_rng(0).standard_normal((100_000, 16))
+    write_embeddings(tmp_path / "warm.csv", H[:100])  # numpy's first-call allocations
+
+    def peak(rows):
+        tracemalloc.start()
+        try:
+            write_embeddings(tmp_path / "embeddings.csv", H[:rows])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(50_000), peak(100_000)
+    assert large <= 1.1 * small, (small, large)
 
 
 _cells = st.one_of(
@@ -372,8 +413,9 @@ _cells = st.one_of(
              elements=st.floats(width=32))
 )
 @settings(max_examples=200, deadline=None)
-def test_embeddings_to_csv_matches_the_row_writer(H):
-    assert embeddings_to_csv(H) == embeddings_csv_text_reference(H)
+def test_embeddings_csv_matches_the_row_writer(H):
+    text = b"".join(fileio._format_rows("", *H.T)).decode("utf-8")
+    assert text == embeddings_csv_text_reference(H)
 
 
 def _sweep_result(method, raw):
